@@ -17,8 +17,8 @@ from .convergence import (DiscreteCdf, RateExperiment, RatePoint,
                           kolmogorov_distance, lognormal_cdf, rate_constant,
                           rate_experiment, terminal_distribution)
 from .errors import ArbitrageError, DataFormatError, DomainError
-from .market_io import (ChainFile, ReturnSeries, RunConfig, load_chain,
-                        load_config, load_returns, write_chain)
+from .market_io import (ChainFile, ReturnSeries, load_chain, load_config,
+                        load_returns, write_chain)
 from .model import (ModelParams, StepFactors, crr_factors, crr_params,
                     gbm_moment, jarrow_rudd_factors, jarrow_rudd_params, p_up,
                     step_factors_asymptotic, step_factors_exact, step_moment,
@@ -53,7 +53,7 @@ __all__ = [
     "UpDownCounts", "up_proportion", "proportion_ci", "exact_binomial_test",
     "HomogeneityResult", "homogeneity_test", "chi2_sf", "YearEstimate",
     "grouped_estimates",
-    "ChainFile", "ReturnSeries", "RunConfig", "load_chain", "write_chain",
+    "ChainFile", "ReturnSeries", "load_chain", "write_chain",
     "load_returns", "load_config",
     "__version__",
 ]

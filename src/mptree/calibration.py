@@ -11,6 +11,12 @@ n = days to maturity):
   and delta = (r - g*gamma)/(1 - g), which pins the physical mean drift
   at r.
 
+Each family is one entry of a private table: the names of its free
+parameters, ``build(x, r, dt)`` mapping them to the tree parameters, and
+optionally ``embed(params, dt)`` mapping a poorer optimum into them. A
+parameter's box and transform follow from its name, so a new family is
+one entry; :data:`MODELS` is the table's order.
+
 The objective is the sum of squared price differences; reported fit
 quality is AAE, APE, ARPE and RMSE. Because every classical family is,
 at a fixed dt, an exact slice of mpbin1 (gamma = delta = r with v folded
@@ -22,8 +28,9 @@ errors nest monotonically.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,8 +53,6 @@ __all__ = [
     "calibration_report_csv",
 ]
 
-MODELS = ("crr", "jr", "tian", "mpbin1", "mpbin2")
-
 SIGMA_BOUNDS = (1e-4, 5.0)
 PROB_BOUNDS = (1e-4, 1.0 - 1e-4)
 GAMMA_BOUNDS = (1e-4, 5.0)
@@ -64,9 +69,15 @@ class OptionQuote:
     market_price: float
 
     def __post_init__(self) -> None:
-        # Plain floats, so that write_chain's repr() output parses back.
+        # Plain floats and ints, so that write_chain's repr() output parses back.
         object.__setattr__(self, "strike", float(self.strike))
         object.__setattr__(self, "market_price", float(self.market_price))
+        try:
+            days = operator.index(self.days_to_maturity)
+        except TypeError:
+            raise DomainError(f"days to maturity must be an integer, "
+                              f"got {self.days_to_maturity!r}") from None
+        object.__setattr__(self, "days_to_maturity", days)
         if self.strike <= 0.0:
             raise DomainError(f"strike must be positive, got {self.strike}")
         if self.days_to_maturity < 1:
@@ -112,14 +123,24 @@ def error_metrics(model_prices: Sequence[float],
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Calibration settings; all deterministic given the seed."""
+    """Calibration settings; all deterministic given the seed.
+
+    ``maturity_filter`` is read where the chain is loaded: it keeps only
+    the short-dated quotes (:func:`~mptree.market_io.load_chain`).
+    """
 
     dt: float = 1.0 / TRADING_DAYS_PER_YEAR
     tolerance: float = 1e-10
     restarts: int = 3
     max_iterations: int = 2000
     seed: int = 0
+    maturity_filter: bool = False
     extra_starts: tuple[tuple[float, ...], ...] = field(default_factory=tuple)
+
+    def __post_init__(self) -> None:
+        if not self.dt > 0.0:
+            raise DomainError(f"dt must be positive, got {self.dt}")
+        self.minimize_config()
 
     def minimize_config(self) -> MinimizeConfig:
         return MinimizeConfig(tolerance=self.tolerance, restarts=self.restarts,
@@ -137,37 +158,75 @@ class CalibrationResult:
     converged: bool
 
 
+def _clip(value: float, bounds: tuple[float, float]) -> float:
+    return min(max(value, bounds[0]), bounds[1])
+
+
+def _embed_mpbin1(params: ModelParams, dt: float) -> tuple[float, ...]:
+    # At a fixed dt every classical family has gamma = delta = r, so folding
+    # v into the probability (g' = g + v*sqrt(dt)) reproduces its tree.
+    return (params.sigma, _clip(params.g + params.v * math.sqrt(dt), PROB_BOUNDS))
+
+
+def _embed_mpbin2(params: ModelParams, dt: float) -> tuple[float, ...]:
+    # g = p_dt makes v = 0 and gamma = r makes delta = r.
+    sigma, p = _embed_mpbin1(params, dt)
+    return (sigma, p, p, _clip(params.gamma, GAMMA_BOUNDS))
+
+
+def _build_mpbin2(x: Sequence[float], r: float, dt: float) -> ModelParams:
+    sigma, g, p_dt, gamma = x
+    return ModelParams(gamma=gamma, delta=(r - g * gamma) / (1.0 - g), g=g,
+                       v=(p_dt - g) / math.sqrt(dt), sigma=sigma)
+
+
+@dataclass(frozen=True)
+class _Family:
+    params: tuple[str, ...]
+    build: Callable[[Sequence[float], float, float], ModelParams]
+    embed: Callable[[ModelParams, float], tuple[float, ...]] | None = None
+
+
+# In nesting order: each family with an ``embed`` is seeded from the optima
+# of every family before it.
+_FAMILIES = {
+    "crr": _Family(("sigma",), lambda x, r, dt: crr_params(r, x[0])),
+    "jr": _Family(("sigma",), lambda x, r, dt: jarrow_rudd_params(r, x[0])),
+    "tian": _Family(("sigma",), lambda x, r, dt: tian_params(r, x[0])),
+    "mpbin1": _Family(("sigma", "g"), lambda x, r, dt: ModelParams(
+        gamma=r, delta=r, g=x[1], v=0.0, sigma=x[0]), _embed_mpbin1),
+    "mpbin2": _Family(("sigma", "g", "p_dt", "gamma"), _build_mpbin2, _embed_mpbin2),
+}
+
+MODELS = tuple(_FAMILIES)
+
+# Box and optimizer transform of each free parameter.
+_PARAMETER_BOXES = {"sigma": (SIGMA_BOUNDS, "log"), "g": (PROB_BOUNDS, "logit"),
+                    "p_dt": (PROB_BOUNDS, "logit"), "gamma": (GAMMA_BOUNDS, "log")}
+
+
+def _family(model: str) -> _Family:
+    if model not in _FAMILIES:
+        raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
+    return _FAMILIES[model]
+
+
+def free_parameter_names(model: str) -> tuple[str, ...]:
+    """Names of the free parameters of ``model``, in vector order."""
+    return _family(model).params
+
+
 def build_params(model: str, x: Sequence[float], r: float,
                  dt: float) -> ModelParams:
     """Map a free-parameter vector to the full five-tuple for ``model``."""
-    if model == "crr":
-        return crr_params(r, x[0])
-    if model == "jr":
-        return jarrow_rudd_params(r, x[0])
-    if model == "tian":
-        return tian_params(r, x[0])
-    if model == "mpbin1":
-        sigma, g = x
-        return ModelParams(gamma=r, delta=r, g=g, v=0.0, sigma=sigma)
-    if model == "mpbin2":
-        sigma, g, p_dt, gamma = x
-        v = (p_dt - g) / math.sqrt(dt)
-        delta = (r - g * gamma) / (1.0 - g)
-        return ModelParams(gamma=gamma, delta=delta, g=g, v=v, sigma=sigma)
-    raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
+    return _family(model).build(x, r, dt)
 
 
 def free_parameter_spec(model: str) -> tuple[tuple[tuple[float, float], ...],
                                              tuple[str, ...]]:
     """Bounds and transforms of the free-parameter vector for ``model``."""
-    if model in ("crr", "jr", "tian"):
-        return (SIGMA_BOUNDS,), ("log",)
-    if model == "mpbin1":
-        return (SIGMA_BOUNDS, PROB_BOUNDS), ("log", "logit")
-    if model == "mpbin2":
-        return (SIGMA_BOUNDS, PROB_BOUNDS, PROB_BOUNDS, GAMMA_BOUNDS), \
-            ("log", "logit", "logit", "log")
-    raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
+    boxes = [_PARAMETER_BOXES[name] for name in _family(model).params]
+    return tuple(box for box, _ in boxes), tuple(kind for _, kind in boxes)
 
 
 def model_prices(model: str, params: ModelParams, quotes: Sequence[OptionQuote],
@@ -189,8 +248,7 @@ def model_prices(model: str, params: ModelParams, quotes: Sequence[OptionQuote],
     about -9.7e-4 on S0 = 100 over 21 steps). A zero-strike call is thus
     worth S0 (1 + residual)^n, not exactly S0.
     """
-    if model not in MODELS:
-        raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
+    _family(model)  # rejects an unknown model
     if len(quotes) == 0:
         raise DomainError("quote list must be non-empty")
     if s0 <= 0.0:
@@ -258,21 +316,23 @@ def implied_atm_sigma(quotes: Sequence[OptionQuote], s0: float, r: float,
 
 def _default_start(model: str, quotes: Sequence[OptionQuote], s0: float,
                    r: float, dt: float) -> tuple[float, ...]:
+    family = _family(model)
     sigma0 = implied_atm_sigma(quotes, s0, r, dt)
     sigma0 = min(max(sigma0, SIGMA_BOUNDS[0] * 2), SIGMA_BOUNDS[1] / 2)
-    if model in ("crr", "jr", "tian"):
-        # Keep the start admissible: the CRR slope diverges as sigma -> 0.
-        while sigma0 < SIGMA_BOUNDS[1] / 2:
-            try:
-                validate_params(build_params(model, (sigma0,), r, dt), dt)
-                break
-            except DomainError:
-                sigma0 *= 1.5
-        return (sigma0,)
-    if model == "mpbin1":
-        return (sigma0, 0.5)
     gamma0 = min(max(r, GAMMA_BOUNDS[0] * 2), GAMMA_BOUNDS[1] / 2)
-    return (sigma0, 0.5, 0.5, gamma0)
+
+    def start(sigma: float) -> tuple[float, ...]:
+        neutral = {"sigma": sigma, "g": 0.5, "p_dt": 0.5, "gamma": gamma0}
+        return tuple(neutral[name] for name in family.params)
+
+    # Keep the start admissible: the CRR slope diverges as sigma -> 0.
+    while sigma0 < SIGMA_BOUNDS[1] / 2:
+        try:
+            validate_params(family.build(start(sigma0), r, dt), dt)
+            break
+        except DomainError:
+            sigma0 *= 1.5
+    return start(sigma0)
 
 
 _PENALTY = 1e15
@@ -331,54 +391,24 @@ def calibrate(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
                              converged=best.converged)
 
 
-def embed_in_mpbin1(result: CalibrationResult,
-                    dt: float = 1.0 / TRADING_DAYS_PER_YEAR) -> tuple[float, float]:
-    """Express a classical optimum as an (sigma, g) start for mpbin1.
-
-    At a fixed dt the classical families all have gamma = delta = r, so
-    folding v into the probability (g' = g + v*sqrt(dt)) reproduces the
-    classical tree exactly.
-    """
-    p = result.params.g + result.params.v * math.sqrt(dt)
-    p = min(max(p, PROB_BOUNDS[0]), PROB_BOUNDS[1])
-    return (result.params.sigma, p)
-
-
-def embed_in_mpbin2(result: CalibrationResult, r: float,
-                    dt: float = 1.0 / TRADING_DAYS_PER_YEAR
-                    ) -> tuple[float, float, float, float]:
-    """Express an mpbin1 or classical optimum as an mpbin2 start."""
-    sigma, p = embed_in_mpbin1(result, dt)
-    g = result.params.g if result.model == "mpbin1" else p
-    g = min(max(g, PROB_BOUNDS[0]), PROB_BOUNDS[1])
-    gamma = min(max(r, GAMMA_BOUNDS[0]), GAMMA_BOUNDS[1])
-    return (sigma, g, p, gamma)
-
-
 def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
                     s0: float, r: float,
                     config: CalibrationConfig | None = None
                     ) -> list[CalibrationResult]:
     """Calibrate several models, seeding richer ones from poorer optima.
 
-    Classical optima seed the mpbin1 search and classical plus mpbin1
-    optima seed mpbin2, which enforces the nesting of optimal errors
-    numerically.
+    Models run in :data:`MODELS` order. A family that can embed poorer
+    optima (mpbin1, mpbin2) starts from every earlier result as well,
+    which enforces the nesting of optimal errors numerically.
     """
     cfg = config or CalibrationConfig()
     for model in models:
-        if model not in MODELS:
-            raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
-    ordered = [m for m in MODELS if m in models]
+        _family(model)  # rejects an unknown model
     results: list[CalibrationResult] = []
-    for model in ordered:
-        seeds: list[tuple[float, ...]] = []
-        if model == "mpbin1":
-            seeds = [embed_in_mpbin1(res, cfg.dt) for res in results
-                     if res.model in ("crr", "jr", "tian")]
-        elif model == "mpbin2":
-            seeds = [embed_in_mpbin2(res, r, cfg.dt) for res in results]
-        run_cfg = replace(cfg, extra_starts=cfg.extra_starts + tuple(seeds))
+    for model in (m for m in MODELS if m in models):
+        embed = _FAMILIES[model].embed
+        seeds = tuple(embed(res.params, cfg.dt) for res in results) if embed else ()
+        run_cfg = replace(cfg, extra_starts=cfg.extra_starts + seeds)
         results.append(calibrate(model, quotes, s0, r, run_cfg))
     return results
 

@@ -21,31 +21,27 @@ def _fmt(value: float, full: bool) -> str:
     return repr(float(value)) if full else format(float(value), ".6g")
 
 
-def _model_params_from_args(args: argparse.Namespace, r: float) -> model.ModelParams:
-    name = args.model
-    if name == "crr":
-        return model.crr_params(r, args.sigma)
-    if name == "jr":
-        return model.jarrow_rudd_params(r, args.sigma)
-    if name == "tian":
-        return model.tian_params(r, args.sigma)
-    if name == "mpbin1":
-        if args.g is None:
-            raise DomainError("--g is required for model mpbin1")
-        return model.ModelParams(gamma=r, delta=r, g=args.g, v=0.0, sigma=args.sigma)
-    # full parameterization
-    missing = [flag for flag, value in
-               (("--gamma", args.gamma), ("--delta", args.delta), ("--g", args.g))
-               if value is None]
+# "mp" sets the five tree parameters directly; every other --model is a
+# calibration family whose free parameters come from the flags of the same
+# name.
+_TREE_PARAMETERS = ("gamma", "delta", "g", "v", "sigma")
+
+
+def _model_params_from_args(args: argparse.Namespace, dt: float) -> model.ModelParams:
+    direct = args.model == "mp"
+    names = _TREE_PARAMETERS if direct else calibration.free_parameter_names(args.model)
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
     if missing:
-        raise DomainError(f"model mp requires {', '.join(missing)}")
-    return model.ModelParams(gamma=args.gamma, delta=args.delta, g=args.g,
-                             v=args.v, sigma=args.sigma)
+        raise DomainError(f"model {args.model} requires {', '.join(missing)}")
+    values = [getattr(args, name) for name in names]
+    if direct:
+        return model.ModelParams(**dict(zip(names, values)))
+    return calibration.build_params(args.model, values, args.r, dt)
 
 
 def _cmd_price(args: argparse.Namespace) -> int:
-    params = _model_params_from_args(args, args.r)
     dt = args.T / args.n
+    params = _model_params_from_args(args, dt)
     lattice = pricing.Lattice.build(args.s0, params, args.n, dt, args.r,
                                     method=args.factors)
     value = pricing.price_european(lattice, params, pricing.Payoff.call(args.strike))
@@ -54,14 +50,11 @@ def _cmd_price(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    run_cfg = market_io.load_config(args.config) if args.config else market_io.RunConfig()
+    cfg = (market_io.load_config(args.config) if args.config
+           else calibration.CalibrationConfig())
     chain = market_io.load_chain(args.chain,
-                                 short_maturities_only=run_cfg.maturity_filter)
+                                 short_maturities_only=cfg.maturity_filter)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
-    cfg = calibration.CalibrationConfig(
-        dt=run_cfg.dt, tolerance=run_cfg.optimizer_tolerance,
-        restarts=run_cfg.optimizer_restarts,
-        max_iterations=run_cfg.optimizer_max_iterations, seed=run_cfg.seed)
     results = calibration.calibrate_suite(models, chain.quotes, chain.spot,
                                           chain.rate, cfg)
     print(f"# spot={chain.spot!r}")

@@ -1,4 +1,4 @@
-"""File ingestion: option chains, dated return series, run configuration.
+"""File ingestion: option chains, dated return series, calibration settings.
 
 Formats are deliberately small and self-contained:
 
@@ -11,26 +11,31 @@ chain CSV::
     ...
 
 returns CSV: ``date,value`` rows with ISO-8601 dates (an optional literal
-``date,value`` header is tolerated); config: ``key=value`` lines with
-``#`` comments. Every malformed input produces a line-numbered
-diagnostic rather than a crash or a silent skip.
+``date,value`` header is tolerated).
+
+config: ``key=value`` lines with ``#`` comments, read into a
+:class:`~mptree.calibration.CalibrationConfig`; each key sets one field and
+an absent key keeps its default: ``dt``, ``optimizer_tolerance`` (field
+``tolerance``), ``optimizer_restarts`` (``restarts``),
+``optimizer_max_iterations`` (``max_iterations``), ``seed`` and
+``maturity_filter`` (``true`` or ``false``). Every malformed input
+produces a line-numbered diagnostic rather than a crash or a silent skip.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Literal
 
-from .calibration import TRADING_DAYS_PER_YEAR, OptionQuote
+from .calibration import CalibrationConfig, OptionQuote
 from .errors import DataFormatError, DomainError
 
 __all__ = [
     "ChainFile",
     "ReturnSeries",
-    "RunConfig",
     "load_chain",
     "write_chain",
     "load_returns",
@@ -197,35 +202,22 @@ def load_returns(path: str | Path,
     return ReturnSeries(rows=tuple(rows), value_kind=value_kind)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-wide settings parsed from a key=value file."""
-
-    dt: float = 1.0 / TRADING_DAYS_PER_YEAR
-    optimizer_tolerance: float = 1e-10
-    optimizer_restarts: int = 3
-    optimizer_max_iterations: int = 2000
-    seed: int = 0
-    maturity_filter: bool = False
-    ci_level: float = 0.95
-
-
-_CONFIG_PARSERS = {
+# Config file key -> (CalibrationConfig field, parser).
+_CONFIG_KEYS = {
     "dt": ("dt", float),
-    "optimizer_tolerance": ("optimizer_tolerance", float),
-    "optimizer_restarts": ("optimizer_restarts", int),
-    "optimizer_max_iterations": ("optimizer_max_iterations", int),
+    "optimizer_tolerance": ("tolerance", float),
+    "optimizer_restarts": ("restarts", int),
+    "optimizer_max_iterations": ("max_iterations", int),
     "seed": ("seed", int),
-    "maturity_filter": ("maturity_filter", None),
-    "ci_level": ("ci_level", float),
+    "maturity_filter": ("maturity_filter",
+                        lambda token: {"true": True, "false": False}[token.lower()]),
 }
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path) -> CalibrationConfig:
     """Parse a config file; unknown keys and malformed values are rejected."""
-    lines = Path(path).read_text().splitlines()
-    values: dict[str, object] = {}
-    for line_no, raw in enumerate(lines, start=1):
+    config = CalibrationConfig()
+    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -233,34 +225,14 @@ def load_config(path: str | Path) -> RunConfig:
             raise DataFormatError(f"line {line_no}: expected key=value, got {line!r}")
         key, _, token = line.partition("=")
         key, token = key.strip(), token.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in _CONFIG_KEYS:
             raise DataFormatError(f"line {line_no}: unknown key {key!r}")
-        attr, caster = _CONFIG_PARSERS[key]
-        if caster is None:
-            lowered = token.lower()
-            if lowered not in ("true", "false"):
-                raise DataFormatError(
-                    f"line {line_no}: expected true/false for {key}, got {token!r}")
-            values[attr] = lowered == "true"
-        else:
-            try:
-                values[attr] = caster(token)
-            except ValueError:
-                raise DataFormatError(
-                    f"line {line_no}: malformed value for {key}: {token!r}") from None
-    config = RunConfig(**values)
-    if config.dt <= 0.0:
-        raise DataFormatError(f"dt must be positive, got {config.dt}")
-    if config.optimizer_tolerance <= 0.0:
-        raise DataFormatError(
-            f"optimizer_tolerance must be positive, got {config.optimizer_tolerance}")
-    if config.optimizer_restarts < 0:
-        raise DataFormatError(
-            f"optimizer_restarts must be >= 0, got {config.optimizer_restarts}")
-    if config.optimizer_max_iterations < 1:
-        raise DataFormatError(
-            f"optimizer_max_iterations must be >= 1, "
-            f"got {config.optimizer_max_iterations}")
-    if not 0.0 < config.ci_level < 1.0:
-        raise DataFormatError(f"ci_level must be in (0, 1), got {config.ci_level}")
+        name, parse = _CONFIG_KEYS[key]
+        try:
+            config = replace(config, **{name: parse(token)})
+        except DomainError as exc:
+            raise DataFormatError(f"line {line_no}: {key}: {exc}") from None
+        except (KeyError, ValueError):
+            raise DataFormatError(
+                f"line {line_no}: malformed value for {key}: {token!r}") from None
     return config

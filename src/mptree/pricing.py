@@ -59,13 +59,18 @@ class Payoff:
     def custom(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "Payoff":
         return cls(kind="custom", fn=fn)
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("call", "put", "custom"):
+            raise DomainError(f"unknown payoff kind {self.kind!r}; "
+                              f"expected 'call', 'put' or 'custom'")
+        if self.kind == "custom" and self.fn is None:
+            raise DomainError("custom payoff requires an evaluator function")
+
     def evaluate(self, terminal: np.ndarray) -> np.ndarray:
         if self.kind == "call":
             return np.maximum(terminal - self.strike, 0.0)
         if self.kind == "put":
             return np.maximum(self.strike - terminal, 0.0)
-        if self.fn is None:
-            raise DomainError("custom payoff requires an evaluator function")
         return np.asarray(self.fn(terminal), dtype=float)
 
 
@@ -100,6 +105,9 @@ class Lattice:
         guarantees positive node prices; ``"asymptotic"`` uses the
         first-order factors.
         """
+        if method not in ("exact", "asymptotic"):
+            raise DomainError(f"unknown factor method {method!r}; "
+                              f"expected 'exact' or 'asymptotic'")
         make = step_factors_exact if method == "exact" else step_factors_asymptotic
         return cls(s0=s0, n=n, dt=dt, factors=make(params, dt), rate=rate)
 

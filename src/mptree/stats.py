@@ -69,11 +69,13 @@ def proportion_ci(counts: UpDownCounts, level: float = 0.95) -> tuple[float, flo
     z2_n = z * z / n
     center = (p_hat + z2_n / 2.0) / (1.0 + z2_n)
     half = z * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n)) / (1.0 + z2_n)
-    return (max(0.0, center - half), min(1.0, center + half))
+    # At p_hat = 0 or 1 the bound is center -/+ half = p_hat exactly, which
+    # rounding would move off p_hat.
+    lo = 0.0 if counts.ups == 0 else max(0.0, center - half)
+    hi = 1.0 if counts.ups == n else min(1.0, center + half)
+    return (lo, hi)
 
 
-# Exact-integer pmf path is used while C(n, n/2) stays inside float range.
-_EXACT_PMF_MAX_N = 1000
 # Relative slack when comparing pmf values, matching the convention of the
 # widely used implementations of the minimum-likelihood two-sided test.
 _PMF_REL_SLACK = 1.0 + 1e-7
@@ -88,15 +90,9 @@ def exact_binomial_test(counts: UpDownCounts, p0: float) -> float:
     if not 0.0 < p0 < 1.0:
         raise DomainError(f"null probability must be in (0, 1), got {p0}")
     n, k = counts.total, counts.ups
-    if n <= _EXACT_PMF_MAX_N:
-        pmf = [math.comb(n, i) * p0 ** i * (1.0 - p0) ** (n - i)
-               for i in range(n + 1)]
-        cutoff = pmf[k] * _PMF_REL_SLACK
-        p_value = sum(prob for prob in pmf if prob <= cutoff)
-    else:
-        log_pmf = [log_binomial_pmf(i, n, p0) for i in range(n + 1)]
-        log_cutoff = log_pmf[k] + math.log(_PMF_REL_SLACK)
-        p_value = sum(math.exp(lp) for lp in log_pmf if lp <= log_cutoff)
+    log_pmf = [log_binomial_pmf(i, n, p0) for i in range(n + 1)]
+    log_cutoff = log_pmf[k] + math.log(_PMF_REL_SLACK)
+    p_value = sum(math.exp(lp) for lp in log_pmf if lp <= log_cutoff)
     return min(1.0, max(0.0, p_value))
 
 

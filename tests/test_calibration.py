@@ -5,7 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mptree import calibration
 from mptree.calibration import (MODELS, CalibrationConfig, OptionQuote,
                                 build_params, calibrate, calibrate_suite,
                                 calibration_report_csv, error_metrics,
@@ -88,6 +91,13 @@ def test_quote_validation():
         OptionQuote(strike=100.0, days_to_maturity=0, market_price=1.0)
     with pytest.raises(DomainError):
         OptionQuote(strike=100.0, days_to_maturity=10, market_price=0.0)
+
+
+def test_quote_days_must_be_an_integer():
+    with pytest.raises(DomainError, match="integer"):
+        OptionQuote(strike=100.0, days_to_maturity=21.5, market_price=1.0)
+    quote = OptionQuote(strike=100.0, days_to_maturity=np.int64(21), market_price=1.0)
+    assert type(quote.days_to_maturity) is int
 
 
 def test_model_prices_zero_strike_limit():
@@ -262,3 +272,24 @@ def test_report_csv_layout():
         assert float(fields[1]) == res.params.sigma
         assert float(fields[9]) == res.metrics.rmse
         assert fields[11] in ("True", "False")
+
+
+# ---------------------------------------------------------------------------
+# family table
+# ---------------------------------------------------------------------------
+
+EMBED_CHAIN = [OptionQuote(k, d, 1.0) for d in (5, 21) for k in (95.0, 100.0, 105.0)]
+NESTING = [(poorer, "mpbin1") for poorer in ("crr", "jr", "tian")] + \
+    [(poorer, "mpbin2") for poorer in ("crr", "jr", "tian", "mpbin1")]
+
+
+@settings(deadline=None)
+@given(sigma=st.floats(0.05, 1.0), g=st.floats(0.3, 0.7))
+def test_richer_family_reprices_an_embedded_poorer_tree(sigma, g):
+    for poorer, richer in NESTING:
+        x = (sigma, g)[:len(free_parameter_spec(poorer)[0])]
+        params = build_params(poorer, x, RATE, DAILY)
+        family = calibration._FAMILIES[richer]
+        embedded = family.build(family.embed(params, DAILY), RATE, DAILY)
+        assert model_prices(richer, embedded, EMBED_CHAIN, S0, RATE) == pytest.approx(
+            model_prices(poorer, params, EMBED_CHAIN, S0, RATE), rel=1e-12), (poorer, richer)

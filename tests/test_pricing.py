@@ -215,6 +215,18 @@ def test_custom_payoff_requires_fn():
         Payoff(kind="custom").evaluate(np.array([1.0]))
 
 
+def test_payoff_checks_kind_at_construction():
+    with pytest.raises(DomainError, match="'cal'"):
+        Payoff(kind="cal", strike=100.0)
+    with pytest.raises(DomainError, match="evaluator"):
+        Payoff(kind="custom")
+
+
+def test_lattice_rejects_unknown_factor_method():
+    with pytest.raises(DomainError, match="'exatc'"):
+        Lattice.build(100.0, mp(), n=10, dt=DAILY, rate=0.0, method="exatc")
+
+
 def test_lattice_recombines():
     params = mp(gamma=0.05, delta=0.02, g=0.4, v=0.1, sigma=0.3)
     lattice = Lattice.build(100.0, params, n=40, dt=DAILY, rate=0.02)
