@@ -38,7 +38,7 @@ from .errors import ArbitrageError, DomainError
 from .model import (ModelParams, crr_params, jarrow_rudd_params,
                     step_factors_exact, tian_params, validate_params)
 from .optimize import MinimizeConfig, MinimizeResult, minimize
-from .pricing import risk_neutral_prob
+from .pricing import Lattice, risk_neutral_prob
 
 __all__ = [
     "MODELS",
@@ -234,44 +234,32 @@ def model_prices(model: str, params: ModelParams, quotes: Sequence[OptionQuote],
                  dt: float = 1.0 / TRADING_DAYS_PER_YEAR) -> list[float]:
     """Price every quote: n = days to maturity on a step of ``dt``.
 
-    Quotes sharing a maturity are priced in one backward induction with a
-    strike column per quote; the per-column arithmetic is identical to
-    pricing each quote alone.
-
-    The lattice uses the exact (exponential) factors and the paper's
-    hedge probability Q of :func:`~mptree.pricing.risk_neutral_prob`,
-    which is derived from the asymptotic factors. The discounted stock is
-    therefore not an exact martingale on this lattice: the one-step
-    residual e^{-r dt}(Q u + (1-Q) d) - 1 is -sigma^4 dt^2/12 for JR
-    (-2.1e-9 per daily step at sigma = 0.2) and O(dt^{3/2}) when
-    p != 1/2 (mpbin1 at sigma = 0.3, g = 0.45: -4.6e-7 per daily step,
-    about -9.7e-4 on S0 = 100 over 21 steps). A zero-strike call is thus
-    worth S0 (1 + residual)^n, not exactly S0.
+    Quotes sharing a maturity are priced in one
+    :meth:`~mptree.pricing.Lattice.roll_back` with a strike column per
+    quote, so each price is bit-identical to pricing its quote alone with
+    :func:`~mptree.pricing.price_european`. The lattice uses the exact
+    (exponential) factors and the paper's hedge probability Q, which
+    leaves the martingale residual documented on ``roll_back``.
     """
     _family(model)  # rejects an unknown model
     if len(quotes) == 0:
         raise DomainError("quote list must be non-empty")
-    if s0 <= 0.0:
-        raise DomainError(f"spot must be positive, got {s0}")
     try:
         factors = step_factors_exact(params, dt)
         q = risk_neutral_prob(params, r, dt)
     except (DomainError, ArbitrageError) as exc:
         raise type(exc)(f"{exc} (while pricing quote 0)") from exc
-    disc = math.exp(-r * dt)
     prices = [0.0] * len(quotes)
     by_maturity: dict[int, list[int]] = {}
     for idx, quote in enumerate(quotes):
         by_maturity.setdefault(quote.days_to_maturity, []).append(idx)
     for n, idxs in by_maturity.items():
-        i = np.arange(n + 1)
-        terminal = s0 * factors.u ** i * factors.d ** (n - i)
+        lattice = Lattice(s0=s0, n=n, dt=dt, factors=factors, rate=r)
         strikes = np.array([quotes[idx].strike for idx in idxs])
-        values = np.maximum(terminal[:, None] - strikes[None, :], 0.0)
-        for _ in range(n):
-            values = disc * (q * values[1:, :] + (1.0 - q) * values[:-1, :])
+        root = lattice.roll_back(q, np.maximum(
+            lattice.node_values(n)[:, None] - strikes[None, :], 0.0))
         for col, idx in enumerate(idxs):
-            prices[idx] = float(values[0, col])
+            prices[idx] = float(root[col])
     return prices
 
 

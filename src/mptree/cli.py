@@ -40,6 +40,8 @@ def _model_params_from_args(args: argparse.Namespace, dt: float) -> model.ModelP
 
 
 def _cmd_price(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise DomainError(f"step count must be >= 1, got {args.n}")
     dt = args.T / args.n
     params = _model_params_from_args(args, dt)
     lattice = pricing.Lattice.build(args.s0, params, args.n, dt, args.r,

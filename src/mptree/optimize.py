@@ -39,8 +39,8 @@ class MinimizeConfig:
     initial_step: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0.0:
-            raise DomainError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
         if self.restarts < 0:

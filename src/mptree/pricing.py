@@ -11,6 +11,10 @@ gamma = delta. A one-step model that instead fixes the replication
 probability from (u, d, r) alone prices independently of p on (0, 1) and
 jumps at p = 0 and p = 1; :func:`discontinuity_report` exhibits those
 gaps for comparison.
+
+:meth:`Lattice.roll_back` is the one backward induction: both
+:func:`price_european` and calibration's chain pricer
+(:func:`~mptree.calibration.model_prices`) price through it.
 """
 
 from __future__ import annotations
@@ -116,6 +120,31 @@ class Lattice:
         i = np.arange(k + 1)
         return self.s0 * self.factors.u ** i * self.factors.d ** (k - i)
 
+    def roll_back(self, q: float, values: np.ndarray) -> np.ndarray:
+        """Discounted expectation at the root of values at the terminal nodes.
+
+        ``values`` has one row per terminal node, in the order of
+        :meth:`node_values`, and shape ``(n+1,)`` or ``(n+1, k)``; each of
+        the n sweeps discounts by exp(-rate*dt) under the up probability
+        ``q``. The root value or row is returned; the arithmetic of each
+        column is that of rolling it back alone.
+
+        Q is the paper's hedge probability, derived from the asymptotic
+        factors. On a lattice built with the exact factors the one-step
+        martingale residual e^{-r dt}(Q u + (1-Q) d) - 1 is therefore not
+        zero: it is -sigma^4 dt^2/12 for JR (-2.1e-9 per daily step at
+        sigma = 0.2) and O(dt^{3/2}) when p != 1/2 (mpbin1 at sigma = 0.3,
+        g = 0.45: -4.6e-7 per daily step, about -9.7e-4 on S0 = 100 over 21
+        steps). A zero-strike call is thus worth S0 (1 + residual)^n, not
+        exactly S0.
+        """
+        if np.shape(values)[:1] != (self.n + 1,):
+            raise DomainError(f"need {self.n + 1} terminal rows, got {np.shape(values)}")
+        disc = math.exp(-self.rate * self.dt)
+        for _ in range(self.n):
+            values = disc * (q * values[1:] + (1.0 - q) * values[:-1])
+        return values[0]
+
 
 def risk_neutral_prob(params: ModelParams, r: float, dt: float) -> float:
     """Risk-neutral up probability Q for one step of length dt.
@@ -176,23 +205,13 @@ def delta_hedge(s: float, f_u: float, f_d: float, params: ModelParams,
 def price_european(lattice: Lattice, params: ModelParams, payoff: Payoff) -> float:
     """European option value at the root by backward induction.
 
-    Terminal payoffs at the n+1 recombining nodes are rolled back n times,
-    each sweep discounting by exp(-r*dt) under the risk-neutral
-    probability of :func:`risk_neutral_prob`.
-
-    Q is the paper's hedge probability, derived from the asymptotic
-    factors. On a lattice built with the exact factors the one-step
-    martingale residual e^{-r dt}(Q u + (1-Q) d) - 1 is therefore not
-    zero: it is -sigma^4 dt^2/12 for JR and O(dt^{3/2}) when p != 1/2
-    (mpbin1 at sigma = 0.3, g = 0.45: -4.6e-7 per daily step, about
-    -9.7e-4 on S0 = 100 over 21 steps).
+    The payoff at the n+1 terminal nodes is rolled back under the
+    risk-neutral probability of :func:`risk_neutral_prob`; see
+    :meth:`Lattice.roll_back` for the martingale residual this leaves on
+    a lattice with the exact factors.
     """
     q = risk_neutral_prob(params, lattice.rate, lattice.dt)
-    values = payoff.evaluate(lattice.node_values(lattice.n))
-    disc = math.exp(-lattice.rate * lattice.dt)
-    for _ in range(lattice.n):
-        values = disc * (q * values[1:] + (1.0 - q) * values[:-1])
-    return float(values[0])
+    return float(lattice.roll_back(q, payoff.evaluate(lattice.node_values(lattice.n))))
 
 
 @dataclass(frozen=True)

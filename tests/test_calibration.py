@@ -14,6 +14,7 @@ from mptree.calibration import (MODELS, CalibrationConfig, OptionQuote,
                                 calibration_report_csv, error_metrics,
                                 free_parameter_spec, implied_atm_sigma,
                                 model_prices)
+from mptree.calibration import free_parameter_names
 from mptree.errors import ArbitrageError, DomainError
 from mptree.model import jarrow_rudd_params
 from mptree.pricing import (Lattice, Payoff, black_scholes_call,
@@ -293,3 +294,103 @@ def test_richer_family_reprices_an_embedded_poorer_tree(sigma, g):
         embedded = family.build(family.embed(params, DAILY), RATE, DAILY)
         assert model_prices(richer, embedded, EMBED_CHAIN, S0, RATE) == pytest.approx(
             model_prices(poorer, params, EMBED_CHAIN, S0, RATE), rel=1e-12), (poorer, richer)
+
+
+# ---------------------------------------------------------------------------
+# one roll-back kernel for chains and single options
+# ---------------------------------------------------------------------------
+
+FREE_PARAMETER_RANGES = {"sigma": (0.05, 1.0), "g": (0.3, 0.7), "p_dt": (0.3, 0.7),
+                         "gamma": (0.01, 0.5)}
+MATURITIES = [1, 5, 21, 42, 63, 126]
+
+
+@st.composite
+def family_params(draw):
+    """(model, rate, params) for any family, free parameters inside their ranges."""
+    model = draw(st.sampled_from(MODELS))
+    x = [draw(st.floats(*FREE_PARAMETER_RANGES[name]))
+         for name in free_parameter_names(model)]
+    r = draw(st.floats(0.0, 0.08))
+    return model, r, build_params(model, x, r, DAILY)
+
+
+@settings(deadline=None)
+@given(case=family_params(), s0=st.floats(50.0, 150.0),
+       legs=st.lists(st.tuples(st.sampled_from(MATURITIES), st.floats(0.5, 1.5)),
+                     min_size=1, max_size=12))
+def test_model_prices_is_price_european_of_each_quote(case, s0, legs):
+    model, r, params = case
+    quotes = [OptionQuote(moneyness * s0, days, 1.0) for days, moneyness in legs]
+
+    def one_at_a_time():
+        return [price_european(Lattice.build(s0, params, q.days_to_maturity, DAILY, r),
+                               params, Payoff.call(q.strike)) for q in quotes]
+
+    try:
+        batch = model_prices(model, params, quotes, s0, r)
+    except (DomainError, ArbitrageError) as exc:
+        with pytest.raises(type(exc)):
+            one_at_a_time()
+        return
+    assert batch == one_at_a_time()
+
+
+@settings(deadline=None)
+@given(case=family_params(), s0=st.floats(50.0, 150.0),
+       n=st.sampled_from(MATURITIES),
+       moneyness=st.lists(st.floats(0.5, 1.5), min_size=2, max_size=6),
+       bump=st.floats(1.0, 1.5), method=st.sampled_from(["exact", "asymptotic"]))
+def test_call_price_monotone_in_strike_and_spot(case, s0, n, moneyness, bump, method):
+    _, r, params = case
+
+    def price(spot, strike):
+        lattice = Lattice.build(spot, params, n, DAILY, r, method=method)
+        return price_european(lattice, params, Payoff.call(strike))
+
+    by_strike = [price(s0, m * s0) for m in sorted(moneyness)]
+    assert all(a >= b for a, b in zip(by_strike, by_strike[1:]))
+    strike = moneyness[0] * s0
+    assert price(s0 * bump, strike) >= price(s0, strike)
+
+
+@settings(deadline=None)
+@given(case=family_params(), s0=st.floats(50.0, 150.0),
+       n=st.sampled_from(MATURITIES),
+       moneyness=st.lists(st.floats(0.5, 1.5), min_size=1, max_size=8))
+def test_roll_back_columns_equal_one_dimensional_roll_backs(case, s0, n, moneyness):
+    _, r, params = case
+    lattice = Lattice.build(s0, params, n, DAILY, r)
+    q = risk_neutral_prob(params, r, DAILY)
+    terminal = lattice.node_values(n)
+    values = np.maximum(terminal[:, None] - np.array(moneyness)[None, :] * s0, 0.0)
+    root = lattice.roll_back(q, values)
+    assert root.shape == (len(moneyness),)
+    for col in range(len(moneyness)):
+        assert root[col] == lattice.roll_back(q, values[:, col])
+
+
+@settings(deadline=None)
+@given(case=family_params(), n=st.sampled_from([1, 5, 21, 42]),
+       c=st.floats(0.01, 100.0))
+def test_roll_back_discounts_a_constant_payoff(case, n, c):
+    _, r, params = case
+    lattice = Lattice.build(S0, params, n, DAILY, r)
+    q = risk_neutral_prob(params, r, DAILY)
+    assert lattice.roll_back(q, np.full(n + 1, c)) == pytest.approx(
+        c * math.exp(-r * n * DAILY), rel=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(), (21,), (23,), (23, 3)])
+def test_roll_back_rejects_values_without_one_row_per_node(shape):
+    params = jarrow_rudd_params(RATE, 0.2)
+    lattice = Lattice.build(S0, params, 21, DAILY, RATE)
+    with pytest.raises(DomainError, match="need 22 terminal rows"):
+        lattice.roll_back(0.5, np.ones(shape))
+
+
+def test_custom_payoff_of_the_wrong_shape_is_a_domain_error():
+    params = jarrow_rudd_params(RATE, 0.2)
+    lattice = Lattice.build(S0, params, 21, DAILY, RATE)
+    with pytest.raises(DomainError, match="got \\(\\)$"):
+        price_european(lattice, params, Payoff.custom(lambda s: 1.0))

@@ -86,6 +86,10 @@ def test_config_validation():
     with pytest.raises(DomainError):
         MinimizeConfig(tolerance=0.0)
     with pytest.raises(DomainError):
+        MinimizeConfig(tolerance=float("nan"))
+    with pytest.raises(DomainError):
+        MinimizeConfig(tolerance=float("inf"))
+    with pytest.raises(DomainError):
         MinimizeConfig(restarts=-1)
     with pytest.raises(DomainError):
         MinimizeConfig(max_iterations=0)
