@@ -158,20 +158,17 @@ class CalibrationResult:
     converged: bool
 
 
-def _clip(value: float, bounds: tuple[float, float]) -> float:
-    return min(max(value, bounds[0]), bounds[1])
-
-
 def _embed_mpbin1(params: ModelParams, dt: float) -> tuple[float, ...]:
     # At a fixed dt every classical family has gamma = delta = r, so folding
     # v into the probability (g' = g + v*sqrt(dt)) reproduces its tree.
-    return (params.sigma, _clip(params.g + params.v * math.sqrt(dt), PROB_BOUNDS))
+    # calibrate clips every start into the box.
+    return (params.sigma, params.g + params.v * math.sqrt(dt))
 
 
 def _embed_mpbin2(params: ModelParams, dt: float) -> tuple[float, ...]:
     # g = p_dt makes v = 0 and gamma = r makes delta = r.
     sigma, p = _embed_mpbin1(params, dt)
-    return (sigma, p, p, _clip(params.gamma, GAMMA_BOUNDS))
+    return (sigma, p, p, params.gamma)
 
 
 def _build_mpbin2(x: Sequence[float], r: float, dt: float) -> ModelParams:

@@ -135,7 +135,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
             gm = model.gbm_moment(args.b, args.sigma, dt, j)
             err = abs(sm - gm)
             scaled = err / dt ** 2
-            if previous is None:
+            if previous is None or previous == scaled == 0.0:
                 ratio, status = float("nan"), "PASS"
             else:
                 ratio = scaled / previous if previous > 0 else float("inf")

@@ -110,6 +110,9 @@ def load_chain(path: str | Path, short_maturities_only: bool = False) -> ChainFi
                 key = key.strip()
                 if key == "spot":
                     spot = _numeric(value.strip(), line_no, "spot")
+                    if not spot > 0.0:
+                        raise DataFormatError(
+                            f"line {line_no}: spot must be positive, got {spot}")
                 elif key == "rate":
                     rate = _numeric(value.strip(), line_no, "rate")
             continue

@@ -32,11 +32,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = [
     "ModelParams",
     "StepFactors",
+    "node_values",
     "validate_params",
     "p_up",
     "step_factors_exact",
@@ -108,6 +111,15 @@ class StepFactors:
                 f"step factors must satisfy 0 < d < u, got d={self.d}, u={self.u}")
         if not 0.0 < self.p < 1.0:
             raise DomainError(f"up probability must be in (0, 1), got {self.p}")
+
+
+def node_values(s0: float, factors: StepFactors, k: int) -> np.ndarray:
+    """The k+1 tree prices after k steps, s0 * u^i * d^(k-i) for i = 0..k.
+
+    With d < u they ascend in i, the number of up moves.
+    """
+    i = np.arange(k + 1)
+    return s0 * factors.u ** i * factors.d ** (k - i)
 
 
 def validate_params(params: ModelParams, dt: float) -> ModelParams:

@@ -26,8 +26,8 @@ from typing import Callable, Literal, Optional
 import numpy as np
 
 from .errors import ArbitrageError, DomainError
-from .model import (ModelParams, StepFactors, p_up, step_factors_asymptotic,
-                    step_factors_exact)
+from .model import (ModelParams, StepFactors, node_values, p_up,
+                    step_factors_asymptotic, step_factors_exact)
 from .special import normal_cdf
 
 __all__ = [
@@ -89,7 +89,7 @@ class Lattice:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.s0 <= 0.0:
+        if not self.s0 > 0.0:
             raise DomainError(f"spot must be positive, got {self.s0}")
         if self.n < 1:
             raise DomainError(f"step count must be >= 1, got {self.n}")
@@ -117,8 +117,7 @@ class Lattice:
 
     def node_values(self, k: int) -> np.ndarray:
         """The k+1 distinct node prices after k steps, ascending."""
-        i = np.arange(k + 1)
-        return self.s0 * self.factors.u ** i * self.factors.d ** (k - i)
+        return node_values(self.s0, self.factors, k)
 
     def roll_back(self, q: float, values: np.ndarray) -> np.ndarray:
         """Discounted expectation at the root of values at the terminal nodes.

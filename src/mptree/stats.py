@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError
 from .special import log_binomial_pmf, normal_ppf, regularized_gamma_q
 
@@ -90,9 +92,9 @@ def exact_binomial_test(counts: UpDownCounts, p0: float) -> float:
     if not 0.0 < p0 < 1.0:
         raise DomainError(f"null probability must be in (0, 1), got {p0}")
     n, k = counts.total, counts.ups
-    log_pmf = [log_binomial_pmf(i, n, p0) for i in range(n + 1)]
+    log_pmf = log_binomial_pmf(np.arange(n + 1), n, p0)
     log_cutoff = log_pmf[k] + math.log(_PMF_REL_SLACK)
-    p_value = sum(math.exp(lp) for lp in log_pmf if lp <= log_cutoff)
+    p_value = float(np.exp(log_pmf[log_pmf <= log_cutoff]).sum())
     return min(1.0, max(0.0, p_value))
 
 

@@ -101,6 +101,12 @@ def test_quote_days_must_be_an_integer():
     assert type(quote.days_to_maturity) is int
 
 
+def test_model_prices_rejects_a_nan_spot():
+    with pytest.raises(DomainError, match="spot must be positive, got nan"):
+        model_prices("jr", jarrow_rudd_params(RATE, 0.2), [OptionQuote(100.0, 21, 1.0)],
+                     float("nan"), RATE)
+
+
 def test_model_prices_zero_strike_limit():
     quote = OptionQuote(strike=1e-8, days_to_maturity=21, market_price=1.0)
     price = model_prices("jr", jarrow_rudd_params(RATE, 0.2), [quote], S0, RATE)[0]

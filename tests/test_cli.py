@@ -283,6 +283,14 @@ def test_moments_prints_one_row_per_moment_and_step(capsys):
     assert lines[-1] == "# overall=PASS"
 
 
+def test_moments_passes_rows_that_agree_exactly(capsys):
+    assert main(["moments", "--b", "0", "--sigma", "1e-8", "--j-max", "1",
+                 "--halvings", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[4:] for line in lines[1:-1]] == [["0", "nan", "PASS"]] * 3
+    assert lines[-1] == "# overall=PASS"
+
+
 def test_moments_rejects_an_inadmissible_probability(capsys):
     assert main(["moments", "--g", "1.5"]) == 1
     captured = capsys.readouterr()

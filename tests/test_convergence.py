@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from mptree.convergence import (DiscreteCdf, kolmogorov_distance,
                                 lognormal_cdf, rate_constant, rate_experiment,
@@ -86,6 +87,20 @@ def test_terminal_risk_neutral_measure():
     q = risk_neutral_prob(params, r, dt)
     cdf = terminal_distribution(100.0, params, 1, dt, measure="risk_neutral", r=r)
     assert np.allclose(cdf.weights, [1.0 - q, q], rtol=1e-12)
+
+
+def test_terminal_rejects_a_nan_spot():
+    with pytest.raises(DomainError, match="spot must be positive, got nan"):
+        terminal_distribution(float("nan"), mp(), 2, 0.01)
+
+
+@pytest.mark.parametrize("n", [4096, 65_536])
+def test_terminal_cumulative_weights_match_scipy(n):
+    params = mp(g=0.57, v=0.2, sigma=0.3)
+    dt = 1.0 / n
+    cdf = terminal_distribution(50.0, params, n, dt)
+    expected = binom.cdf(np.arange(n + 1), n, step_factors_exact(params, dt).p)
+    assert np.abs(cdf.cum - expected).max() <= 1e-10
 
 
 def test_terminal_risk_neutral_requires_rate():

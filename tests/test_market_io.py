@@ -62,6 +62,7 @@ CHAIN_HEAD = "# spot=100.0\n# rate=0.04\nstrike,days_to_maturity,market_price\n"
 @pytest.mark.parametrize("text,message", [
     ("# spot=abc\n# rate=0.04\n", "line 1: non-numeric spot: 'abc'"),
     ("# spot=inf\n# rate=0.04\n", "line 1: non-finite spot: 'inf'"),
+    ("# spot=-5\n# rate=0.04\n", "line 1: spot must be positive, got -5.0"),
     ("# spot=100.0\n# rate=x\n", "line 2: non-numeric rate: 'x'"),
     ("# spot=100.0\n# rate=nan\n", "line 2: non-finite rate: 'nan'"),
     ("# spot=100.0\n\nstrike,days,price\n", "line 3: expected header"),

@@ -2,14 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy import special as sps
 from scipy import stats as sstats
 
 from mptree.errors import DomainError
 from mptree.special import (log_binomial_pmf, normal_cdf, normal_pdf,
-                            normal_ppf, regularized_gamma_p,
-                            regularized_gamma_q)
+                            normal_ppf, regularized_gamma_q)
 
 
 @pytest.mark.parametrize("x", [-8.0, -3.0, -1.0, -0.15, 0.0, 0.5, 1.0, 2.5, 6.0])
@@ -49,23 +49,15 @@ def test_normal_pdf_peak():
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.5, 5.0, 17.0])
 @pytest.mark.parametrize("x", [0.1, 1.0, 4.0, 10.0, 40.0])
 def test_regularized_gamma_matches_scipy(s, x):
-    assert regularized_gamma_p(s, x) == pytest.approx(sps.gammainc(s, x), abs=1e-12)
     assert regularized_gamma_q(s, x) == pytest.approx(sps.gammaincc(s, x), abs=1e-12)
 
 
-def test_regularized_gamma_complementarity():
-    for s, x in [(0.5, 0.7), (3.0, 2.0), (10.0, 14.0)]:
-        assert regularized_gamma_p(s, x) + regularized_gamma_q(s, x) == \
-            pytest.approx(1.0, abs=1e-13)
-
-
 def test_regularized_gamma_edges():
-    assert regularized_gamma_p(2.0, 0.0) == 0.0
     assert regularized_gamma_q(2.0, 0.0) == 1.0
     with pytest.raises(DomainError):
-        regularized_gamma_p(0.0, 1.0)
-    with pytest.raises(DomainError):
         regularized_gamma_q(2.0, -1.0)
+    with pytest.raises(DomainError):
+        regularized_gamma_q(0.0, 1.0)
 
 
 def test_log_binomial_pmf_exact_small_n():
@@ -83,3 +75,27 @@ def test_log_binomial_pmf_survives_large_n():
 def test_log_binomial_pmf_rejects_degenerate_p():
     with pytest.raises(DomainError):
         log_binomial_pmf(1, 2, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 1000, 4096, 65_536])
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_log_binomial_pmf_vector_matches_scipy(n, p):
+    k = np.arange(n + 1)
+    expected = sstats.binom.logpmf(k, n, p)
+    kept = expected > math.log(1e-20)
+    assert np.abs(log_binomial_pmf(k, n, p)[kept] - expected[kept]).max() <= 1e-9
+
+
+def test_log_binomial_pmf_scalar_is_the_array_entry():
+    n, p = 1000, 0.3
+    vector = log_binomial_pmf(np.arange(n + 1), n, p)
+    for k in (0, 1, 299, 300, 999, 1000):
+        value = log_binomial_pmf(k, n, p)
+        assert type(value) is float
+        assert value == vector[k]
+
+
+@pytest.mark.parametrize("k", [-1, 11, np.array([0, -1]), np.array([3, 11])])
+def test_log_binomial_pmf_rejects_outcomes_outside_0_to_n(k):
+    with pytest.raises(DomainError):
+        log_binomial_pmf(k, 10, 0.5)

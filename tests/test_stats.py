@@ -10,7 +10,7 @@ from mptree.stats import UpDownCounts, exact_binomial_test, proportion_ci
 from mptree.stats import chi2_sf, homogeneity_test
 
 
-@pytest.mark.parametrize("n_min,n_max", [(1, 1000), (1001, 2500)])
+@pytest.mark.parametrize("n_min,n_max", [(1, 1000), (1001, 2500), (7560, 7560)])
 def test_exact_binomial_test_matches_scipy(n_min, n_max):
     rng = random.Random(n_max)
     for _ in range(60):
@@ -22,6 +22,7 @@ def test_exact_binomial_test_matches_scipy(n_min, n_max):
         expected = binomtest(k, n, p0).pvalue
         assert exact_binomial_test(UpDownCounts(k, n), p0) == pytest.approx(
             expected, rel=0.0, abs=1e-10), (k, n, p0)
+    assert type(exact_binomial_test(UpDownCounts(k, n), p0)) is float
 
 
 @pytest.mark.parametrize("level", [0.8, 0.95, 0.99])
