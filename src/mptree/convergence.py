@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _CUM_TOL = 1e-12
+# kolmogorov_distance evaluates F only where 1e-7 < F_n < 1 - 1e-7.
+_TAIL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,11 @@ def terminal_distribution(s0: float, params: ModelParams, n: int, dt: float,
 
     Support is :func:`~mptree.model.node_values` with exact factors; node
     weights are Binomial(n, q) with q = p(dt) (physical) or the
-    risk-neutral Q (requires ``r``). All n+1 weights come from one
-    :func:`~mptree.special.log_binomial_pmf` call, in log space so large n
-    does not underflow, and are then renormalized. Its cumulative-sum
+    risk-neutral Q (requires ``r``). At Q = 0 or Q = 1, both of which
+    :func:`~mptree.pricing.risk_neutral_prob` allows, the law is the point
+    mass on the bottom or the top node. Otherwise all n+1 weights come
+    from one :func:`~mptree.special.log_binomial_pmf` call, in log space so
+    large n does not underflow, and are then renormalized. Its cumulative-sum
     log C(n, k) carries rounding noise that grows with n: the cumulative
     weights stay within 1e-11 of the exact binomial CDF at n = 65,536.
     """
@@ -88,16 +92,20 @@ def terminal_distribution(s0: float, params: ModelParams, n: int, dt: float,
         q = risk_neutral_prob(params, r, dt)
     else:
         raise DomainError(f"unknown measure {measure!r}")
-    weights = np.exp(log_binomial_pmf(np.arange(n + 1), n, q))
-    weights /= weights.sum()
+    if 0.0 < q < 1.0:
+        weights = np.exp(log_binomial_pmf(np.arange(n + 1), n, q))
+        weights /= weights.sum()
+    else:
+        weights = np.zeros(n + 1)
+        weights[n if q == 1.0 else 0] = 1.0
     return DiscreteCdf(support=node_values(s0, factors, n), cum=np.cumsum(weights))
 
 
 def lognormal_cdf(x: float, s0: float, b: float, sigma: float, t: float) -> float:
     """CDF at x of s0 * exp((b - sigma^2/2) t + sigma B(t)); 0 for x <= 0."""
-    if s0 <= 0.0:
+    if not s0 > 0.0:
         raise DomainError(f"spot must be positive, got {s0}")
-    if sigma <= 0.0 or t <= 0.0:
+    if not (sigma > 0.0 and t > 0.0):
         raise DomainError("sigma and t must be positive")
     if x <= 0.0:
         return 0.0
@@ -105,18 +113,47 @@ def lognormal_cdf(x: float, s0: float, b: float, sigma: float, t: float) -> floa
     return normal_cdf(z)
 
 
+def _scan(empirical: DiscreteCdf, continuous: Callable[[float], float],
+          lo: int, hi: int) -> tuple[float, np.ndarray]:
+    """Largest one-sided gap at support points lo..hi-1, and F there."""
+    cum = empirical.cum
+    f_vals = np.array([continuous(float(x)) for x in empirical.support[lo:hi]])
+    right = np.abs(cum[lo:hi] - f_vals)
+    left = np.abs(np.concatenate(([cum[lo - 1] if lo > 0 else 0.0],
+                                  cum[lo:hi - 1])) - f_vals)
+    return float(max(right.max(), left.max())), f_vals
+
+
 def kolmogorov_distance(empirical: DiscreteCdf,
                         continuous: Callable[[float], float]) -> float:
     """sup_x |F_n(x) - F(x)| for a step CDF against a continuous one.
 
-    Because F is monotone the supremum is attained at a jump point of
-    F_n, approached from one side or the other, so comparing both
-    one-sided limits at every support point is exact.
+    F must be a CDF: monotone and within [0, 1]; F_n is monotone by
+    construction. The supremum is then attained at a jump point of F_n,
+    approached from one side or the other, so it is the largest of the
+    two one-sided gaps |F_n(x_i) - F(x_i)| and |F_n(x_{i-1}) - F(x_i)|.
+
+    F is evaluated only on the body of F_n, the support points lo..hi
+    whose cumulative weight lies in (1e-7, 1 - 1e-7). Left of the body
+    both CDFs are small, so every gap there is at most
+    max(F_n(x_{lo-1}), F(x_lo)); right of it every gap is at most
+    max(F_n(x_last) - F(x_hi), 1 - F_n(x_hi)). Each bound is one rounded
+    operation on values that dominate the tail's own operands, so it
+    dominates the tail's floating-point gaps too. When both bounds are
+    at most the body's largest gap, that gap is bit-for-bit the result
+    of scanning every support point. Otherwise, or when the body is
+    empty, every support point is scanned.
     """
-    f_vals = np.array([continuous(float(x)) for x in empirical.support])
-    right = np.abs(empirical.cum - f_vals)
-    left = np.abs(np.concatenate(([0.0], empirical.cum[:-1])) - f_vals)
-    return float(max(right.max(), left.max()))
+    cum = empirical.cum
+    lo = int(np.searchsorted(cum, _TAIL, side="right"))
+    hi = int(np.searchsorted(cum, 1.0 - _TAIL, side="left")) - 1
+    if lo <= hi:
+        dist, f_vals = _scan(empirical, continuous, lo, hi + 1)
+        left_bound = max(cum[lo - 1], f_vals[0]) if lo > 0 else 0.0
+        right_bound = max(cum[-1] - f_vals[-1], 1.0 - cum[hi])
+        if left_bound <= dist and right_bound <= dist:
+            return dist
+    return _scan(empirical, continuous, 0, cum.size)[0]
 
 
 def rate_constant(p: float) -> float:
@@ -158,7 +195,7 @@ def rate_experiment(params: ModelParams, t: float,
     against the lognormal CDF with drift b = g*gamma + (1-g)*delta. The
     slope of log(distance) against log(n) is fitted by least squares.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError(f"horizon must be positive, got {t}")
     ns = [int(n) for n in n_values]
     if len(ns) < 2:

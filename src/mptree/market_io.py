@@ -59,7 +59,7 @@ class ChainFile:
         # Plain floats, so that write_chain's repr() output parses back.
         object.__setattr__(self, "spot", float(self.spot))
         object.__setattr__(self, "rate", float(self.rate))
-        if self.spot <= 0.0:
+        if not self.spot > 0.0:
             raise DomainError(f"spot must be positive, got {self.spot}")
         if len(self.quotes) == 0:
             raise DomainError("chain must contain at least one quote")

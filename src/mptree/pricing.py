@@ -191,7 +191,7 @@ def delta_hedge(s: float, f_u: float, f_d: float, params: ModelParams,
     The denominator equals u - d of the asymptotic factors, so
     Delta*s*u - f_u == Delta*s*d - f_d identically.
     """
-    if s <= 0.0:
+    if not s > 0.0:
         raise DomainError(f"spot must be positive, got {s}")
     p = p_up(params, dt)
     denom = (params.gamma - params.delta) * dt + \
@@ -232,7 +232,7 @@ def discontinuity_report(s0: float, r: float, sigma: float, t: float,
     the discounted single-branch payoff. The two gap fields quantify the
     jumps at the endpoints.
     """
-    if s0 <= 0.0:
+    if not s0 > 0.0:
         raise DomainError(f"spot must be positive, got {s0}")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"probability must be in [0, 1], got {p}")
@@ -265,9 +265,9 @@ def discontinuity_report(s0: float, r: float, sigma: float, t: float,
 def black_scholes_call(s0: float, strike: float, r: float, sigma: float,
                        t: float) -> float:
     """Closed-form European call value; the lattice convergence reference."""
-    if s0 <= 0.0 or strike <= 0.0:
+    if not (s0 > 0.0 and strike > 0.0):
         raise DomainError("spot and strike must be positive")
-    if sigma <= 0.0 or t <= 0.0:
+    if not (sigma > 0.0 and t > 0.0):
         raise DomainError("sigma and t must be positive")
     srt = sigma * math.sqrt(t)
     d1 = (math.log(s0 / strike) + (r + sigma * sigma / 2.0) * t) / srt

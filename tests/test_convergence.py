@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from mptree.convergence import (DiscreteCdf, kolmogorov_distance,
@@ -13,6 +15,7 @@ from mptree.convergence import (DiscreteCdf, kolmogorov_distance,
 from mptree.errors import DomainError
 from mptree.model import ModelParams, step_factors_exact
 from mptree.pricing import risk_neutral_prob
+from mptree.pricing import Lattice, Payoff, price_european
 from mptree.special import normal_cdf
 
 
@@ -103,6 +106,21 @@ def test_terminal_cumulative_weights_match_scipy(n):
     assert np.abs(cdf.cum - expected).max() <= 1e-10
 
 
+@pytest.mark.parametrize("r,node", [(1.0, 4), (-1.0, 0)])
+def test_terminal_risk_neutral_point_mass_at_q_one_and_zero(r, node):
+    # p = 1/2 and gamma = delta = 0 put Q exactly at 1 (r = 1) or 0 (r = -1).
+    params = ModelParams(0.0, 0.0, 0.5, 0.0, 0.1)
+    dt = 0.01
+    assert risk_neutral_prob(params, r, dt) == float(node == 4)
+    cdf = terminal_distribution(100.0, params, 4, dt, measure="risk_neutral", r=r)
+    assert np.array_equal(cdf.weights, np.eye(5)[node])
+    # Both end nodes lie above the strike, so the call pays S - 90 there.
+    lattice = Lattice.build(100.0, params, 4, dt, r)
+    price = price_european(lattice, params, Payoff.call(90.0))
+    assert price == pytest.approx(math.exp(-4 * r * dt) * (cdf.support[node] - 90.0),
+                                  rel=1e-13)
+
+
 def test_terminal_risk_neutral_requires_rate():
     with pytest.raises(DomainError, match="requires r"):
         terminal_distribution(100.0, mp(), 2, 0.01, measure="risk_neutral")
@@ -154,9 +172,39 @@ def test_lognormal_symmetry_around_median():
         assert low + high == pytest.approx(1.0, abs=1e-10)
 
 
+def test_lognormal_rejects_nan_inputs():
+    nan = float("nan")
+    with pytest.raises(DomainError, match="spot must be positive, got nan"):
+        lognormal_cdf(1.0, nan, 0.05, 0.2, 1.0)
+    with pytest.raises(DomainError, match="sigma and t must be positive"):
+        lognormal_cdf(1.0, 1.0, 0.05, nan, 1.0)
+    with pytest.raises(DomainError, match="sigma and t must be positive"):
+        lognormal_cdf(1.0, 1.0, 0.05, 0.2, nan)
+
+
 # ---------------------------------------------------------------------------
 # Kolmogorov distance
 # ---------------------------------------------------------------------------
+
+def full_scan(empirical, continuous):
+    """Reference: both one-sided gaps at every support point."""
+    f_vals = np.array([continuous(float(x)) for x in empirical.support])
+    right = np.abs(empirical.cum - f_vals)
+    left = np.abs(np.concatenate(([0.0], empirical.cum[:-1])) - f_vals)
+    return float(max(right.max(), left.max()))
+
+
+class CountingCdf:
+    """A continuous CDF that records every point it is evaluated at."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.points = []
+
+    def __call__(self, x):
+        self.points.append(x)
+        return self.fn(x)
+
 
 def test_kolmogorov_single_atom():
     continuous = lambda x: lognormal_cdf(x, 100.0, 0.05, 0.2, 1.0)
@@ -211,6 +259,45 @@ def test_kolmogorov_invariant_under_monotone_rescaling():
     assert d_z == pytest.approx(d_price, abs=1e-13)
 
 
+@settings(deadline=None, max_examples=300)
+@given(sigma=st.floats(0.05, 1.0), g=st.floats(0.2, 0.8), v=st.floats(-0.1, 0.1),
+       gamma=st.floats(-0.2, 0.2), delta=st.floats(-0.2, 0.2), t=st.floats(0.1, 2.0),
+       n=st.integers(1, 4096), shift=st.one_of(st.just(0.0), st.floats(-12.0, 12.0)),
+       scale=st.one_of(st.just(1.0), st.floats(0.2, 5.0)))
+def test_kolmogorov_pruned_scan_equals_full_scan(sigma, g, v, gamma, delta, t, n,
+                                                 shift, scale):
+    # shift moves F's median by that many of F_n's standard deviations and
+    # scale stretches F's sigma: a mis-specified F whose mass sits in a
+    # tail of F_n must send the scan back to every support point.
+    t = min(t, n / 16.0)  # dt <= 1/16 keeps the exact factors' d below u
+    params = ModelParams(gamma=gamma, delta=delta, g=g, v=v, sigma=sigma)
+    cdf = terminal_distribution(1.0, params, n, t / n)
+    drift = params.mean_drift + shift * sigma / math.sqrt(t)
+    continuous = lambda x: lognormal_cdf(x, 1.0, drift, sigma * scale, t)
+    assert kolmogorov_distance(cdf, continuous) == full_scan(cdf, continuous)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0])
+def test_kolmogorov_falls_back_when_a_tail_bound_fails(level):
+    # F = 0 leaves a gap of 1 at the right end, F = 1 one at the left end;
+    # the body (cum = 0.5) alone sees 0.5 and 1 - 1e-8.
+    cdf = DiscreteCdf(support=[1.0, 2.0, 3.0, 4.0], cum=[1e-8, 0.5, 1.0 - 1e-8, 1.0])
+    continuous = CountingCdf(lambda x: level)
+    assert kolmogorov_distance(cdf, continuous) == full_scan(cdf, continuous) == 1.0
+    assert set(cdf.support) <= set(continuous.points)
+
+
+def test_kolmogorov_evaluates_f_on_the_body_only():
+    n, t = 65_536, 1.0
+    params = mp(g=0.3)
+    cdf = terminal_distribution(1.0, params, n, t / n)
+    continuous = CountingCdf(
+        lambda x: lognormal_cdf(x, 1.0, params.mean_drift, params.sigma, t))
+    distance = kolmogorov_distance(cdf, continuous)
+    assert len(continuous.points) < 2000
+    assert distance == full_scan(cdf, continuous)
+
+
 # ---------------------------------------------------------------------------
 # rate constant and experiment
 # ---------------------------------------------------------------------------
@@ -256,6 +343,8 @@ def test_rate_experiment_validates_input():
         rate_experiment(mp(), 1.0, [64, 32])
     with pytest.raises(DomainError):
         rate_experiment(mp(), -1.0, [16, 32])
+    with pytest.raises(DomainError, match="horizon must be positive, got nan"):
+        rate_experiment(mp(), float("nan"), [16, 32])
 
 
 def test_rate_experiment_csv_round_trip():

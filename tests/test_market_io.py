@@ -6,6 +6,7 @@ import pytest
 from mptree.calibration import OptionQuote
 from mptree.calibration import CalibrationConfig
 from mptree.errors import DataFormatError
+from mptree.errors import DomainError
 from mptree.market_io import ChainFile, load_chain, write_chain
 from mptree.market_io import load_config
 from mptree.market_io import load_returns
@@ -27,6 +28,12 @@ def test_write_chain_round_trips_numpy_scalar_inputs(tmp_path):
     second = tmp_path / "second.csv"
     write_chain(loaded, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_chain_file_rejects_a_nan_spot():
+    quote = OptionQuote(100.0, 21, 1.0)
+    with pytest.raises(DomainError, match="spot must be positive, got nan"):
+        ChainFile(float("nan"), 0.04, (quote,))
 
 
 def test_load_config_sets_calibration_config_fields(tmp_path):

@@ -349,3 +349,19 @@ def test_black_scholes_input_guards():
         black_scholes_call(-1, 100, 0.0, 0.2, 1.0)
     with pytest.raises(DomainError):
         black_scholes_call(100, 100, 0.0, -0.2, 1.0)
+    nan = float("nan")
+    with pytest.raises(DomainError, match="spot and strike must be positive"):
+        black_scholes_call(nan, 100, 0.0, 0.2, 1.0)
+    with pytest.raises(DomainError, match="spot and strike must be positive"):
+        black_scholes_call(100, nan, 0.0, 0.2, 1.0)
+    with pytest.raises(DomainError, match="sigma and t must be positive"):
+        black_scholes_call(100, 100, 0.0, nan, 1.0)
+    with pytest.raises(DomainError, match="sigma and t must be positive"):
+        black_scholes_call(100, 100, 0.0, 0.2, nan)
+
+
+def test_delta_hedge_and_discontinuity_reject_a_nan_spot():
+    with pytest.raises(DomainError, match="spot must be positive, got nan"):
+        delta_hedge(float("nan"), 5.0, 0.0, mp(), 0.01)
+    with pytest.raises(DomainError, match="spot must be positive, got nan"):
+        discontinuity_report(float("nan"), 0.0, 0.2, 1.0, Payoff.call(100.0), 0.5)
