@@ -358,10 +358,8 @@ def calibrate(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
     best: MinimizeResult | None = None
     total_evaluations = 0
     for start in starts:
-        clipped = tuple(
-            min(max(value, lo * (1 + 1e-9) if lo > 0 else lo + 1e-12),
-                hi * (1 - 1e-9) if hi > 0 else hi - 1e-12)
-            for value, (lo, hi) in zip(start, bounds))
+        clipped = tuple(min(max(value, lo * (1 + 1e-9)), hi * (1 - 1e-9))
+                        for value, (lo, hi) in zip(start, bounds))
         result = minimize(objective, bounds, clipped, transforms,
                           cfg.minimize_config())
         total_evaluations += result.evaluations

@@ -132,8 +132,7 @@ def validate_params(params: ModelParams, dt: float) -> ModelParams:
         mean drift is not finite, or dt is too coarse to keep
         g + v*sqrt(dt) inside (0, 1).
     """
-    if dt <= 0.0:
-        raise DomainError(f"time step must be positive, got {dt}")
+    _require_positive_dt(dt)
     if not 0.0 < params.g < 1.0:
         raise DomainError(
             f"base up probability g must lie strictly inside (0, 1), got {params.g}")
@@ -225,8 +224,7 @@ def tian_params(r: float, sigma: float) -> ModelParams:
 def crr_factors(r: float, sigma: float, dt: float) -> StepFactors:
     """Classical CRR reference factors: u = exp(sigma*sqrt(dt)), d = 1/u."""
     _require_positive_sigma(sigma)
-    if dt <= 0.0:
-        raise DomainError(f"time step must be positive, got {dt}")
+    _require_positive_dt(dt)
     u = math.exp(sigma * math.sqrt(dt))
     d = 1.0 / u
     p = (math.exp(r * dt) - d) / (u - d)
@@ -236,8 +234,7 @@ def crr_factors(r: float, sigma: float, dt: float) -> StepFactors:
 def jarrow_rudd_factors(r: float, sigma: float, dt: float) -> StepFactors:
     """Classical Jarrow-Rudd reference factors with p = 1/2."""
     _require_positive_sigma(sigma)
-    if dt <= 0.0:
-        raise DomainError(f"time step must be positive, got {dt}")
+    _require_positive_dt(dt)
     drift = (r - sigma * sigma / 2.0) * dt
     s = sigma * math.sqrt(dt)
     return StepFactors(u=math.exp(drift + s), d=math.exp(drift - s), p=0.5)
@@ -252,8 +249,7 @@ def tian_factors(r: float, sigma: float, dt: float) -> StepFactors:
     gross-return moments of a GBM with drift r exactly.
     """
     _require_positive_sigma(sigma)
-    if dt <= 0.0:
-        raise DomainError(f"time step must be positive, got {dt}")
+    _require_positive_dt(dt)
     grow = math.exp(r * dt)
     v_cap = math.exp(sigma * sigma * dt)
     radical = math.sqrt(v_cap * v_cap + 2.0 * v_cap - 3.0)
@@ -276,8 +272,7 @@ def step_moment(params: ModelParams, dt: float, j: int) -> float:
 
 def gbm_moment(b: float, sigma: float, dt: float, j: int) -> float:
     """j-th moment of the GBM gross return: exp(j*(b + (j-1)/2*sigma^2)*dt)."""
-    if dt <= 0.0:
-        raise DomainError(f"time step must be positive, got {dt}")
+    _require_positive_dt(dt)
     _require_moment_order(j)
     return math.exp(j * (b + (j - 1) / 2.0 * sigma * sigma) * dt)
 
@@ -285,6 +280,11 @@ def gbm_moment(b: float, sigma: float, dt: float, j: int) -> float:
 def _require_positive_sigma(sigma: float) -> None:
     if not sigma > 0.0:
         raise DomainError(f"volatility sigma must be positive, got {sigma}")
+
+
+def _require_positive_dt(dt: float) -> None:
+    if not dt > 0.0:
+        raise DomainError(f"time step must be positive, got {dt}")
 
 
 def _require_moment_order(j: int) -> None:

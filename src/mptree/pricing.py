@@ -93,7 +93,7 @@ class Lattice:
             raise DomainError(f"spot must be positive, got {self.s0}")
         if self.n < 1:
             raise DomainError(f"step count must be >= 1, got {self.n}")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise DomainError(f"time step must be positive, got {self.dt}")
 
     @property

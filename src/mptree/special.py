@@ -1,14 +1,12 @@
-"""Numerical kernels: normal distribution, incomplete gamma, binomial pmf.
+"""The two distribution kernels the standard library lacks.
 
-The normal and incomplete-gamma kernels are plain double-precision
-scalar math. The normal CDF is evaluated through the complementary error
-function, which keeps the absolute error below 1e-15 over the whole real
-line; the upper regularized incomplete gamma switches between the
-classical series and continued fraction and is good to about 1e-13
-absolute, comfortably inside the 1e-10 budget the statistical routines
-rely on. The binomial log-pmf takes one outcome or a whole NumPy vector
-of outcomes, so the tree's terminal distribution and the exact binomial
-test each evaluate it once.
+The normal CDF is evaluated through the complementary error function,
+which keeps the absolute error below 1e-15 over the whole real line.
+The binomial log-pmf takes one outcome or a whole NumPy vector of
+outcomes, so the tree's terminal distribution and the exact binomial
+test each evaluate it once. The normal quantile comes from
+``statistics.NormalDist`` and the chi-square tail is a finite sum in
+``stats``, so neither needs a kernel here.
 """
 
 from __future__ import annotations
@@ -19,116 +17,12 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "normal_cdf",
-    "normal_pdf",
-    "normal_ppf",
-    "regularized_gamma_q",
-    "log_binomial_pmf",
-]
+__all__ = ["normal_cdf", "log_binomial_pmf"]
 
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via erfc: Phi(x) = erfc(-x / sqrt(2)) / 2."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def normal_pdf(x: float) -> float:
-    """Standard normal density."""
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-# Acklam's rational approximation to the normal quantile; the raw
-# approximation is ~1e-9 accurate and two Halley steps push it to
-# machine precision.
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-          -2.759285104469687e+02, 1.383577518672690e+02,
-          -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-          -1.556989798598866e+02, 6.680131188771972e+01,
-          -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-          -2.400758277161838e+00, -2.549732539343734e+00,
-          4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01,
-          2.445134137142996e+00, 3.754408661907416e+00)
-
-
-def normal_ppf(q: float) -> float:
-    """Standard normal quantile, refined to machine precision."""
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"quantile level must be in (0, 1), got {q}")
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    p_low = 0.02425
-    if q < p_low:
-        t = math.sqrt(-2.0 * math.log(q))
-        x = (((((c[0] * t + c[1]) * t + c[2]) * t + c[3]) * t + c[4]) * t + c[5]) / \
-            ((((d[0] * t + d[1]) * t + d[2]) * t + d[3]) * t + 1.0)
-    elif q <= 1.0 - p_low:
-        t = q - 0.5
-        s = t * t
-        x = (((((a[0] * s + a[1]) * s + a[2]) * s + a[3]) * s + a[4]) * s + a[5]) * t / \
-            (((((b[0] * s + b[1]) * s + b[2]) * s + b[3]) * s + b[4]) * s + 1.0)
-    else:
-        t = math.sqrt(-2.0 * math.log(1.0 - q))
-        x = -(((((c[0] * t + c[1]) * t + c[2]) * t + c[3]) * t + c[4]) * t + c[5]) / \
-            ((((d[0] * t + d[1]) * t + d[2]) * t + d[3]) * t + 1.0)
-    # Halley refinement against the erfc-based CDF.
-    for _ in range(2):
-        e = normal_cdf(x) - q
-        u = e / max(normal_pdf(x), 5e-324)
-        x -= u / (1.0 + x * u / 2.0)
-    return x
-
-
-def _gamma_series(s: float, x: float) -> float:
-    """Series for the lower regularized gamma, valid for x < s + 1."""
-    term = 1.0 / s
-    total = term
-    k = s
-    for _ in range(10_000):
-        k += 1.0
-        term *= x / k
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-
-def _gamma_cont_fraction(s: float, x: float) -> float:
-    """Lentz continued fraction for the upper regularized gamma, x >= s + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10_000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
-
-
-def regularized_gamma_q(s: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(s, x) = 1 - P(s, x)."""
-    if s <= 0.0:
-        raise DomainError(f"shape parameter must be positive, got {s}")
-    if x < 0.0:
-        raise DomainError(f"argument must be non-negative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        return 1.0 - _gamma_series(s, x)
-    return _gamma_cont_fraction(s, x)
 
 
 def log_binomial_pmf(k: int | np.ndarray, n: int,

@@ -5,8 +5,9 @@ uses the Wilson score interval (at the sample sizes of interest it agrees
 with the plain normal approximation to four decimals but stays sane for
 small counts); testing p = p0 uses the exact two-sided binomial test with
 the minimum-likelihood convention, and equality of proportions across
-groups uses the Pearson chi-square statistic with the tail probability
-from the regularized incomplete gamma.
+groups uses the Pearson chi-square statistic with its tail probability
+summed in closed form. The interval's normal quantile is the standard
+library's ``statistics.NormalDist``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import datetime as _dt
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .special import log_binomial_pmf, normal_ppf, regularized_gamma_q
+from .special import log_binomial_pmf
 
 __all__ = [
     "UpDownCounts",
@@ -63,9 +65,13 @@ def up_proportion(returns: Sequence[float]) -> UpDownCounts:
 
 def proportion_ci(counts: UpDownCounts, level: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for the up proportion at the given level."""
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"confidence level must be in (0, 1), got {level}")
-    z = normal_ppf(0.5 + level / 2.0)
+    q = 0.5 + level / 2.0
+    # A level within an ulp of 1 rounds q to exactly 1, whose quantile is
+    # infinite.
+    if not (0.0 < level < 1.0 and q < 1.0):
+        raise DomainError(
+            f"confidence level must be in (0, 1) with 0.5 + level/2 < 1, got {level!r}")
+    z = NormalDist().inv_cdf(q)
     n = counts.total
     p_hat = counts.proportion
     z2_n = z * z / n
@@ -99,12 +105,28 @@ def exact_binomial_test(counts: UpDownCounts, p0: float) -> float:
 
 
 def chi2_sf(x: float, df: int) -> float:
-    """Chi-square upper tail P(X >= x) with df degrees of freedom."""
-    if df < 1:
-        raise DomainError(f"degrees of freedom must be >= 1, got {df}")
-    if x < 0.0:
+    """Chi-square upper tail P(X >= x) with an integer df degrees of freedom.
+
+    The tail is Q(df/2, x/2), which for integer df is a finite sum
+    (Abramowitz & Stegun 26.4.4-26.4.5): with h = x/2, it is erfc(sqrt(h))
+    when df is odd, plus h^j e^(-h) / Gamma(j + 1) over j = (df mod 2)/2 + i
+    for i = 0 .. df//2 - 1. Each term is taken in log space, so e^(-h)
+    does not underflow ahead of the sum. x <= 0 gives 1 and x = inf gives 0.
+    """
+    if not (df >= 1 and df % 1 == 0):
+        raise DomainError(f"degrees of freedom must be an integer >= 1, got {df}")
+    if math.isnan(x):
+        raise DomainError("chi-square statistic must not be NaN")
+    if x <= 0.0:
         return 1.0
-    return regularized_gamma_q(df / 2.0, x / 2.0)
+    if x == math.inf:
+        return 0.0
+    h = x / 2.0
+    terms, odd = divmod(int(df), 2)
+    log_h = math.log(h)
+    js = (i + odd / 2.0 for i in range(terms))
+    tail = math.fsum(math.exp(j * log_h - h - math.lgamma(j + 1.0)) for j in js)
+    return tail + math.erfc(math.sqrt(h)) if odd else tail
 
 
 @dataclass(frozen=True)

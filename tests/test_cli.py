@@ -225,6 +225,16 @@ def test_estimate_p_by_year_with_one_year_has_no_homogeneity_lines(tmp_path, cap
         "year,ups,total,p_hat,ci_low,ci_high", f"2020,1,2,0.5,{fmt(lo)},{fmt(hi)}"]
 
 
+def test_estimate_p_level_whose_quantile_is_infinite_exits_1(tmp_path, capsys):
+    path = tmp_path / "returns.csv"
+    path.write_text(RETURNS)
+    argv = ["estimate-p", "--returns", str(path), "--ci-level", "0.99999999999999994"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: confidence level")
+
+
 @pytest.mark.parametrize("text,kind", [
     ("2020-01-02,abc\n", "return"),
     ("2020-01-02,100.0\n", "price"),

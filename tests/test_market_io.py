@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mptree.calibration import OptionQuote
 from mptree.calibration import CalibrationConfig
@@ -26,6 +28,25 @@ def test_write_chain_round_trips_numpy_scalar_inputs(tmp_path):
     loaded = load_chain(first)
     assert loaded == chain
     second = tmp_path / "second.csv"
+    write_chain(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_QUOTES = st.lists(st.builds(OptionQuote, _POSITIVE, st.integers(1, 10_000), _POSITIVE),
+                   min_size=1, max_size=30)
+
+
+@settings(deadline=None)
+@given(spot=_POSITIVE, rate=_FINITE, quotes=_QUOTES)
+def test_chain_round_trips_through_write_and_load(tmp_path_factory, spot, rate, quotes):
+    chain = ChainFile(spot, rate, tuple(quotes))
+    directory = tmp_path_factory.mktemp("chain")
+    first, second = directory / "first.csv", directory / "second.csv"
+    write_chain(chain, first)
+    loaded = load_chain(first)
+    assert loaded == chain
     write_chain(loaded, second)
     assert second.read_bytes() == first.read_bytes()
 

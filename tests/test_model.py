@@ -50,9 +50,19 @@ def test_validate_rejects_nonfinite_drift():
         validate_params(mp(gamma=math.inf), DAILY)
 
 
-def test_validate_rejects_nonpositive_dt():
-    with pytest.raises(DomainError, match="time step"):
-        validate_params(mp(), 0.0)
+@pytest.mark.parametrize("dt", [0.0, math.nan])
+def test_validate_rejects_nonpositive_dt(dt):
+    with pytest.raises(DomainError, match="time step must be positive"):
+        validate_params(mp(), dt)
+    with pytest.raises(DomainError, match="time step must be positive"):
+        step_moment(mp(), dt, 2)
+
+
+@pytest.mark.parametrize("factors", [crr_factors, jarrow_rudd_factors, tian_factors])
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
+def test_classical_factors_reject_nonpositive_dt(factors, dt):
+    with pytest.raises(DomainError, match="time step must be positive"):
+        factors(0.05, 0.2, dt)
 
 
 def test_p_up_values():
@@ -288,6 +298,8 @@ def test_moment_order_guards(fn):
             gbm_moment(0.05, 0.2, 0.01, MAX_MOMENT_ORDER + 1)
         with pytest.raises(DomainError):
             gbm_moment(0.05, 0.2, -0.01, 1)
+        with pytest.raises(DomainError, match="time step must be positive"):
+            gbm_moment(0.05, 0.2, math.nan, 2)
 
 
 def test_moment_matching_order_dt_squared_for_low_orders_and_symmetric_g():

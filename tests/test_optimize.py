@@ -1,10 +1,15 @@
 """Transformed Nelder-Mead: sanity cases, determinism, guards."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mptree.errors import DomainError
-from mptree.optimize import MinimizeConfig, minimize
+from mptree.optimize import (MinimizeConfig, _from_unconstrained,
+                             _to_unconstrained, minimize)
 
 TIGHT = MinimizeConfig(tolerance=1e-14)
 
@@ -120,3 +125,19 @@ def test_iterates_stay_strictly_inside_box_at_each_edge(transform, bounds, pull)
     assert all(lo < x < hi for x in seen)
     edge = lo if pull > 0 else hi
     assert abs(result.x[0] - edge) < 1e-3 * edge
+
+
+@settings(deadline=None, max_examples=300)
+@given(box=st.sampled_from([("log", 1e-4, 5.0), ("logit", 1e-4, 1.0 - 1e-4),
+                            ("logit", 0.0, 1.0)]),
+       frac=st.floats(1e-9, 1.0 - 1e-9))
+def test_transform_round_trip_stays_inside_box(box, frac):
+    # frac is the start's place in the box, on the log scale for "log".
+    kind, lo, hi = box
+    if kind == "log":
+        x = math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * frac)
+    else:
+        x = lo + (hi - lo) * frac
+    back = _from_unconstrained(_to_unconstrained(x, lo, hi, kind), lo, hi, kind)
+    assert lo < back < hi
+    assert abs(back - x) <= 1e-13 * x

@@ -243,8 +243,11 @@ def test_lattice_validation():
         Lattice(s0=-1.0, n=10, dt=DAILY, factors=f, rate=0.0)
     with pytest.raises(DomainError):
         Lattice(s0=100.0, n=0, dt=DAILY, factors=f, rate=0.0)
-    with pytest.raises(DomainError):
-        Lattice(s0=100.0, n=10, dt=0.0, factors=f, rate=0.0)
+    for dt in (0.0, math.nan):
+        with pytest.raises(DomainError, match="time step must be positive"):
+            Lattice(s0=100.0, n=10, dt=dt, factors=f, rate=0.0)
+        with pytest.raises(DomainError, match="time step must be positive"):
+            Lattice.build(100.0, mp(), n=4, dt=dt, rate=0.02)
     lattice = Lattice(s0=100.0, n=10, dt=DAILY, factors=f, rate=0.0)
     assert lattice.maturity == pytest.approx(10 * DAILY, rel=1e-15)
 

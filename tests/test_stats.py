@@ -1,13 +1,16 @@
 """Up-probability inference against SciPy's reference implementations."""
 
+import math
 import random
 
 import pytest
 from scipy.stats import binomtest
 from scipy.stats import chi2, chi2_contingency
 
+from mptree import chi2_sf
+from mptree.errors import DomainError
 from mptree.stats import UpDownCounts, exact_binomial_test, proportion_ci
-from mptree.stats import chi2_sf, homogeneity_test
+from mptree.stats import homogeneity_test
 
 
 @pytest.mark.parametrize("n_min,n_max", [(1, 1000), (1001, 2500), (7560, 7560)])
@@ -35,6 +38,13 @@ def test_proportion_ci_matches_scipy_wilson(level):
         lo, hi = proportion_ci(UpDownCounts(k, n), level)
         assert lo == pytest.approx(ci.low, rel=0.0, abs=1e-12), (k, n)
         assert hi == pytest.approx(ci.high, rel=0.0, abs=1e-12), (k, n)
+
+
+# 0.99999999999999994 lies below 1, but 0.5 + level/2 rounds to 1.0.
+@pytest.mark.parametrize("level", [0.0, 1.0, -0.5, math.nan, 0.99999999999999994])
+def test_proportion_ci_rejects_a_level_without_a_finite_quantile(level):
+    with pytest.raises(DomainError, match="confidence level"):
+        proportion_ci(UpDownCounts(3, 10), level)
 
 
 def test_proportion_ci_contains_an_extreme_estimate():
@@ -65,5 +75,25 @@ def test_chi2_sf_matches_scipy():
     rng = random.Random(29)
     cases = [(x, df) for df in (1, 2, 3, 10, 60) for x in (0.0, 1e-8, 0.5, df, 4.0 * df)]
     cases += [(rng.uniform(0.0, 120.0), rng.randint(1, 80)) for _ in range(300)]
+    # Both parities up to df = 3,000, from a vanishing x through the body
+    # of the distribution to x = 1e4.
+    cases += [(x, df) for df in (1, 2, 5, 6, 999, 1000, 2999, 3000)
+              for x in (1e-300, 0.5 * df, df - 1.0, df, 1.5 * df, 2.0 * df, 1e4)]
+    for _ in range(200):
+        df = rng.randint(1, 3000)
+        cases += [(df * rng.uniform(0.5, 2.0), df), (rng.uniform(0.0, 1e4), df)]
     for x, df in cases:
         assert chi2_sf(x, df) == pytest.approx(chi2.sf(x, df), rel=0.0, abs=1e-10), (x, df)
+
+
+def test_chi2_sf_limits():
+    for df in (1, 2, 7, 3000):
+        assert chi2_sf(math.inf, df) == 0.0
+        assert chi2_sf(0.0, df) == 1.0
+        assert chi2_sf(-3.0, df) == 1.0
+
+
+@pytest.mark.parametrize("x,df", [(math.nan, 1), (math.nan, 4), (1.0, 0), (1.0, 2.5)])
+def test_chi2_sf_rejects_a_nan_statistic_and_a_bad_df(x, df):
+    with pytest.raises(DomainError):
+        chi2_sf(x, df)
