@@ -1,6 +1,7 @@
 """The normal CDF and the binomial log-pmf against independent references."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -24,6 +25,13 @@ def test_normal_cdf_limits():
     assert normal_cdf(-40.0) == 0.0
     assert normal_cdf(40.0) == 1.0
 
+
+
+# proportion_ci takes its z from the standard library's quantile; normal_cdf
+# must invert it to relative accuracy deep into both tails.
+@pytest.mark.parametrize("q", [1e-9, 1e-4, 0.025, 0.31, 0.5, 0.69, 0.975, 1 - 1e-6])
+def test_normal_cdf_inverts_the_stdlib_quantile(q):
+    assert normal_cdf(NormalDist().inv_cdf(q)) == pytest.approx(q, rel=1e-12, abs=1e-14)
 
 def test_log_binomial_pmf_exact_small_n():
     for n, k, p in [(10, 3, 0.4), (25, 0, 0.5), (25, 25, 0.9), (7, 4, 0.12)]:

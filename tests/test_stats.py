@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from scipy.special import gammaincc
 from scipy.stats import binomtest
 from scipy.stats import chi2, chi2_contingency
 
@@ -85,6 +86,14 @@ def test_chi2_sf_matches_scipy():
     for x, df in cases:
         assert chi2_sf(x, df) == pytest.approx(chi2.sf(x, df), rel=0.0, abs=1e-10), (x, df)
 
+
+
+# Q(s, x) = chi2_sf(2x, 2s): the regularized upper incomplete gamma at
+# integer and half-integer s, over the body and both tails.
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.5, 5.0, 17.0])
+@pytest.mark.parametrize("x", [0.1, 1.0, 4.0, 10.0, 40.0])
+def test_chi2_sf_is_the_regularized_gamma_tail(s, x):
+    assert chi2_sf(2.0 * x, int(2.0 * s)) == pytest.approx(gammaincc(s, x), rel=0.0, abs=1e-12)
 
 def test_chi2_sf_limits():
     for df in (1, 2, 7, 3000):
