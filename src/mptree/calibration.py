@@ -78,12 +78,12 @@ class OptionQuote:
             raise DomainError(f"days to maturity must be an integer, "
                               f"got {self.days_to_maturity!r}") from None
         object.__setattr__(self, "days_to_maturity", days)
-        if self.strike <= 0.0:
+        if not self.strike > 0.0:
             raise DomainError(f"strike must be positive, got {self.strike}")
         if self.days_to_maturity < 1:
             raise DomainError(
                 f"days to maturity must be >= 1, got {self.days_to_maturity}")
-        if self.market_price <= 0.0:
+        if not self.market_price > 0.0:
             raise DomainError(
                 f"market price must be positive, got {self.market_price}")
 

@@ -61,6 +61,8 @@ class ChainFile:
         object.__setattr__(self, "rate", float(self.rate))
         if not self.spot > 0.0:
             raise DomainError(f"spot must be positive, got {self.spot}")
+        if not math.isfinite(self.rate):
+            raise DomainError(f"rate must be finite, got {self.rate}")
         if len(self.quotes) == 0:
             raise DomainError("chain must contain at least one quote")
 

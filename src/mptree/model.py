@@ -116,10 +116,15 @@ class StepFactors:
 def node_values(s0: float, factors: StepFactors, k: int) -> np.ndarray:
     """The k+1 tree prices after k steps, s0 * u^i * d^(k-i) for i = 0..k.
 
-    With d < u they ascend in i, the number of up moves.
+    Computed as s0 * exp(k*ln d + i*(ln u - ln d)), one ``exp`` per node
+    in place of two powers. The exponent's rounding grows with its size,
+    |k ln d| + i |ln u - ln d|, so against s0 * u^i * d^(k-i) evaluated
+    exactly from the same float u and d the relative error stays below
+    1e-13 at k = 65,536 with sigma = 0.2 over one year. With d < u they
+    ascend in i, the number of up moves.
     """
-    i = np.arange(k + 1)
-    return s0 * factors.u ** i * factors.d ** (k - i)
+    log_d = math.log(factors.d)
+    return s0 * np.exp(k * log_d + np.arange(k + 1) * (math.log(factors.u) - log_d))
 
 
 def validate_params(params: ModelParams, dt: float) -> ModelParams:

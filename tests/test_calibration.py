@@ -94,6 +94,16 @@ def test_quote_validation():
         OptionQuote(strike=100.0, days_to_maturity=10, market_price=0.0)
 
 
+def test_quote_rejects_a_nan_strike():
+    with pytest.raises(DomainError, match="strike must be positive, got nan"):
+        OptionQuote(strike=float("nan"), days_to_maturity=10, market_price=1.0)
+
+
+def test_quote_rejects_a_nan_market_price():
+    with pytest.raises(DomainError, match="market price must be positive, got nan"):
+        OptionQuote(strike=100.0, days_to_maturity=10, market_price=float("nan"))
+
+
 def test_quote_days_must_be_an_integer():
     with pytest.raises(DomainError, match="integer"):
         OptionQuote(strike=100.0, days_to_maturity=21.5, market_price=1.0)

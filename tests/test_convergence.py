@@ -103,7 +103,7 @@ def test_terminal_cumulative_weights_match_scipy(n):
     dt = 1.0 / n
     cdf = terminal_distribution(50.0, params, n, dt)
     expected = binom.cdf(np.arange(n + 1), n, step_factors_exact(params, dt).p)
-    assert np.abs(cdf.cum - expected).max() <= 1e-10
+    assert np.abs(cdf.cum - expected).max() <= 1e-13
 
 
 @pytest.mark.parametrize("r,node", [(1.0, 4), (-1.0, 0)])

@@ -57,6 +57,13 @@ def test_chain_file_rejects_a_nan_spot():
         ChainFile(float("nan"), 0.04, (quote,))
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf")])
+def test_chain_file_rejects_a_non_finite_rate(rate):
+    quote = OptionQuote(100.0, 21, 1.0)
+    with pytest.raises(DomainError, match=f"rate must be finite, got {rate}"):
+        ChainFile(100.0, rate, (quote,))
+
+
 def test_load_config_sets_calibration_config_fields(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\n\ndt = 0.004\noptimizer_tolerance=1e-8\n"

@@ -2,15 +2,18 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 
 from mptree.errors import DomainError
 from mptree.model import (MAX_MOMENT_ORDER, ModelParams, crr_factors,
                           crr_params, gbm_moment, jarrow_rudd_factors,
-                          jarrow_rudd_params, p_up, step_factors_asymptotic,
-                          step_factors_exact, step_moment, tian_factors,
-                          tian_params, validate_params)
+                          jarrow_rudd_params, node_values, p_up,
+                          step_factors_asymptotic, step_factors_exact,
+                          step_moment, tian_factors, tian_params,
+                          validate_params)
 
 DAILY = 1.0 / 252.0
 
@@ -147,6 +150,20 @@ def test_validated_params_give_ordered_positive_factors():
         assert 0.0 < p < 1.0
         f = step_factors_exact(params, dt)
         assert f.u > f.d > 0.0
+
+
+@pytest.mark.parametrize("params", [mp(), mp(gamma=0.08, delta=0.02, g=0.57, v=0.2)])
+def test_node_values_match_exact_powers_at_large_n(params):
+    n = 65_536
+    factors = step_factors_exact(params, 1.0 / n)
+    values = node_values(100.0, factors, n)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        u, d = Decimal(factors.u), Decimal(factors.d)
+        for i in (0, n // 2, n):
+            exact = 100 * u ** i * d ** (n - i)
+            assert abs(Decimal(float(values[i])) / exact - 1) <= Decimal("1e-13"), i
+    assert np.all(np.diff(values) > 0.0)
 
 
 # ---------------------------------------------------------------------------

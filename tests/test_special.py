@@ -1,14 +1,16 @@
-"""The normal CDF and the binomial log-pmf against independent references."""
+"""The normal CDF and the binomial weights against independent references."""
 
 import math
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from mptree.errors import DomainError
-from mptree.special import log_binomial_pmf, normal_cdf
+from mptree.special import binomial_weights, normal_cdf
 
 
 @pytest.mark.parametrize("x", [-8.0, -3.0, -1.0, -0.15, 0.0, 0.5, 1.0, 2.5, 6.0])
@@ -33,42 +35,58 @@ def test_normal_cdf_limits():
 def test_normal_cdf_inverts_the_stdlib_quantile(q):
     assert normal_cdf(NormalDist().inv_cdf(q)) == pytest.approx(q, rel=1e-12, abs=1e-14)
 
-def test_log_binomial_pmf_exact_small_n():
+
+def test_binomial_weights_exact_small_n():
     for n, k, p in [(10, 3, 0.4), (25, 0, 0.5), (25, 25, 0.9), (7, 4, 0.12)]:
         exact = math.comb(n, k) * p ** k * (1 - p) ** (n - k)
-        assert math.exp(log_binomial_pmf(k, n, p)) == pytest.approx(exact, rel=1e-12)
+        assert binomial_weights(n, p)[k] == pytest.approx(exact, rel=1e-12)
 
 
-def test_log_binomial_pmf_survives_large_n():
-    val = log_binomial_pmf(2048, 4096, 0.5)
-    assert math.isfinite(val)
-    assert math.exp(val) == pytest.approx(sstats.binom.pmf(2048, 4096, 0.5), rel=1e-10)
+def test_binomial_weights_survive_large_n():
+    assert binomial_weights(4096, 0.5)[2048] == pytest.approx(
+        sstats.binom.pmf(2048, 4096, 0.5), rel=1e-12)
 
 
-def test_log_binomial_pmf_rejects_degenerate_p():
-    with pytest.raises(DomainError):
-        log_binomial_pmf(1, 2, 0.0)
+@pytest.mark.parametrize("p", [-0.1, 1.1, math.nan])
+def test_binomial_weights_reject_p_outside_0_to_1(p):
+    with pytest.raises(DomainError, match="probability must be in"):
+        binomial_weights(2, p)
+
+
+def test_binomial_weights_reject_a_negative_n():
+    with pytest.raises(DomainError, match="trial count"):
+        binomial_weights(-1, 0.5)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 65_536])
+def test_binomial_weights_point_mass_at_p_zero_and_one(n):
+    bottom, top = np.zeros(n + 1), np.zeros(n + 1)
+    bottom[0] = top[n] = 1.0
+    assert np.array_equal(binomial_weights(n, 0.0), bottom)
+    assert np.array_equal(binomial_weights(n, 1.0), top)
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 1000, 4096, 65_536])
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
-def test_log_binomial_pmf_vector_matches_scipy(n, p):
-    k = np.arange(n + 1)
-    expected = sstats.binom.logpmf(k, n, p)
-    kept = expected > math.log(1e-20)
-    assert np.abs(log_binomial_pmf(k, n, p)[kept] - expected[kept]).max() <= 1e-9
+def test_binomial_weights_match_scipy(n, p):
+    expected = sstats.binom.pmf(np.arange(n + 1), n, p)
+    weights = binomial_weights(n, p)
+    for floor, rel in ((1e-20, 1e-9), (1e-12, 1e-12)):
+        kept = expected > floor
+        assert np.abs(weights[kept] / expected[kept] - 1.0).max() <= rel
 
 
-def test_log_binomial_pmf_scalar_is_the_array_entry():
-    n, p = 1000, 0.3
-    vector = log_binomial_pmf(np.arange(n + 1), n, p)
-    for k in (0, 1, 299, 300, 999, 1000):
-        value = log_binomial_pmf(k, n, p)
-        assert type(value) is float
-        assert value == vector[k]
+# The extreme probabilities put the mode at an end of 0..n.
+_EXTREME_P = st.sampled_from([1e-6, 1.0 - 1e-6])
+_INTERIOR_P = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 
 
-@pytest.mark.parametrize("k", [-1, 11, np.array([0, -1]), np.array([3, 11])])
-def test_log_binomial_pmf_rejects_outcomes_outside_0_to_n(k):
-    with pytest.raises(DomainError):
-        log_binomial_pmf(k, 10, 0.5)
+@settings(deadline=None)
+@given(n=st.integers(min_value=0, max_value=65_536), p=_EXTREME_P | _INTERIOR_P)
+def test_binomial_weights_property_against_scipy(n, p):
+    expected = sstats.binom.pmf(np.arange(n + 1), n, p)
+    weights = binomial_weights(n, p)
+    kept = expected > 1e-12
+    assert np.abs(weights[kept] / expected[kept] - 1.0).max() <= 1e-12
+    assert np.all(expected[weights == 0.0] < 1e-300)
+    assert abs(weights.sum() - 1.0) <= 1e-15

@@ -25,8 +25,16 @@ def test_exact_binomial_test_matches_scipy(n_min, n_max):
         p0 = rng.choice([0.5, rng.uniform(0.3, 0.7), rng.uniform(0.01, 0.99)])
         expected = binomtest(k, n, p0).pvalue
         assert exact_binomial_test(UpDownCounts(k, n), p0) == pytest.approx(
-            expected, rel=0.0, abs=1e-10), (k, n, p0)
+            expected, rel=0.0, abs=1e-14), (k, n, p0)
     assert type(exact_binomial_test(UpDownCounts(k, n), p0)) is float
+
+
+def test_exact_binomial_test_at_a_thirty_year_count():
+    # About 30 years of daily returns: large enough for weight rounding
+    # that grows with n to show at 1e-14.
+    expected = binomtest(3778, 7533, 0.5).pvalue
+    assert exact_binomial_test(UpDownCounts(3778, 7533), 0.5) == pytest.approx(
+        expected, rel=0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("level", [0.8, 0.95, 0.99])
