@@ -19,14 +19,14 @@ from .convergence import (DiscreteCdf, RateExperiment, RatePoint,
 from .errors import ArbitrageError, DataFormatError, DomainError
 from .market_io import (ChainFile, ReturnSeries, load_chain, load_config,
                         load_returns, write_chain)
-from .model import (ModelParams, StepFactors, crr_factors, crr_params,
-                    gbm_moment, jarrow_rudd_factors, jarrow_rudd_params, p_up,
-                    step_factors_asymptotic, step_factors_exact, step_moment,
-                    tian_factors, tian_params, validate_params)
+from .model import (ModelParams, StepFactors, crr_params, gbm_moment,
+                    jarrow_rudd_params, p_up, step_factors_asymptotic,
+                    step_factors_exact, step_moment, tian_params,
+                    validate_params)
 from .optimize import MinimizeConfig, MinimizeResult, minimize
 from .pricing import (DiscontinuityReport, Lattice, Payoff, black_scholes_call,
-                      delta_hedge, discontinuity_report, market_price_of_risk,
-                      price_european, risk_neutral_prob)
+                      delta_hedge, discontinuity_report, price_european,
+                      risk_neutral_prob)
 from .stats import (HomogeneityResult, UpDownCounts, YearEstimate, chi2_sf,
                     exact_binomial_test, grouped_estimates, homogeneity_test,
                     proportion_ci, up_proportion)
@@ -38,9 +38,8 @@ __all__ = [
     "ModelParams", "StepFactors", "validate_params", "p_up",
     "step_factors_exact", "step_factors_asymptotic",
     "crr_params", "jarrow_rudd_params", "tian_params",
-    "crr_factors", "jarrow_rudd_factors", "tian_factors",
     "step_moment", "gbm_moment",
-    "Payoff", "Lattice", "risk_neutral_prob", "market_price_of_risk",
+    "Payoff", "Lattice", "risk_neutral_prob",
     "delta_hedge", "price_european", "DiscontinuityReport",
     "discontinuity_report", "black_scholes_call",
     "DiscreteCdf", "terminal_distribution", "lognormal_cdf",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -122,29 +122,24 @@ def error_metrics(model_prices: Sequence[float],
 
 
 @dataclass(frozen=True)
-class CalibrationConfig:
+class CalibrationConfig(MinimizeConfig):
     """Calibration settings; all deterministic given the seed.
 
-    ``maturity_filter`` is read where the chain is loaded: it keeps only
-    the short-dated quotes (:func:`~mptree.market_io.load_chain`).
+    The optimizer's settings (``tolerance``, ``max_iterations``,
+    ``restarts``, ``seed``) are inherited from
+    :class:`~mptree.optimize.MinimizeConfig` and reach :func:`minimize`
+    unchanged. ``dt`` is the lattice step, and ``maturity_filter`` is read
+    where the chain is loaded: it keeps only the short-dated quotes
+    (:func:`~mptree.market_io.load_chain`).
     """
 
     dt: float = 1.0 / TRADING_DAYS_PER_YEAR
-    tolerance: float = 1e-10
-    restarts: int = 3
-    max_iterations: int = 2000
-    seed: int = 0
     maturity_filter: bool = False
-    extra_starts: tuple[tuple[float, ...], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.dt > 0.0:
             raise DomainError(f"dt must be positive, got {self.dt}")
-        self.minimize_config()
-
-    def minimize_config(self) -> MinimizeConfig:
-        return MinimizeConfig(tolerance=self.tolerance, restarts=self.restarts,
-                              max_iterations=self.max_iterations, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -324,14 +319,16 @@ _PENALTY = 1e15
 
 
 def calibrate(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
-              config: CalibrationConfig | None = None) -> CalibrationResult:
+              config: CalibrationConfig | None = None, *,
+              extra_starts: Sequence[Sequence[float]] = ()) -> CalibrationResult:
     """Fit ``model`` to the chain by least squares on prices.
 
     The search starts from an at-the-money sigma inversion with neutral
-    probabilities, plus any ``config.extra_starts`` (free-parameter
-    vectors, e.g. a poorer model's optimum embedded in this model's
-    space); each start runs a restarted Nelder-Mead and the best outcome
-    wins. Non-convergence is reported through the flag, never raised.
+    probabilities, plus each of ``extra_starts`` (free-parameter vectors
+    of this model, e.g. a poorer model's optimum embedded in its space,
+    clipped into the box); each start runs a restarted Nelder-Mead with
+    the optimizer settings of ``config`` and the best outcome wins.
+    Non-convergence is reported through the flag, never raised.
     """
     cfg = config or CalibrationConfig()
     if len(quotes) == 0:
@@ -349,7 +346,7 @@ def calibrate(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
         return float(np.dot(diff, diff))
 
     starts = [_default_start(model, quotes, s0, r, cfg.dt)]
-    for extra in cfg.extra_starts:
+    for extra in extra_starts:
         if len(extra) != len(bounds):
             raise DomainError(
                 f"extra start {extra!r} has wrong length for model {model!r}")
@@ -360,8 +357,7 @@ def calibrate(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
     for start in starts:
         clipped = tuple(min(max(value, lo * (1 + 1e-9)), hi * (1 - 1e-9))
                         for value, (lo, hi) in zip(start, bounds))
-        result = minimize(objective, bounds, clipped, transforms,
-                          cfg.minimize_config())
+        result = minimize(objective, bounds, clipped, transforms, cfg)
         total_evaluations += result.evaluations
         if best is None or result.value < best.value:
             best = result
@@ -390,9 +386,8 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
     results: list[CalibrationResult] = []
     for model in (m for m in MODELS if m in models):
         embed = _FAMILIES[model].embed
-        seeds = tuple(embed(res.params, cfg.dt) for res in results) if embed else ()
-        run_cfg = replace(cfg, extra_starts=cfg.extra_starts + seeds)
-        results.append(calibrate(model, quotes, s0, r, run_cfg))
+        seeds = [embed(res.params, cfg.dt) for res in results] if embed else []
+        results.append(calibrate(model, quotes, s0, r, cfg, extra_starts=seeds))
     return results
 
 

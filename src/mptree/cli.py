@@ -110,6 +110,8 @@ def _cmd_demo_discontinuity(args: argparse.Namespace) -> int:
     payoff = (pricing.Payoff.call(args.strike) if args.kind == "call"
               else pricing.Payoff.put(args.strike))
     grid = [float(tok) for tok in args.p_grid.split(",") if tok.strip()]
+    if not grid:
+        raise DomainError("--p-grid must list at least one probability")
     full = args.full_precision
     reports = [pricing.discontinuity_report(args.s0, args.r, args.sigma, args.T,
                                             payoff, p) for p in grid]
@@ -122,6 +124,11 @@ def _cmd_demo_discontinuity(args: argparse.Namespace) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
+    # Each verdict compares two step sizes, so fewer than one order or one
+    # halving would report PASS having checked nothing.
+    for flag, value in (("--j-max", args.j_max), ("--halvings", args.halvings)):
+        if value < 1:
+            raise DomainError(f"{flag} must be >= 1, got {value}")
     params = model.ModelParams(gamma=args.b, delta=args.b, g=args.g, v=args.v,
                                sigma=args.sigma)
     full = args.full_precision

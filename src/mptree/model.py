@@ -17,8 +17,9 @@ asymptotic (first-order in dt, the form the small-dt analysis uses)::
     d = 1 + delta*dt - h_d*sqrt(dt)
 
 The two agree to O(dt^(3/2)) per factor. CRR, Jarrow-Rudd, and Tian are
-specific parameter choices; constructors for all three are provided along
-with the classical closed-form factors used as cross-checks.
+specific parameter choices, and a constructor is provided for each; how
+closely each one's tree follows the classical closed-form factors is
+stated in its docstring.
 
 With gamma = delta = b and v = 0 the one-step gross-return moments of the
 asymptotic tree reproduce the geometric Brownian motion moments
@@ -47,9 +48,6 @@ __all__ = [
     "crr_params",
     "jarrow_rudd_params",
     "tian_params",
-    "crr_factors",
-    "jarrow_rudd_factors",
-    "tian_factors",
     "step_moment",
     "gbm_moment",
     "MAX_MOMENT_ORDER",
@@ -195,7 +193,8 @@ def crr_params(r: float, sigma: float) -> ModelParams:
 
     gamma = delta = r, g = 1/2, v = (r - sigma^2/2) / (2*sigma); the
     factors then agree with u = exp(sigma*sqrt(dt)), d = 1/u to
-    O(dt^(3/2)) and the probability with the classical one to O(dt^(3/2)).
+    O(dt^(3/2)) and the probability with the classical
+    (exp(r*dt) - d)/(u - d) to O(dt^(3/2)).
     """
     _require_positive_sigma(sigma)
     return ModelParams(gamma=r, delta=r, g=0.5,
@@ -216,52 +215,17 @@ def tian_params(r: float, sigma: float) -> ModelParams:
     """Parameters reproducing the Tian (third-moment-matched) tree.
 
     gamma = delta = r, g = 1/2, v = -(3/4)*sigma. With these the
-    asymptotic factors agree with :func:`tian_factors` to O(dt^(3/2)) and
-    the up probability to O(dt): Tian's probability expands as
+    asymptotic factors agree with Tian's (1993) closed-form factors, with
+    V = exp(sigma^2*dt),
+    u, d = (1/2)*exp(r*dt)*V*(V + 1 +/- sqrt(V^2 + 2V - 3)), to
+    O(dt^(3/2)) and the up probability with p = (exp(r*dt) - d)/(u - d)
+    to O(dt): Tian's probability expands as
     1/2 - (3/4)*sigma*sqrt(dt) + O(dt), and log u = sigma*sqrt(dt)
     + (r + sigma^2)*dt + O(dt^(3/2)), which is what gamma = r combined
     with the v-shifted radicals produces.
     """
     _require_positive_sigma(sigma)
     return ModelParams(gamma=r, delta=r, g=0.5, v=-0.75 * sigma, sigma=sigma)
-
-
-def crr_factors(r: float, sigma: float, dt: float) -> StepFactors:
-    """Classical CRR reference factors: u = exp(sigma*sqrt(dt)), d = 1/u."""
-    _require_positive_sigma(sigma)
-    _require_positive_dt(dt)
-    u = math.exp(sigma * math.sqrt(dt))
-    d = 1.0 / u
-    p = (math.exp(r * dt) - d) / (u - d)
-    return StepFactors(u=u, d=d, p=p)
-
-
-def jarrow_rudd_factors(r: float, sigma: float, dt: float) -> StepFactors:
-    """Classical Jarrow-Rudd reference factors with p = 1/2."""
-    _require_positive_sigma(sigma)
-    _require_positive_dt(dt)
-    drift = (r - sigma * sigma / 2.0) * dt
-    s = sigma * math.sqrt(dt)
-    return StepFactors(u=math.exp(drift + s), d=math.exp(drift - s), p=0.5)
-
-
-def tian_factors(r: float, sigma: float, dt: float) -> StepFactors:
-    """Classical Tian reference factors.
-
-    With V = exp(sigma^2*dt):
-    u, d = (1/2)*exp(r*dt)*V*(V + 1 +/- sqrt(V^2 + 2V - 3)) and
-    p = (exp(r*dt) - d)/(u - d). Matches the first three one-step
-    gross-return moments of a GBM with drift r exactly.
-    """
-    _require_positive_sigma(sigma)
-    _require_positive_dt(dt)
-    grow = math.exp(r * dt)
-    v_cap = math.exp(sigma * sigma * dt)
-    radical = math.sqrt(v_cap * v_cap + 2.0 * v_cap - 3.0)
-    u = 0.5 * grow * v_cap * (v_cap + 1.0 + radical)
-    d = 0.5 * grow * v_cap * (v_cap + 1.0 - radical)
-    p = (grow - d) / (u - d)
-    return StepFactors(u=u, d=d, p=p)
 
 
 def step_moment(params: ModelParams, dt: float, j: int) -> float:

@@ -21,6 +21,9 @@ from .errors import DomainError
 
 __all__ = ["MinimizeConfig", "MinimizeResult", "minimize"]
 
+# Edge length of the first simplex, in transformed coordinates.
+_INITIAL_STEP = 0.25
+
 
 @dataclass(frozen=True)
 class MinimizeConfig:
@@ -29,14 +32,14 @@ class MinimizeConfig:
     ``tolerance`` is relative to the objective scale (the larger of 1 and
     the starting value): a run stops once the simplex value spread falls
     below tolerance * scale. ``restarts`` re-runs the search from the
-    incumbent with a fresh, randomly oriented simplex.
+    incumbent with a fresh, randomly oriented simplex whose orientation
+    and size come from a generator seeded with ``seed``.
     """
 
     tolerance: float = 1e-10
     max_iterations: int = 2000
     restarts: int = 3
     seed: int = 0
-    initial_step: float = 0.25
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tolerance < math.inf:
@@ -59,7 +62,9 @@ def _to_unconstrained(x: float, lo: float, hi: float, kind: str) -> float:
     if kind == "log":
         lo, hi, x = math.log(lo), math.log(hi), math.log(x)
     frac = (x - lo) / (hi - lo)
-    frac = min(max(frac, 1e-12), 1.0 - 1e-12)
+    # A start strictly inside the box can still round onto a bound here;
+    # the clamp keeps the logit finite and moves no other start.
+    frac = min(max(frac, math.ulp(0.0)), math.nextafter(1.0, 0.0))
     return math.log(frac / (1.0 - frac))
 
 
@@ -142,9 +147,9 @@ def minimize(objective: Callable[[np.ndarray], float],
     converged = False
     for run in range(cfg.restarts + 1):
         if run == 0:
-            simplex = _initial_simplex(best_y, cfg.initial_step)
+            simplex = _initial_simplex(best_y, _INITIAL_STEP)
         else:
-            spread = cfg.initial_step * (0.5 + rng.random())
+            spread = _INITIAL_STEP * (0.5 + rng.random())
             simplex = _initial_simplex(
                 best_y + rng.normal(0.0, 0.1 * spread, size=dims), spread)
             simplex[0] = best_y.copy()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional
+from typing import Literal
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "Payoff",
     "Lattice",
     "risk_neutral_prob",
-    "market_price_of_risk",
     "delta_hedge",
     "price_european",
     "DiscontinuityReport",
@@ -45,11 +44,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Payoff:
-    """Terminal payoff: vanilla call/put at a strike, or a custom mapping."""
+    """Terminal payoff of a vanilla call or put at a strike.
 
-    kind: Literal["call", "put", "custom"]
+    An unknown ``kind`` is rejected at construction. Other terminal
+    values, one row per node, go to :meth:`Lattice.roll_back` directly.
+    """
+
+    kind: Literal["call", "put"]
     strike: float = 0.0
-    fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @classmethod
     def call(cls, strike: float) -> "Payoff":
@@ -59,23 +61,15 @@ class Payoff:
     def put(cls, strike: float) -> "Payoff":
         return cls(kind="put", strike=float(strike))
 
-    @classmethod
-    def custom(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "Payoff":
-        return cls(kind="custom", fn=fn)
-
     def __post_init__(self) -> None:
-        if self.kind not in ("call", "put", "custom"):
+        if self.kind not in ("call", "put"):
             raise DomainError(f"unknown payoff kind {self.kind!r}; "
-                              f"expected 'call', 'put' or 'custom'")
-        if self.kind == "custom" and self.fn is None:
-            raise DomainError("custom payoff requires an evaluator function")
+                              f"expected 'call' or 'put'")
 
     def evaluate(self, terminal: np.ndarray) -> np.ndarray:
         if self.kind == "call":
             return np.maximum(terminal - self.strike, 0.0)
-        if self.kind == "put":
-            return np.maximum(self.strike - terminal, 0.0)
-        return np.asarray(self.fn(terminal), dtype=float)
+        return np.maximum(self.strike - terminal, 0.0)
 
 
 @dataclass(frozen=True)
@@ -95,10 +89,6 @@ class Lattice:
             raise DomainError(f"step count must be >= 1, got {self.n}")
         if not self.dt > 0.0:
             raise DomainError(f"time step must be positive, got {self.dt}")
-
-    @property
-    def maturity(self) -> float:
-        return self.n * self.dt
 
     @classmethod
     def build(cls, s0: float, params: ModelParams, n: int, dt: float, rate: float,
@@ -170,17 +160,6 @@ def risk_neutral_prob(params: ModelParams, r: float, dt: float) -> float:
             f"risk-neutral probability {q} outside [0, 1]: rate {r} violates "
             f"the one-step no-arbitrage band")
     return q
-
-
-def market_price_of_risk(params: ModelParams, r: float) -> float:
-    """theta = (gamma - r)/sigma; defined for gamma = delta."""
-    if params.gamma != params.delta:
-        raise DomainError(
-            f"market price of risk requires gamma = delta, "
-            f"got gamma={params.gamma}, delta={params.delta}")
-    if not params.sigma > 0.0:
-        raise DomainError(f"volatility sigma must be positive, got {params.sigma}")
-    return (params.gamma - r) / params.sigma
 
 
 def delta_hedge(s: float, f_u: float, f_d: float, params: ModelParams,

@@ -16,6 +16,7 @@ from mptree.calibration import (MODELS, CalibrationConfig, OptionQuote,
                                 model_prices)
 from mptree.calibration import free_parameter_names
 from mptree.errors import ArbitrageError, DomainError
+from mptree.optimize import minimize
 from mptree.model import jarrow_rudd_params
 from mptree.pricing import (Lattice, Payoff, black_scholes_call,
                             price_european, risk_neutral_prob)
@@ -246,9 +247,22 @@ def test_calibrate_is_deterministic():
 
 def test_calibrate_rejects_bad_extra_start():
     chain = synthetic_chain("jr", (0.25,))
-    config = CalibrationConfig(extra_starts=((0.2, 0.5, 0.5),))
     with pytest.raises(DomainError, match="extra start"):
-        calibrate("mpbin1", chain, S0, RATE, config)
+        calibrate("mpbin1", chain, S0, RATE, extra_starts=[(0.2, 0.5, 0.5)])
+
+
+def test_calibrate_hands_its_config_to_the_optimizer(monkeypatch):
+    configs = []
+
+    def spy(*args):
+        configs.append(args[-1])
+        return minimize(*args)
+
+    monkeypatch.setattr(calibration, "minimize", spy)
+    config = CalibrationConfig(tolerance=1e-6, restarts=1, max_iterations=30, seed=4)
+    calibrate("mpbin1", synthetic_chain("jr", (0.25,)), S0, RATE, config,
+              extra_starts=[(0.25, 0.5)])
+    assert len(configs) == 2 and all(c is config for c in configs)
 
 
 def test_calibrate_requires_quotes():
@@ -312,24 +326,48 @@ def test_richer_family_reprices_an_embedded_poorer_tree(sigma, g):
             model_prices(poorer, params, EMBED_CHAIN, S0, RATE), rel=1e-12), (poorer, richer)
 
 
-# ---------------------------------------------------------------------------
-# one roll-back kernel for chains and single options
-# ---------------------------------------------------------------------------
-
 FREE_PARAMETER_RANGES = {"sigma": (0.05, 1.0), "g": (0.3, 0.7), "p_dt": (0.3, 0.7),
                          "gamma": (0.01, 0.5)}
 MATURITIES = [1, 5, 21, 42, 63, 126]
 
 
 @st.composite
-def family_params(draw):
+def family_params(draw, min_rate=0.0):
     """(model, rate, params) for any family, free parameters inside their ranges."""
     model = draw(st.sampled_from(MODELS))
     x = [draw(st.floats(*FREE_PARAMETER_RANGES[name]))
          for name in free_parameter_names(model)]
-    r = draw(st.floats(0.0, 0.08))
+    r = draw(st.floats(min_rate, 0.08))
     return model, r, build_params(model, x, r, DAILY)
 
+
+SHORT_RUN = CalibrationConfig(restarts=0, tolerance=1e-8)
+
+
+# mpbin2 embeds a poorer optimum through gamma = r, which exists only for r
+# inside GAMMA_BOUNDS; below it the seed is clipped into the box, and the
+# nesting fails (at r = 0, mpbin2 RMSE 6.2e-6 against mpbin1 2.6e-14 on a
+# CRR chain). The rates drawn here therefore start inside the box.
+@settings(deadline=None, max_examples=10)
+@given(case=family_params(min_rate=2.0 * calibration.GAMMA_BOUNDS[0]),
+       legs=st.lists(st.tuples(st.integers(1, 30), st.floats(0.9, 1.1),
+                               st.floats(-0.05, 0.05)), min_size=1, max_size=4))
+def test_suite_errors_nest_on_random_chains(case, legs):
+    # Prices of a random tree, perturbed so that no family fits exactly.
+    model, r, params = case
+    protos = [OptionQuote(moneyness * S0, days, 1.0) for days, moneyness, _ in legs]
+    prices = model_prices(model, params, protos, S0, r)
+    chain = [OptionQuote(q.strike, q.days_to_maturity, max(p * (1.0 + noise), 1e-3))
+             for q, p, (_, _, noise) in zip(protos, prices, legs)]
+    rmse = {res.model: res.metrics.rmse
+            for res in calibrate_suite(MODELS, chain, S0, r, SHORT_RUN)}
+    assert rmse["mpbin1"] <= min(rmse["crr"], rmse["jr"], rmse["tian"]) + 1e-10, rmse
+    assert rmse["mpbin2"] <= rmse["mpbin1"] + 1e-10, rmse
+
+
+# ---------------------------------------------------------------------------
+# one roll-back kernel for chains and single options
+# ---------------------------------------------------------------------------
 
 @settings(deadline=None)
 @given(case=family_params(), s0=st.floats(50.0, 150.0),
@@ -403,10 +441,3 @@ def test_roll_back_rejects_values_without_one_row_per_node(shape):
     lattice = Lattice.build(S0, params, 21, DAILY, RATE)
     with pytest.raises(DomainError, match="need 22 terminal rows"):
         lattice.roll_back(0.5, np.ones(shape))
-
-
-def test_custom_payoff_of_the_wrong_shape_is_a_domain_error():
-    params = jarrow_rudd_params(RATE, 0.2)
-    lattice = Lattice.build(S0, params, 21, DAILY, RATE)
-    with pytest.raises(DomainError, match="got \\(\\)$"):
-        price_european(lattice, params, Payoff.custom(lambda s: 1.0))

@@ -280,6 +280,14 @@ def test_demo_discontinuity_arbitrage_rate_exits_1(capsys):
     assert captured.err.startswith("error: replication probability")
 
 
+def test_demo_discontinuity_rejects_an_empty_grid(capsys):
+    assert main(["demo-discontinuity", "--s0", "100", "--strike", "100", "--r", "0.05",
+                 "--sigma", "0.2", "--T", "1", "--p-grid", " , "]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --p-grid must list at least one probability\n"
+
+
 def test_moments_prints_one_row_per_moment_and_step(capsys):
     assert main(["moments", "--j-max", "3", "--halvings", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -306,3 +314,12 @@ def test_moments_rejects_an_inadmissible_probability(capsys):
     captured = capsys.readouterr()
     assert captured.out == "j,dt,step_moment,gbm_moment,abs_error,halving_ratio,status\n"
     assert captured.err.startswith("error: base up probability g")
+
+
+@pytest.mark.parametrize("flag", ["--j-max", "--halvings"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_moments_rejects_a_run_that_compares_nothing(capsys, flag, value):
+    assert main(["moments", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be >= 1, got {value}\n"

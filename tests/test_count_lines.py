@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "count_lines.py"
 _SPEC = importlib.util.spec_from_file_location("count_lines", _PATH)
 count_lines = importlib.util.module_from_spec(_SPEC)
@@ -46,3 +48,14 @@ def test_count_lines_prints_each_module_and_the_sum(tmp_path, capsys):
         f"{tmp_path / 'b.py'}: 2 total, 1 code",
         "overall: 23 total, 8 code",
     ]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["no/such/path.py"], ["a.py", "b.py"]],
+                         ids=["none", "help", "missing", "two"])
+def test_count_lines_prints_its_usage_for_a_bad_argument(tmp_path, monkeypatch,
+                                                        capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert count_lines.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage: python tools/count_lines.py PATH\n"

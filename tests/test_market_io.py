@@ -1,5 +1,7 @@
 """Chain file IO: canonical write and byte round-trip."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,9 @@ def test_load_config_sets_calibration_config_fields(tmp_path):
     assert load_config(path) == CalibrationConfig(
         dt=0.004, tolerance=1e-8, restarts=0, max_iterations=50, seed=9,
         maturity_filter=True)
+    # Those six keys are every setting there is.
+    assert {f.name for f in fields(CalibrationConfig)} == {
+        "dt", "tolerance", "restarts", "max_iterations", "seed", "maturity_filter"}
     path.write_text("seed=1\n")
     assert load_config(path) == CalibrationConfig(seed=1)
 

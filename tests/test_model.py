@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from mptree.errors import DomainError
-from mptree.model import (MAX_MOMENT_ORDER, ModelParams, crr_factors,
-                          crr_params, gbm_moment, jarrow_rudd_factors,
-                          jarrow_rudd_params, node_values, p_up,
-                          step_factors_asymptotic, step_factors_exact,
-                          step_moment, tian_factors, tian_params,
+from mptree.model import (MAX_MOMENT_ORDER, ModelParams, StepFactors,
+                          crr_params, gbm_moment, jarrow_rudd_params,
+                          node_values, p_up, step_factors_asymptotic,
+                          step_factors_exact, step_moment, tian_params,
                           validate_params)
 
 DAILY = 1.0 / 252.0
@@ -20,6 +19,35 @@ DAILY = 1.0 / 252.0
 
 def mp(gamma=0.05, delta=0.05, g=0.5, v=0.0, sigma=0.2):
     return ModelParams(gamma=gamma, delta=delta, g=g, v=v, sigma=sigma)
+
+
+# The classical closed-form trees, as references for the reductions.
+
+def crr_factors(r, sigma, dt):
+    """Cox-Ross-Rubinstein: u = exp(sigma*sqrt(dt)), d = 1/u."""
+    u = math.exp(sigma * math.sqrt(dt))
+    d = 1.0 / u
+    return StepFactors(u=u, d=d, p=(math.exp(r * dt) - d) / (u - d))
+
+
+def jarrow_rudd_factors(r, sigma, dt):
+    """Jarrow-Rudd: exp((r - sigma^2/2)*dt +/- sigma*sqrt(dt)), p = 1/2."""
+    drift = (r - sigma * sigma / 2.0) * dt
+    s = sigma * math.sqrt(dt)
+    return StepFactors(u=math.exp(drift + s), d=math.exp(drift - s), p=0.5)
+
+
+def tian_factors(r, sigma, dt):
+    """Tian: with V = exp(sigma^2*dt),
+    u, d = (1/2)*exp(r*dt)*V*(V + 1 +/- sqrt(V^2 + 2V - 3)) and
+    p = (exp(r*dt) - d)/(u - d), which match the first three one-step
+    gross-return moments of a GBM with drift r exactly."""
+    grow = math.exp(r * dt)
+    v_cap = math.exp(sigma * sigma * dt)
+    radical = math.sqrt(v_cap * v_cap + 2.0 * v_cap - 3.0)
+    u = 0.5 * grow * v_cap * (v_cap + 1.0 + radical)
+    d = 0.5 * grow * v_cap * (v_cap + 1.0 - radical)
+    return StepFactors(u=u, d=d, p=(grow - d) / (u - d))
 
 
 # ---------------------------------------------------------------------------
@@ -59,13 +87,6 @@ def test_validate_rejects_nonpositive_dt(dt):
         validate_params(mp(), dt)
     with pytest.raises(DomainError, match="time step must be positive"):
         step_moment(mp(), dt, 2)
-
-
-@pytest.mark.parametrize("factors", [crr_factors, jarrow_rudd_factors, tian_factors])
-@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
-def test_classical_factors_reject_nonpositive_dt(factors, dt):
-    with pytest.raises(DomainError, match="time step must be positive"):
-        factors(0.05, 0.2, dt)
 
 
 def test_p_up_values():

@@ -141,3 +141,18 @@ def test_transform_round_trip_stays_inside_box(box, frac):
     back = _from_unconstrained(_to_unconstrained(x, lo, hi, kind), lo, hi, kind)
     assert lo < back < hi
     assert abs(back - x) <= 1e-13 * x
+
+
+@pytest.mark.parametrize("start", [1e-14, 1.0 - 1e-14])
+def test_first_evaluation_is_at_a_start_near_a_bound(start):
+    # A result is never worse than its start only if the search begins at
+    # the start, however close to a bound it lies.
+    seen = []
+
+    def objective(x):
+        seen.append(x[0])
+        return (x[0] - 0.5) ** 2
+
+    minimize(objective, [(0.0, 1.0)], [start],
+             config=MinimizeConfig(max_iterations=1, restarts=0))
+    assert seen[0] == pytest.approx(start, rel=1e-14)

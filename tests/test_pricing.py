@@ -10,8 +10,8 @@ from scipy import stats as sstats
 from mptree.errors import ArbitrageError, DomainError
 from mptree.model import ModelParams, jarrow_rudd_params, step_factors_asymptotic
 from mptree.pricing import (Lattice, Payoff, black_scholes_call, delta_hedge,
-                            discontinuity_report, market_price_of_risk,
-                            price_european, risk_neutral_prob)
+                            discontinuity_report, price_european,
+                            risk_neutral_prob)
 
 DAILY = 1.0 / 252.0
 
@@ -36,9 +36,10 @@ def test_q_general_formula_value():
 
 
 def test_q_equals_p_minus_theta_vol_spread():
-    # gamma = delta special case: Q = p - theta*sqrt(p(1-p))*sqrt(dt).
+    # gamma = delta special case: Q = p - theta*sqrt(p(1-p))*sqrt(dt), with
+    # the market price of risk theta = (gamma - r)/sigma.
     params = mp(gamma=0.08, delta=0.08, g=0.6)
-    theta = market_price_of_risk(params, 0.02)
+    theta = (0.08 - 0.02) / 0.2
     expected = 0.6 - theta * math.sqrt(0.6 * 0.4) * math.sqrt(0.01)
     assert risk_neutral_prob(params, 0.02, 0.01) == pytest.approx(expected,
                                                                   rel=1e-14)
@@ -75,26 +76,8 @@ def test_q_denominator_guard():
 
 
 # ---------------------------------------------------------------------------
-# market price of risk and hedging
+# hedging
 # ---------------------------------------------------------------------------
-
-def test_market_price_of_risk_values():
-    assert market_price_of_risk(mp(gamma=0.02, delta=0.02), 0.02) == 0.0
-    assert market_price_of_risk(mp(gamma=0.08, delta=0.08), 0.02) == \
-        pytest.approx(0.3, rel=1e-14)
-
-
-def test_market_price_of_risk_sign():
-    for gamma in (-0.1, 0.0, 0.04, 0.2):
-        theta = market_price_of_risk(mp(gamma=gamma, delta=gamma), 0.04)
-        assert math.copysign(1.0, theta) == math.copysign(1.0, gamma - 0.04) \
-            or theta == 0.0
-
-
-def test_market_price_of_risk_requires_equal_drifts():
-    with pytest.raises(DomainError, match="gamma = delta"):
-        market_price_of_risk(mp(gamma=0.05, delta=0.04), 0.02)
-
 
 def test_delta_hedge_flat_payoff():
     assert delta_hedge(100.0, 5.0, 5.0, mp(), 0.01) == 0.0
@@ -202,24 +185,10 @@ def test_put_payoff_prices_positive():
     assert price_european(lattice, params, Payoff.put(100.0)) > 0.0
 
 
-def test_custom_payoff():
-    params = mp()
-    lattice = Lattice.build(100.0, params, n=10, dt=DAILY, rate=0.0)
-    constant = price_european(lattice, params,
-                              Payoff.custom(lambda s: np.ones_like(s)))
-    assert constant == pytest.approx(1.0, rel=1e-12)
-
-
-def test_custom_payoff_requires_fn():
-    with pytest.raises(DomainError):
-        Payoff(kind="custom").evaluate(np.array([1.0]))
-
-
 def test_payoff_checks_kind_at_construction():
-    with pytest.raises(DomainError, match="'cal'"):
-        Payoff(kind="cal", strike=100.0)
-    with pytest.raises(DomainError, match="evaluator"):
-        Payoff(kind="custom")
+    for kind in ("cal", "custom"):
+        with pytest.raises(DomainError, match=f"'{kind}'"):
+            Payoff(kind=kind, strike=100.0)
 
 
 def test_lattice_rejects_unknown_factor_method():
@@ -248,8 +217,6 @@ def test_lattice_validation():
             Lattice(s0=100.0, n=10, dt=dt, factors=f, rate=0.0)
         with pytest.raises(DomainError, match="time step must be positive"):
             Lattice.build(100.0, mp(), n=4, dt=dt, rate=0.02)
-    lattice = Lattice(s0=100.0, n=10, dt=DAILY, factors=f, rate=0.0)
-    assert lattice.maturity == pytest.approx(10 * DAILY, rel=1e-15)
 
 
 def test_replication_identity_at_every_node():
@@ -282,9 +249,8 @@ def test_replication_identity_at_every_node():
 # ---------------------------------------------------------------------------
 
 def test_discontinuity_flat_payoff_has_no_gap():
-    report = discontinuity_report(100.0, 0.02, 0.2, 1.0,
-                                  Payoff.custom(lambda s: np.full_like(s, 3.0)),
-                                  0.5)
+    # Struck above s0*u = 122.1, the call pays 0 on both branches.
+    report = discontinuity_report(100.0, 0.02, 0.2, 1.0, Payoff.call(150.0), 0.5)
     assert report.gap_at_0 == pytest.approx(0.0, abs=1e-15)
     assert report.gap_at_1 == pytest.approx(0.0, abs=1e-15)
 

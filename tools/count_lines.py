@@ -45,10 +45,10 @@ def count(source: str) -> tuple[int, int]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    root = Path(argv[0]) if len(argv) == 1 else None
+    if root is None or not root.exists():
         print("usage: python tools/count_lines.py PATH", file=sys.stderr)
         return 2
-    root = Path(argv[0])
     paths = sorted(root.rglob("*.py")) if root.is_dir() else [root]
     total = code = 0
     for path in paths:
