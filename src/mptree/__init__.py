@@ -23,7 +23,7 @@ from .model import (ModelParams, StepFactors, crr_params, gbm_moment,
                     jarrow_rudd_params, p_up, step_factors_asymptotic,
                     step_factors_exact, step_moment, tian_params,
                     validate_params)
-from .optimize import MinimizeConfig, MinimizeResult, minimize
+from .optimize import MinimizeConfig, MinimizeResult, least_squares, minimize
 from .pricing import (DiscontinuityReport, Lattice, Payoff, black_scholes_call,
                       delta_hedge, discontinuity_report, price_european,
                       risk_neutral_prob)
@@ -48,7 +48,7 @@ __all__ = [
     "MODELS", "OptionQuote", "ErrorMetrics", "error_metrics",
     "CalibrationConfig", "CalibrationResult", "model_prices", "calibrate",
     "calibrate_suite", "calibration_report_csv",
-    "MinimizeConfig", "MinimizeResult", "minimize",
+    "MinimizeConfig", "MinimizeResult", "minimize", "least_squares",
     "UpDownCounts", "up_proportion", "proportion_ci", "exact_binomial_test",
     "HomogeneityResult", "homogeneity_test", "chi2_sf", "YearEstimate",
     "grouped_estimates",

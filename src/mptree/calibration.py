@@ -17,12 +17,17 @@ optionally ``embed(params, dt)`` mapping a poorer optimum into them. A
 parameter's box and transform follow from its name, so a new family is
 one entry; :data:`MODELS` is the table's order.
 
-The objective is the sum of squared price differences; reported fit
-quality is AAE, APE, ARPE and RMSE. Because every classical family is,
-at a fixed dt, an exact slice of mpbin1 (gamma = delta = r with v folded
-into the probability) and mpbin1 an exact slice of mpbin2, seeding a
-richer model's search with a poorer model's optimum makes the optimal
-errors nest monotonically.
+The objective is the sum of squared price differences (SSE); reported
+fit quality is AAE, APE, ARPE and RMSE. :func:`calibrate` ranks its
+starts by SSE, runs one restarted Nelder-Mead from the best of them and
+polishes that result by Levenberg-Marquardt on the price residuals; the
+polish reaches an exact fit to rounding where the family contains the
+chain's tree, which Nelder-Mead alone stops short of. Because every
+classical family is, at a fixed dt, an exact slice of mpbin1 (gamma =
+delta = r with v folded into the probability) and mpbin1 an exact slice
+of mpbin2 (gamma = r), :func:`calibrate_suite` starts a richer model
+from the poorer models' optima as well, which makes the optimal errors
+nest monotonically.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 from .errors import ArbitrageError, DomainError
 from .model import (ModelParams, crr_params, jarrow_rudd_params,
                     step_factors_exact, tian_params, validate_params)
-from .optimize import MinimizeConfig, MinimizeResult, minimize
+from .optimize import MinimizeConfig, least_squares, minimize
 from .pricing import Lattice, risk_neutral_prob
 
 __all__ = [
@@ -55,7 +60,7 @@ __all__ = [
 
 SIGMA_BOUNDS = (1e-4, 5.0)
 PROB_BOUNDS = (1e-4, 1.0 - 1e-4)
-GAMMA_BOUNDS = (1e-4, 5.0)
+GAMMA_BOUNDS = (-1.0, 5.0)
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -194,7 +199,7 @@ MODELS = tuple(_FAMILIES)
 
 # Box and optimizer transform of each free parameter.
 _PARAMETER_BOXES = {"sigma": (SIGMA_BOUNDS, "log"), "g": (PROB_BOUNDS, "logit"),
-                    "p_dt": (PROB_BOUNDS, "logit"), "gamma": (GAMMA_BOUNDS, "log")}
+                    "p_dt": (PROB_BOUNDS, "logit"), "gamma": (GAMMA_BOUNDS, "logit")}
 
 
 def _family(model: str) -> _Family:
@@ -285,6 +290,9 @@ def implied_atm_sigma(quotes: Sequence[OptionQuote], s0: float, r: float,
         return 0.2
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # lo and hi are adjacent floats: no later step moves the result.
+            break
         p_mid = priced(mid)
         f_mid = (p_mid - quote.market_price) if p_mid is not None else math.inf
         if f_lo * f_mid <= 0.0:
@@ -299,7 +307,7 @@ def _default_start(model: str, quotes: Sequence[OptionQuote], s0: float,
     family = _family(model)
     sigma0 = implied_atm_sigma(quotes, s0, r, dt)
     sigma0 = min(max(sigma0, SIGMA_BOUNDS[0] * 2), SIGMA_BOUNDS[1] / 2)
-    gamma0 = min(max(r, GAMMA_BOUNDS[0] * 2), GAMMA_BOUNDS[1] / 2)
+    gamma0 = _inside(r, GAMMA_BOUNDS)
 
     def start(sigma: float) -> tuple[float, ...]:
         neutral = {"sigma": sigma, "g": 0.5, "p_dt": 0.5, "gamma": gamma0}
@@ -315,6 +323,13 @@ def _default_start(model: str, quotes: Sequence[OptionQuote], s0: float,
     return start(sigma0)
 
 
+def _inside(value: float, bounds: tuple[float, float]) -> float:
+    """``value`` clipped to just inside the open box, whatever its signs."""
+    lo, hi = bounds
+    margin = (hi - lo) * 1e-9
+    return min(max(value, lo + margin), hi - margin)
+
+
 _PENALTY = 1e15
 
 
@@ -323,11 +338,16 @@ def calibrate(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
               extra_starts: Sequence[Sequence[float]] = ()) -> CalibrationResult:
     """Fit ``model`` to the chain by least squares on prices.
 
-    The search starts from an at-the-money sigma inversion with neutral
-    probabilities, plus each of ``extra_starts`` (free-parameter vectors
-    of this model, e.g. a poorer model's optimum embedded in its space,
-    clipped into the box); each start runs a restarted Nelder-Mead with
-    the optimizer settings of ``config`` and the best outcome wins.
+    The candidate starts are an at-the-money sigma inversion with neutral
+    probabilities and each of ``extra_starts`` (free-parameter vectors of
+    this model, e.g. a poorer model's optimum embedded in its space),
+    clipped into the box. One objective evaluation each ranks them; a
+    restarted Nelder-Mead with the optimizer settings of ``config`` runs
+    from the best, and a Levenberg-Marquardt polish on the price
+    residuals follows, whose point is kept only if it lowers the SSE.
+    ``objective_evaluations`` counts all three phases. ``converged`` is
+    the polish's flag: False if its iteration cap stopped it, or if the
+    search never left the region where the pricing raises.
     Non-convergence is reported through the flag, never raised.
     """
     cfg = config or CalibrationConfig()
@@ -336,38 +356,42 @@ def calibrate(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
     bounds, transforms = free_parameter_spec(model)
     market = np.array([q.market_price for q in quotes])
 
-    def objective(x: np.ndarray) -> float:
+    def residuals(x: np.ndarray) -> np.ndarray:
         try:
             prices = model_prices(model, build_params(model, x, r, cfg.dt),
                                   quotes, s0, r, cfg.dt)
         except (DomainError, ArbitrageError):
-            return _PENALTY
-        diff = np.asarray(prices) - market
-        return float(np.dot(diff, diff))
+            return np.full(market.size, np.nan)
+        return np.asarray(prices) - market
 
-    starts = [_default_start(model, quotes, s0, r, cfg.dt)]
+    def objective(x: np.ndarray) -> float:
+        diff = residuals(x)
+        sse = float(np.dot(diff, diff))
+        return sse if math.isfinite(sse) else _PENALTY
+
     for extra in extra_starts:
         if len(extra) != len(bounds):
             raise DomainError(
                 f"extra start {extra!r} has wrong length for model {model!r}")
-        starts.append(tuple(float(v) for v in extra))
+    starts = [tuple(_inside(float(value), box) for value, box in zip(start, bounds))
+              for start in (_default_start(model, quotes, s0, r, cfg.dt), *extra_starts)]
 
-    best: MinimizeResult | None = None
-    total_evaluations = 0
-    for start in starts:
-        clipped = tuple(min(max(value, lo * (1 + 1e-9)), hi * (1 - 1e-9))
-                        for value, (lo, hi) in zip(start, bounds))
-        result = minimize(objective, bounds, clipped, transforms, cfg)
-        total_evaluations += result.evaluations
-        if best is None or result.value < best.value:
-            best = result
-    assert best is not None
+    start = min(starts, key=objective)
+    best = minimize(objective, bounds, start, transforms, cfg)
+    evaluations = len(starts) + best.evaluations
+    converged = False
+    if best.value < _PENALTY:
+        polished = least_squares(residuals, bounds, best.x, transforms, cfg)
+        evaluations += polished.evaluations
+        converged = polished.converged
+        if polished.value < best.value:
+            best = polished
     params = build_params(model, best.x, r, cfg.dt)
     metrics = error_metrics(model_prices(model, params, quotes, s0, r, cfg.dt),
                             market)
     return CalibrationResult(model=model, params=params, metrics=metrics,
-                             objective_evaluations=total_evaluations,
-                             converged=best.converged)
+                             objective_evaluations=evaluations,
+                             converged=converged)
 
 
 def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
@@ -379,10 +403,19 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
     Models run in :data:`MODELS` order. A family that can embed poorer
     optima (mpbin1, mpbin2) starts from every earlier result as well,
     which enforces the nesting of optimal errors numerically.
+
+    Raises
+    ------
+    DomainError
+        For an unknown model, or for mpbin2 at a rate outside
+        ``GAMMA_BOUNDS``: it embeds a poorer optimum at gamma = r.
     """
     cfg = config or CalibrationConfig()
     for model in models:
         _family(model)  # rejects an unknown model
+    if "mpbin2" in models and not GAMMA_BOUNDS[0] < r < GAMMA_BOUNDS[1]:
+        raise DomainError(f"mpbin2 embeds poorer optima at gamma = r, so the "
+                          f"rate must lie inside {GAMMA_BOUNDS}, got {r}")
     results: list[CalibrationResult] = []
     for model in (m for m in MODELS if m in models):
         embed = _FAMILIES[model].embed

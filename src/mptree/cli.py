@@ -27,6 +27,15 @@ def _fmt(value: float, full: bool) -> str:
 _TREE_PARAMETERS = ("gamma", "delta", "g", "v", "sigma")
 
 
+def _parse_list(text: str, flag: str, convert: type) -> list:
+    """The comma-separated values of ``flag``; empty items are skipped."""
+    try:
+        return [convert(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise DomainError(f"{flag} must be a comma-separated list of "
+                          f"{convert.__name__} values, got {text!r}") from None
+
+
 def _model_params_from_args(args: argparse.Namespace, dt: float) -> model.ModelParams:
     direct = args.model == "mp"
     names = _TREE_PARAMETERS if direct else calibration.free_parameter_names(args.model)
@@ -68,7 +77,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_converge(args: argparse.Namespace) -> int:
     params = model.ModelParams(gamma=args.b, delta=args.b, g=args.g, v=args.v,
                                sigma=args.sigma)
-    n_values = [int(tok) for tok in args.n_values.split(",") if tok.strip()]
+    n_values = _parse_list(args.n_values, "--n-values", int)
     experiment = convergence.rate_experiment(params, args.t, n_values)
     sys.stdout.write(experiment.to_csv())
     return 0
@@ -109,7 +118,7 @@ def _cmd_estimate_p(args: argparse.Namespace) -> int:
 def _cmd_demo_discontinuity(args: argparse.Namespace) -> int:
     payoff = (pricing.Payoff.call(args.strike) if args.kind == "call"
               else pricing.Payoff.put(args.strike))
-    grid = [float(tok) for tok in args.p_grid.split(",") if tok.strip()]
+    grid = _parse_list(args.p_grid, "--p-grid", float)
     if not grid:
         raise DomainError("--p-grid must list at least one probability")
     full = args.full_precision

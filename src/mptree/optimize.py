@@ -1,12 +1,24 @@
-"""Deterministic Nelder-Mead over transform-unconstrained parameters.
+"""Deterministic box-constrained search over transform-unconstrained parameters.
 
 Box constraints are enforced by smooth bijections rather than clipping:
 "logit" maps the real line onto (lo, hi) through a scaled sigmoid, and
 "log" does the same on the log of the parameter, which suits positive
-scale parameters such as a volatility. The simplex search itself is the
-standard reflect/expand/contract/shrink scheme; restarts re-seed the
+scale parameters such as a volatility. Both searches below run on these
+coordinates and share one check of the start, box and transforms.
+
+:func:`minimize` is the standard reflect/expand/contract/shrink
+Nelder-Mead scheme for any scalar objective; restarts re-seed the
 simplex around the best point found so far using a seeded generator, so
 results are bit-identical across runs with the same inputs.
+
+:func:`least_squares` is Levenberg-Marquardt (Levenberg 1944; Marquardt
+1963) for an objective that is a sum of squared residuals. It takes
+forward-difference Jacobians, damps the normal equations by
+lambda*diag(J^T J) plus a floor of 1e-12*trace(J^T J), which keeps them
+solvable where J^T J is singular, and accepts only steps that lower the
+sum of squares. Nelder-Mead stalls on the flat floor of such an
+objective; started from its result, a few Gauss-Newton-like steps reach
+an exact fit, where one exists, to rounding.
 """
 
 from __future__ import annotations
@@ -19,10 +31,19 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["MinimizeConfig", "MinimizeResult", "minimize"]
+__all__ = ["MinimizeConfig", "MinimizeResult", "minimize", "least_squares"]
 
 # Edge length of the first simplex, in transformed coordinates.
 _INITIAL_STEP = 0.25
+
+# Levenberg-Marquardt: iteration cap, first damping and the damping past
+# which no step is tried, the sum of squares that counts as an exact fit,
+# and the relative forward-difference step.
+_LM_ITERATIONS = 20
+_LM_DAMPING_START = 1e-3
+_LM_DAMPING_MAX = 1e12
+_LM_EXACT_SSE = 1e-24
+_LM_DIFF_STEP = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -81,6 +102,40 @@ def _from_unconstrained(y: float, lo: float, hi: float, kind: str) -> float:
     return inner_lo if x < inner_lo else inner_hi if x > inner_hi else x
 
 
+def _unconstrained_start(bounds: Sequence[tuple[float, float]],
+                         start: Sequence[float],
+                         transforms: Sequence[str] | None
+                         ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """Check a search's box, start and transforms.
+
+    Returns the map from unconstrained to natural coordinates and the
+    start in unconstrained coordinates.
+    """
+    dims = len(bounds)
+    if len(start) != dims:
+        raise DomainError(f"start has {len(start)} coordinates, bounds {dims}")
+    kinds = list(transforms) if transforms is not None else ["logit"] * dims
+    if len(kinds) != dims:
+        raise DomainError(f"transforms has {len(kinds)} entries, bounds {dims}")
+    for kind in kinds:
+        if kind not in ("logit", "log"):
+            raise DomainError(f"unknown transform {kind!r}")
+    for x, (lo, hi), kind in zip(start, bounds, kinds):
+        if not lo < x < hi:
+            raise DomainError(
+                f"infeasible start: {x} outside ({lo}, {hi})")
+        if kind == "log" and lo <= 0.0:
+            raise DomainError("log transform requires a positive lower bound")
+
+    def decode(y: np.ndarray) -> np.ndarray:
+        return np.array([_from_unconstrained(float(yi), lo, hi, kind)
+                         for yi, (lo, hi), kind in zip(y, bounds, kinds)])
+
+    y0 = np.array([_to_unconstrained(float(x), lo, hi, kind)
+                   for x, (lo, hi), kind in zip(start, bounds, kinds)])
+    return decode, y0
+
+
 def minimize(objective: Callable[[np.ndarray], float],
              bounds: Sequence[tuple[float, float]],
              start: Sequence[float],
@@ -107,25 +162,8 @@ def minimize(objective: Callable[[np.ndarray], float],
         there.
     """
     cfg = config or MinimizeConfig()
-    dims = len(bounds)
-    if len(start) != dims:
-        raise DomainError(f"start has {len(start)} coordinates, bounds {dims}")
-    kinds = list(transforms) if transforms is not None else ["logit"] * dims
-    if len(kinds) != dims:
-        raise DomainError(f"transforms has {len(kinds)} entries, bounds {dims}")
-    for kind in kinds:
-        if kind not in ("logit", "log"):
-            raise DomainError(f"unknown transform {kind!r}")
-    for x, (lo, hi), kind in zip(start, bounds, kinds):
-        if not lo < x < hi:
-            raise DomainError(
-                f"infeasible start: {x} outside ({lo}, {hi})")
-        if kind == "log" and lo <= 0.0:
-            raise DomainError("log transform requires a positive lower bound")
-
-    def decode(y: np.ndarray) -> np.ndarray:
-        return np.array([_from_unconstrained(float(yi), lo, hi, kind)
-                         for yi, (lo, hi), kind in zip(y, bounds, kinds)])
+    decode, y0 = _unconstrained_start(bounds, start, transforms)
+    dims = y0.size
 
     evaluations = 0
 
@@ -134,8 +172,6 @@ def minimize(objective: Callable[[np.ndarray], float],
         evaluations += 1
         return float(objective(decode(y)))
 
-    y0 = np.array([_to_unconstrained(float(x), lo, hi, kind)
-                   for x, (lo, hi), kind in zip(start, bounds, kinds)])
     f0 = f(y0)
     if not math.isfinite(f0):
         raise DomainError(f"objective is not finite at the start: {f0}")
@@ -161,6 +197,85 @@ def minimize(objective: Callable[[np.ndarray], float],
             converged = hit_tol
     return MinimizeResult(x=decode(best_y), value=best_f,
                          evaluations=evaluations, converged=converged)
+
+
+def least_squares(residuals: Callable[[np.ndarray], np.ndarray],
+                  bounds: Sequence[tuple[float, float]],
+                  start: Sequence[float],
+                  transforms: Sequence[str] | None = None,
+                  config: MinimizeConfig | None = None) -> MinimizeResult:
+    """Minimize a sum of squared residuals over a box by Levenberg-Marquardt.
+
+    The search runs on the same coordinates as :func:`minimize` and takes
+    the same arguments, except that ``residuals`` maps a parameter vector
+    to the residual vector; the result's ``value`` is the sum of squares
+    (SSE). The Jacobian is a forward difference, or a backward one where
+    the forward point has a non-finite residual. A trial step counts only
+    if its residuals are all finite and lower the SSE, so the result is
+    never worse than the start. Of ``config`` only ``tolerance`` is read.
+
+    ``converged`` is True when the search stops because the SSE falls
+    below 1e-24, because no damping up to 1e12 lowers it, or because an
+    accepted step lowers it by less than tolerance * scale * 1e-6, where
+    scale is the larger of 1 and the start's SSE. It is False when the
+    private cap of 20 iterations stops the search.
+
+    Raises
+    ------
+    DomainError
+        If the start violates the box or the residuals are not all finite
+        there.
+    """
+    cfg = config or MinimizeConfig()
+    decode, y = _unconstrained_start(bounds, start, transforms)
+    evaluations = 0
+
+    def sse_at(point: np.ndarray) -> tuple[np.ndarray, float]:
+        nonlocal evaluations
+        evaluations += 1
+        res = np.asarray(residuals(decode(point)), dtype=float)
+        return res, float(np.dot(res, res)) if np.all(np.isfinite(res)) else math.inf
+
+    res, sse = sse_at(y)
+    if not math.isfinite(sse):
+        raise DomainError(f"residuals are not finite at the start: {res}")
+    min_gain = cfg.tolerance * max(1.0, sse) * 1e-6
+    damping = _LM_DAMPING_START
+    converged = sse < _LM_EXACT_SSE
+    for _ in range(_LM_ITERATIONS):
+        if converged:
+            break
+        jac = np.zeros((res.size, y.size))
+        for i in range(y.size):
+            step = np.zeros_like(y)
+            step[i] = _LM_DIFF_STEP * max(1.0, abs(y[i]))
+            for sign in (1.0, -1.0):  # forward, else backward
+                moved, moved_sse = sse_at(y + sign * step)
+                if math.isfinite(moved_sse):
+                    jac[:, i] = sign * (moved - res) / step[i]
+                    break
+        normal, grad = jac.T @ jac, jac.T @ res
+        if not np.any(grad):
+            # A stationary point: no damping can lower the SSE.
+            converged = True
+            break
+        floor = 1e-12 * np.trace(normal) * np.eye(y.size)
+        while damping <= _LM_DAMPING_MAX:
+            trial = y - np.linalg.solve(
+                normal + damping * np.diag(np.diag(normal)) + floor, grad)
+            trial_res, trial_sse = sse_at(trial)
+            if trial_sse < sse:
+                break
+            damping *= 10.0
+        else:
+            converged = True
+            break
+        gain = sse - trial_sse
+        y, res, sse = trial, trial_res, trial_sse
+        damping /= 10.0
+        converged = sse < _LM_EXACT_SSE or gain < min_gain
+    return MinimizeResult(x=decode(y), value=sse, evaluations=evaluations,
+                          converged=converged)
 
 
 def _initial_simplex(y0: np.ndarray, step: float) -> np.ndarray:

@@ -16,8 +16,8 @@ from mptree.calibration import (MODELS, CalibrationConfig, OptionQuote,
                                 model_prices)
 from mptree.calibration import free_parameter_names
 from mptree.errors import ArbitrageError, DomainError
-from mptree.optimize import minimize
-from mptree.model import jarrow_rudd_params
+from mptree.optimize import least_squares, minimize
+from mptree.model import crr_params, jarrow_rudd_params
 from mptree.pricing import (Lattice, Payoff, black_scholes_call,
                             price_european, risk_neutral_prob)
 
@@ -198,6 +198,52 @@ def test_implied_atm_sigma_recovers_generator_vol():
     assert implied_atm_sigma(chain, S0, RATE) == pytest.approx(0.2, abs=2e-3)
 
 
+def bisect_80_steps(quotes, s0, r):
+    """implied_atm_sigma with its bisection run a fixed 80 steps."""
+    quote = min(quotes, key=lambda q: abs(q.strike - s0))
+    lo, hi = calibration.SIGMA_BOUNDS[0] * 1.01, calibration.SIGMA_BOUNDS[1] * 0.99
+
+    def priced(sig):
+        try:
+            return model_prices("crr", crr_params(r, sig), [quote], s0, r)[0]
+        except (DomainError, ArbitrageError):
+            return None
+
+    p_lo = priced(lo)
+    while p_lo is None and lo < hi:
+        lo *= 2.0
+        p_lo = priced(lo)
+    p_hi = priced(hi)
+    if p_lo is None or p_hi is None:
+        return 0.2
+    f_lo, f_hi = p_lo - quote.market_price, p_hi - quote.market_price
+    if f_lo * f_hi > 0.0:
+        return 0.2
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        p_mid = priced(mid)
+        f_mid = (p_mid - quote.market_price) if p_mid is not None else math.inf
+        if f_lo * f_mid <= 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+@settings(deadline=None, max_examples=40)
+@given(sigma=st.floats(0.02, 1.5), r=st.floats(-0.02, 0.08),
+       days=st.integers(1, 60), moneyness=st.floats(0.8, 1.2),
+       noise=st.floats(-0.3, 0.3))
+def test_implied_atm_sigma_equals_a_fixed_80_step_bisection(sigma, r, days,
+                                                             moneyness, noise):
+    # The bisection stops once its bracket holds no float between its ends;
+    # no later step could have moved the result.
+    quote = OptionQuote(moneyness * S0, days, 1.0)
+    price = model_prices("crr", crr_params(r, sigma), [quote], S0, r)[0]
+    chain = [OptionQuote(quote.strike, days, max(price * (1.0 + noise), 1e-3))]
+    assert implied_atm_sigma(chain, S0, r) == bisect_80_steps(chain, S0, r)
+
+
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------
@@ -252,17 +298,37 @@ def test_calibrate_rejects_bad_extra_start():
 
 
 def test_calibrate_hands_its_config_to_the_optimizer(monkeypatch):
+    # One Nelder-Mead search from the best-ranked start, then one polish.
     configs = []
 
-    def spy(*args):
-        configs.append(args[-1])
-        return minimize(*args)
+    def spy(search):
+        def call(*args):
+            configs.append((search.__name__, args[-1]))
+            return search(*args)
+        return call
 
-    monkeypatch.setattr(calibration, "minimize", spy)
+    monkeypatch.setattr(calibration, "minimize", spy(minimize))
+    monkeypatch.setattr(calibration, "least_squares", spy(least_squares))
     config = CalibrationConfig(tolerance=1e-6, restarts=1, max_iterations=30, seed=4)
     calibrate("mpbin1", synthetic_chain("jr", (0.25,)), S0, RATE, config,
               extra_starts=[(0.25, 0.5)])
-    assert len(configs) == 2 and all(c is config for c in configs)
+    assert [name for name, _ in configs] == ["minimize", "least_squares"]
+    assert all(c is config for _, c in configs)
+
+
+def test_calibrate_counts_every_evaluation(monkeypatch):
+    chain = synthetic_chain("jr", (0.25,))
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return model_prices(*args)
+
+    monkeypatch.setattr(calibration, "model_prices", counting)
+    result = calibrate("mpbin1", chain, S0, RATE, extra_starts=[(0.25, 0.5)])
+    # model_prices also runs for the at-the-money sigma (as "crr") and once
+    # for the reported metrics.
+    assert result.objective_evaluations == calls.count("mpbin1") - 1
 
 
 def test_calibrate_requires_quotes():
@@ -277,6 +343,32 @@ def test_suite_seeded_nesting_on_tian_chain():
     best_classical = min(rmse["crr"], rmse["jr"], rmse["tian"])
     assert rmse["mpbin1"] <= best_classical + 1e-12
     assert rmse["mpbin2"] <= rmse["mpbin1"] + 1e-12
+
+
+def test_suite_fits_a_family_that_contains_the_chain_exactly():
+    chain = synthetic_chain("mpbin1", (0.2, 0.55))
+    rmse = {res.model: res.metrics.rmse for res in calibrate_suite(MODELS, chain, S0, RATE)}
+    assert rmse["mpbin1"] < 1e-10
+    assert rmse["mpbin2"] < 1e-10
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.005])
+def test_suite_nests_mpbin2_at_a_zero_or_negative_rate(rate):
+    # mpbin2 embeds the poorer optima at gamma = r, so its gamma box must
+    # hold every such rate.
+    protos = [OptionQuote(k, d, 1.0) for d in (21, 42) for k in (90.0, 100.0, 110.0)]
+    prices = model_prices("crr", crr_params(rate, 0.25), protos, S0, rate)
+    chain = [OptionQuote(q.strike, q.days_to_maturity, p) for q, p in zip(protos, prices)]
+    rmse = {res.model: res.metrics.rmse for res in calibrate_suite(MODELS, chain, S0, rate)}
+    assert rmse["mpbin1"] < 1e-10
+    assert rmse["mpbin2"] < 1e-10
+
+
+@pytest.mark.parametrize("rate", [-1.0, -1.5, 5.0])
+def test_suite_rejects_mpbin2_at_a_rate_outside_its_gamma_box(rate):
+    chain = synthetic_chain("jr", (0.25,))
+    with pytest.raises(DomainError, match="rate must lie inside"):
+        calibrate_suite(["crr", "mpbin2"], chain, S0, rate)
 
 
 def test_suite_runs_subset_in_canonical_order():
@@ -344,12 +436,8 @@ def family_params(draw, min_rate=0.0):
 SHORT_RUN = CalibrationConfig(restarts=0, tolerance=1e-8)
 
 
-# mpbin2 embeds a poorer optimum through gamma = r, which exists only for r
-# inside GAMMA_BOUNDS; below it the seed is clipped into the box, and the
-# nesting fails (at r = 0, mpbin2 RMSE 6.2e-6 against mpbin1 2.6e-14 on a
-# CRR chain). The rates drawn here therefore start inside the box.
 @settings(deadline=None, max_examples=10)
-@given(case=family_params(min_rate=2.0 * calibration.GAMMA_BOUNDS[0]),
+@given(case=family_params(min_rate=-0.02),
        legs=st.lists(st.tuples(st.integers(1, 30), st.floats(0.9, 1.1),
                                st.floats(-0.05, 0.05)), min_size=1, max_size=4))
 def test_suite_errors_nest_on_random_chains(case, legs):

@@ -175,6 +175,15 @@ def test_converge_rejects_a_step_list_without_a_slope(capsys, n_values):
     assert captured.err.startswith("error: ")
 
 
+def test_converge_rejects_a_step_count_that_is_not_an_integer(capsys):
+    assert main(["converge", "--b", "0.05", "--sigma", "0.2", "--g", "0.5",
+                 "--n-values", "16,abc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --n-values must be a comma-separated list of "
+                            "int values, got '16,abc'\n")
+
+
 RETURNS = ("date,value\n2020-01-02,0.01\n2020-01-03,-0.02\n2020-06-01,0.0\n"
            "2021-01-04,0.03\n2021-01-05,0.01\n2021-02-01,-0.01\n2021-03-01,0.02\n")
 
@@ -286,6 +295,15 @@ def test_demo_discontinuity_rejects_an_empty_grid(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --p-grid must list at least one probability\n"
+
+
+def test_demo_discontinuity_rejects_a_probability_that_is_not_a_number(capsys):
+    assert main(["demo-discontinuity", "--s0", "100", "--strike", "100", "--r", "0.05",
+                 "--sigma", "0.2", "--T", "1", "--p-grid", "0.5,abc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --p-grid must be a comma-separated list of "
+                            "float values, got '0.5,abc'\n")
 
 
 def test_moments_prints_one_row_per_moment_and_step(capsys):

@@ -1,4 +1,4 @@
-"""Transformed Nelder-Mead: sanity cases, determinism, guards."""
+"""Transformed Nelder-Mead and Levenberg-Marquardt: sanity cases, determinism, guards."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mptree.errors import DomainError
 from mptree.optimize import (MinimizeConfig, _from_unconstrained,
-                             _to_unconstrained, minimize)
+                             _to_unconstrained, least_squares, minimize)
 
 TIGHT = MinimizeConfig(tolerance=1e-14)
 
@@ -156,3 +156,82 @@ def test_first_evaluation_is_at_a_start_near_a_bound(start):
     minimize(objective, [(0.0, 1.0)], [start],
              config=MinimizeConfig(max_iterations=1, restarts=0))
     assert seen[0] == pytest.approx(start, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Levenberg-Marquardt
+# ---------------------------------------------------------------------------
+
+def test_least_squares_fits_linear_residuals_exactly():
+    result = least_squares(lambda x: np.array([x[0] - 0.3, 2.0 * (x[1] + 1.5), x[0] + x[1] + 1.2]),
+                           [(-1.0, 1.0), (-4.0, 4.0)], [0.9, 3.0])
+    assert result.value < 1e-24
+    assert np.allclose(result.x, [0.3, -1.5], atol=1e-12)
+    assert result.converged
+
+
+def test_least_squares_solves_rosenbrock():
+    result = least_squares(lambda x: np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)]),
+                           [(-2.0, 2.0), (-2.0, 2.0)], [-1.2, 1.0])
+    assert result.converged
+    assert result.value < 1e-24
+    assert np.allclose(result.x, [1.0, 1.0], atol=1e-10)
+
+
+def test_least_squares_reports_the_iteration_cap():
+    # SSE = |x - 0.3|: the Gauss-Newton step overshoots to the mirror point,
+    # so every accepted step only shrinks the distance by a factor, and
+    # twenty iterations cannot bring it below any of the stopping limits.
+    result = least_squares(lambda x: np.array([math.sqrt(abs(x[0] - 0.3))]),
+                           [(0.0, 1.0)], [0.9])
+    assert not result.converged
+    assert result.value < 0.6
+
+
+def test_least_squares_rejects_steps_to_non_finite_residuals():
+    # The residual's zero (0.8) lies where it is not finite, and the start
+    # is so close to that region that its forward difference is too.
+    seen = []
+
+    def residuals(x):
+        seen.append(x[0])
+        return np.array([x[0] - 0.8 if x[0] < 0.5 else math.nan])
+
+    start = 0.5 - 1e-9
+    result = least_squares(residuals, [(0.0, 1.0)], [start])
+    assert any(x >= 0.5 for x in seen)
+    assert result.x[0] < 0.5
+    assert result.value <= (start - 0.8) ** 2
+    assert result.converged
+
+
+def test_least_squares_shares_the_start_checks():
+    with pytest.raises(DomainError, match="infeasible start"):
+        least_squares(lambda x: x, [(0.0, 1.0)], [2.0])
+    with pytest.raises(DomainError, match="positive lower bound"):
+        least_squares(lambda x: x, [(0.0, 1.0)], [0.5], transforms=["log"])
+    with pytest.raises(DomainError, match="not finite"):
+        least_squares(lambda x: np.array([math.inf]), [(0.0, 1.0)], [0.5])
+
+
+@settings(deadline=None, max_examples=50)
+@given(box=st.sampled_from([("logit", -2.0, 3.0), ("log", 1e-3, 10.0)]),
+       fracs=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+       targets=st.tuples(st.floats(-3.0, 12.0), st.floats(-3.0, 12.0)),
+       weight=st.floats(0.1, 100.0))
+def test_least_squares_never_worsens_its_start_and_stays_inside_the_box(
+        box, fracs, targets, weight):
+    kind, lo, hi = box
+    seen = []
+
+    def residuals(x):
+        seen.append(x.copy())
+        return np.array([x[0] - targets[0], weight * (x[1] - x[0] ** 2),
+                         x[0] * x[1] - targets[1]])
+
+    start = [lo + (hi - lo) * frac for frac in fracs]
+    start_sse = float(np.sum(residuals(np.array(start)) ** 2))
+    result = least_squares(residuals, [(lo, hi)] * 2, start, transforms=[kind] * 2)
+    assert result.value <= start_sse
+    assert all(lo < v < hi for x in seen for v in x)
+    assert all(lo < v < hi for v in result.x)
