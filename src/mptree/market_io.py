@@ -11,7 +11,13 @@ chain CSV::
     ...
 
 returns CSV: ``date,value`` rows with ISO-8601 dates (an optional literal
-``date,value`` header is tolerated).
+``date,value`` header is tolerated). A file in canonical form is parsed in
+whole columns: an optional first line exactly ``date,value``, then lines
+that each hold exactly one comma (no blank or ``#`` lines), every date
+token accepted by ``date.fromisoformat`` as it stands, every value token by
+``float`` and finite (and positive for prices), dates strictly ascending.
+Every other file goes through the line-by-line parser, which gives the
+same rows for a canonical file and is the one source of diagnostics.
 
 config: ``key=value`` lines with ``#`` comments, read into a
 :class:`~mptree.calibration.CalibrationConfig`; each key sets one field and
@@ -26,9 +32,13 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
+import operator
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Literal
+
+import numpy as np
 
 from .calibration import CalibrationConfig, OptionQuote
 from .errors import DataFormatError, DomainError
@@ -74,6 +84,9 @@ class ReturnSeries:
     rows: tuple[tuple[_dt.date, float], ...]
     value_kind: Literal["price", "return"]
 
+    def __post_init__(self) -> None:
+        _check_value_kind(self.value_kind)
+
     def returns(self) -> tuple[tuple[_dt.date, float], ...]:
         """Simple returns; price series are differenced, P_t/P_{t-1} - 1."""
         if self.value_kind == "return":
@@ -82,6 +95,11 @@ class ReturnSeries:
         for (d_prev, p_prev), (d_cur, p_cur) in zip(self.rows, self.rows[1:]):
             out.append((d_cur, p_cur / p_prev - 1.0))
         return tuple(out)
+
+
+def _check_value_kind(value_kind: str) -> None:
+    if value_kind not in ("price", "return"):
+        raise DomainError(f"value_kind must be 'price' or 'return', got {value_kind!r}")
 
 
 def _numeric(token: str, line_no: int, what: str) -> float:
@@ -110,6 +128,10 @@ def load_chain(path: str | Path, short_maturities_only: bool = False) -> ChainFi
             if "=" in body:
                 key, _, value = body.partition("=")
                 key = key.strip()
+                if (key == "spot" and spot is not None) or (
+                        key == "rate" and rate is not None):
+                    raise DataFormatError(
+                        f"line {line_no}: repeated '# {key}=' metadata line")
                 if key == "spot":
                     spot = _numeric(value.strip(), line_no, "spot")
                     if not spot > 0.0:
@@ -172,9 +194,40 @@ def write_chain(chain: ChainFile, path: str | Path) -> None:
 def load_returns(path: str | Path,
                  value_kind: Literal["price", "return"] = "return") -> ReturnSeries:
     """Parse a ``date,value`` CSV with strictly ascending ISO dates."""
-    if value_kind not in ("price", "return"):
-        raise DomainError(f"value_kind must be 'price' or 'return', got {value_kind!r}")
+    _check_value_kind(value_kind)
     lines = Path(path).read_text().splitlines()
+    rows = _canonical_rows(lines, value_kind)
+    if rows is None:
+        rows = _rows_line_by_line(lines, value_kind)
+    return ReturnSeries(rows=rows, value_kind=value_kind)
+
+
+def _canonical_rows(lines: list[str], value_kind: str
+                    ) -> tuple[tuple[_dt.date, float], ...] | None:
+    """The rows of a file in canonical form, parsed in whole columns; else None."""
+    body = lines[1:] if lines[:1] == ["date,value"] else lines
+    tokens = ",".join(body).split(",")
+    # As many commas as lines, and a comma on every line: one on each.
+    if not body or len(tokens) != 2 * len(body) or not all(
+            map(operator.contains, body, repeat(","))):
+        return None
+    try:
+        dates = list(map(_dt.date.fromisoformat, tokens[0::2]))
+        values = list(map(float, tokens[1::2]))
+    except ValueError:
+        return None
+    checked = np.array(values)
+    if not np.isfinite(checked).all() or (
+            value_kind == "price" and not (checked > 0.0).all()):
+        return None
+    if not all(map(operator.lt, dates, dates[1:])):
+        return None
+    return tuple(zip(dates, values))
+
+
+def _rows_line_by_line(lines: list[str], value_kind: str
+                       ) -> tuple[tuple[_dt.date, float], ...]:
+    """Parse any returns file; the source of every line-numbered diagnostic."""
     rows: list[tuple[_dt.date, float]] = []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -204,7 +257,7 @@ def load_returns(path: str | Path,
         rows.append((date, value))
     if not rows:
         raise DataFormatError("returns file contains no data rows")
-    return ReturnSeries(rows=tuple(rows), value_kind=value_kind)
+    return tuple(rows)
 
 
 # Config file key -> (CalibrationConfig field, parser).

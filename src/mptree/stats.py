@@ -15,8 +15,11 @@ from __future__ import annotations
 import datetime as _dt
 import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from statistics import NormalDist
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError
 from .special import binomial_weights
@@ -179,12 +182,16 @@ def grouped_estimates(dated_returns: Sequence[tuple[_dt.date, float]],
     """Estimate the up proportion per calendar year, ordered by year."""
     if len(dated_returns) == 0:
         raise DomainError("dated return sequence must be non-empty")
-    by_year: dict[int, list[float]] = {}
-    for date, value in dated_returns:
-        by_year.setdefault(date.year, []).append(value)
+    n = len(dated_returns)
+    years, year_of = np.unique(
+        np.fromiter(map(attrgetter("year"), map(itemgetter(0), dated_returns)), int, n),
+        return_inverse=True)
+    is_up = np.fromiter(map(itemgetter(1), dated_returns), float, n) > 0.0
+    totals = np.bincount(year_of)
+    ups = np.bincount(year_of[is_up], minlength=len(years))
     estimates = []
-    for year in sorted(by_year):
-        counts = up_proportion(by_year[year])
+    for year, year_ups, total in zip(years.tolist(), ups.tolist(), totals.tolist()):
+        counts = UpDownCounts(ups=year_ups, total=total)
         lo, hi = proportion_ci(counts, level)
         estimates.append(YearEstimate(year=year, counts=counts,
                                       p_hat=counts.proportion,

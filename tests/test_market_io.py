@@ -1,5 +1,7 @@
 """Chain file IO: canonical write and byte round-trip."""
 
+import datetime as _dt
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -14,6 +16,7 @@ from mptree.errors import DomainError
 from mptree.market_io import ChainFile, load_chain, write_chain
 from mptree.market_io import load_config
 from mptree.market_io import load_returns
+from mptree.market_io import ReturnSeries
 
 
 def test_write_chain_round_trips_numpy_scalar_inputs(tmp_path):
@@ -115,6 +118,10 @@ CHAIN_HEAD = "# spot=100.0\n# rate=0.04\nstrike,days_to_maturity,market_price\n"
     (CHAIN_HEAD + "-90.0,21,1.0\n", "line 4: strike must be positive"),
     (CHAIN_HEAD + "90.0,0,1.0\n", "line 4: days to maturity must be >= 1"),
     (CHAIN_HEAD + "90.0,21,0.0\n", "line 4: market price must be positive"),
+    ("# spot=100\n# spot=50\n# rate=0.04\nstrike,days_to_maturity,market_price\n"
+     "90.0,21,1.0\n", "line 2: repeated '# spot=' metadata line"),
+    ("# spot=100\n#rate = 0.05\n" + CHAIN_HEAD[13:] + "90.0,21,1.0\n",
+     "line 3: repeated '# rate=' metadata line"),
 ])
 def test_load_chain_names_the_bad_line(tmp_path, text, message):
     path = tmp_path / "chain.csv"
@@ -144,6 +151,7 @@ def test_load_chain_rejects_an_incomplete_file(tmp_path, text, message):
 @pytest.mark.parametrize("text,kind,message", [
     ("date,value\n2020-01-02\n", "return", "line 2: expected 'date,value'"),
     ("2020-01-02,0.1,0.2\n", "return", "line 1: expected 'date,value'"),
+    ("2020-01-02\n20200103,20200104,1.0\n", "return", "line 1: expected 'date,value'"),
     ("2020-01-02,0.1\n2020-13-01,0.1\n", "return", "line 2: unparseable ISO date '2020-13-01'"),
     ("2020-01-02,up\n", "return", "line 1: non-numeric value: 'up'"),
     ("2020-01-02,-inf\n", "return", "line 1: non-finite value: '-inf'"),
@@ -165,3 +173,118 @@ def test_load_returns_rejects_a_file_without_rows(tmp_path):
     path.write_text("# header only\ndate,value\n\n")
     with pytest.raises(DataFormatError, match="^returns file contains no data rows$"):
         load_returns(path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda kind: load_returns("never-read.csv", value_kind=kind),
+    lambda kind: ReturnSeries(((_dt.date(2020, 1, 2), 0.01),
+                               (_dt.date(2020, 1, 3), 0.02)), kind),
+])
+def test_an_unknown_value_kind_is_rejected(make):
+    with pytest.raises(DomainError,
+                       match="^value_kind must be 'price' or 'return', got 'returns'$"):
+        make("returns")
+
+
+def _reference_rows(lines, value_kind):
+    """The line-by-line returns parser as it stood before column parsing."""
+    rows = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.replace(" ", "") == "date,value":
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise DataFormatError(
+                f"line {line_no}: expected 'date,value', got {line!r}")
+        try:
+            date = _dt.date.fromisoformat(fields[0].strip())
+        except ValueError:
+            raise DataFormatError(
+                f"line {line_no}: unparseable ISO date {fields[0].strip()!r}") from None
+        try:
+            value = float(fields[1])
+        except ValueError:
+            raise DataFormatError(
+                f"line {line_no}: non-numeric value: {fields[1]!r}") from None
+        if not math.isfinite(value):
+            raise DataFormatError(f"line {line_no}: non-finite value: {fields[1]!r}")
+        if value_kind == "price" and value <= 0.0:
+            raise DataFormatError(f"line {line_no}: price must be positive, got {value}")
+        if rows:
+            if date == rows[-1][0]:
+                raise DataFormatError(f"line {line_no}: duplicate date {date.isoformat()}")
+            if date < rows[-1][0]:
+                raise DataFormatError(
+                    f"line {line_no}: dates must be ascending, {date.isoformat()} "
+                    f"follows {rows[-1][0].isoformat()}")
+        rows.append((date, value))
+    if not rows:
+        raise DataFormatError("returns file contains no data rows")
+    return tuple(rows)
+
+
+def _mutate(lines, kind, at, draw):
+    """Apply one edit of the given kind to the data lines, at index ``at``."""
+    i = at % len(lines)
+    date, _, value = lines[i].partition(",")
+    if kind == "insert":
+        lines.insert(i, draw(st.sampled_from(
+            ["", "   ", "# note", "#", "date,value", " date , value", "# a,b"])))
+    elif kind == "pad":
+        lines[i] = draw(st.sampled_from([" {}", "{} ", "{}\t"])).format(lines[i])
+    elif kind == "pad_comma":
+        lines[i] = f"{date} , {value}"
+    elif kind == "duplicate_date" and i > 0:
+        lines[i] = f"{lines[i - 1].partition(',')[0]},{value}"
+    elif kind == "swap_dates" and i > 0:
+        previous, _, previous_value = lines[i - 1].partition(",")
+        lines[i - 1], lines[i] = f"{date},{previous_value}", f"{previous},{value}"
+    elif kind == "basic_date":
+        lines[i] = f"{date.replace('-', '')},{value}"
+    elif kind == "value":
+        token = draw(st.sampled_from(["nan", "inf", "-inf", "up", "0", "-1.5", "1e400", ""]))
+        lines[i] = f"{date},{token}"
+    elif kind == "add_comma":
+        lines[i] = draw(st.sampled_from(["{},", ",{}", "{},0.5"])).format(lines[i])
+    elif kind == "drop_comma":
+        lines[i] = lines[i].replace(",", draw(st.sampled_from(["", " ", ";"])))
+
+
+_MUTATIONS = ["insert", "pad", "pad_comma", "duplicate_date", "swap_dates",
+              "basic_date", "value", "add_comma", "drop_comma"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(),
+       value_kind=st.sampled_from(["return", "price"]),
+       start=st.dates(min_value=_dt.date(1990, 1, 1), max_value=_dt.date(2030, 1, 1)),
+       gaps=st.lists(st.integers(1, 5), min_size=1, max_size=12),
+       header=st.booleans(),
+       line_end=st.sampled_from(["\n", "\r\n"]),
+       edits=st.lists(st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 100)),
+                      max_size=3))
+def test_load_returns_matches_the_line_parser_on_mutated_files(
+        tmp_path_factory, data, value_kind, start, gaps, header, line_end, edits):
+    values = st.floats(min_value=1e-6, max_value=1e6) if value_kind == "price" else \
+        st.floats(min_value=-0.5, max_value=0.5)
+    lines, day = [], start
+    for gap in gaps:
+        day += _dt.timedelta(days=gap)
+        lines.append(f"{day.isoformat()},{data.draw(values)!r}")
+    for kind, at in edits:
+        _mutate(lines, kind, at, data.draw)
+    text = line_end.join((["date,value"] if header else []) + lines) + line_end
+    path = tmp_path_factory.mktemp("returns") / "returns.csv"
+    path.write_bytes(text.encode())
+
+    try:
+        expected = _reference_rows(text.splitlines(), value_kind)
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as got:
+            load_returns(path, value_kind=value_kind)
+        assert str(got.value) == str(exc)
+    else:
+        assert load_returns(path, value_kind=value_kind).rows == expected

@@ -1,5 +1,6 @@
 """Up-probability inference against SciPy's reference implementations."""
 
+import datetime as _dt
 import math
 import random
 
@@ -10,7 +11,9 @@ from scipy.stats import chi2, chi2_contingency
 
 from mptree import chi2_sf
 from mptree.errors import DomainError
+from mptree.market_io import ReturnSeries
 from mptree.stats import UpDownCounts, exact_binomial_test, proportion_ci
+from mptree.stats import grouped_estimates
 from mptree.stats import homogeneity_test
 
 
@@ -114,3 +117,32 @@ def test_chi2_sf_limits():
 def test_chi2_sf_rejects_a_nan_statistic_and_a_bad_df(x, df):
     with pytest.raises(DomainError):
         chi2_sf(x, df)
+
+
+def test_grouped_estimates_counts_each_year_of_unsorted_dates():
+    d = _dt.date
+    dated = [(d(2021, 3, 1), 0.01), (d(2019, 5, 2), -0.02), (d(2020, 1, 2), 0.0),
+             (d(2021, 1, 4), -0.0), (d(2019, 1, 3), 0.03), (d(2021, 6, 6), 0.04),
+             (d(2020, 7, 5), -0.01), (d(2019, 12, 31), 0.0), (d(2021, 2, 2), 0.02)]
+    # By hand: 2019 has 1 up of 3, 2020 none of 2, 2021 3 of 4.
+    hand = [(2019, 1, 3), (2020, 0, 2), (2021, 3, 4)]
+    estimates = grouped_estimates(dated, level=0.9)
+    assert [(e.year, e.counts.ups, e.counts.total) for e in estimates] == hand
+    for e, (_, ups, total) in zip(estimates, hand):
+        assert type(e.year) is int and type(e.counts.ups) is int
+        assert e.p_hat == ups / total
+        assert (e.ci_low, e.ci_high) == proportion_ci(UpDownCounts(ups, total), 0.9)
+
+
+def test_price_returns_are_the_scalar_quotient_bit_for_bit():
+    rng = random.Random(3)
+    dates = [_dt.date(2001, 1, 1) + _dt.timedelta(days=i) for i in range(400)]
+    prices = [rng.choice([rng.uniform(1e-3, 1e4), 100.0, 0.1 + 0.2]) for _ in dates]
+    got = ReturnSeries(tuple(zip(dates, prices)), "price").returns()
+    expected = [(d, (p_cur / p_prev - 1.0).hex())
+                for d, p_prev, p_cur in zip(dates[1:], prices, prices[1:])]
+    assert [(d, r.hex()) for d, r in got] == expected
+
+
+def test_a_one_row_price_series_has_no_returns():
+    assert ReturnSeries(((_dt.date(2020, 1, 2), 100.0),), "price").returns() == ()
