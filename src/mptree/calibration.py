@@ -18,16 +18,20 @@ parameter's box and transform follow from its name, so a new family is
 one entry; :data:`MODELS` is the table's order.
 
 The objective is the sum of squared price differences (SSE); reported
-fit quality is AAE, APE, ARPE and RMSE. :func:`calibrate` ranks its
+fit quality is AAE, APE, ARPE and RMSE. Each family's search ranks its
 starts by SSE, runs one restarted Nelder-Mead from the best of them and
 polishes that result by Levenberg-Marquardt on the price residuals; the
 polish reaches an exact fit to rounding where the family contains the
-chain's tree, which Nelder-Mead alone stops short of. Because every
+chain's tree, which Nelder-Mead alone stops short of.
+
+:func:`calibrate_suite` is the one fit loop, and :func:`calibrate` is its
+result for one model. Families are fit in :data:`MODELS` order. Every
 classical family is, at a fixed dt, an exact slice of mpbin1 (gamma =
 delta = r with v folded into the probability) and mpbin1 an exact slice
-of mpbin2 (gamma = r), :func:`calibrate_suite` starts a richer model
-from the poorer models' optima as well, which makes the optimal errors
-nest monotonically.
+of mpbin2 (gamma = r), so a requested nested family (mpbin1, mpbin2) is
+fit after every family before it and starts from all their optima as
+well, which makes the optimal errors nest monotonically. Without a
+nested family only the requested families are fit.
 """
 
 from __future__ import annotations
@@ -302,15 +306,14 @@ def implied_atm_sigma(quotes: Sequence[OptionQuote], s0: float, r: float,
     return 0.5 * (lo + hi)
 
 
-def _default_start(model: str, quotes: Sequence[OptionQuote], s0: float,
-                   r: float, dt: float) -> tuple[float, ...]:
-    family = _family(model)
-    sigma0 = implied_atm_sigma(quotes, s0, r, dt)
+def _default_start(model: str, sigma0: float, r: float,
+                   dt: float) -> tuple[float, ...]:
+    """``sigma0`` with neutral probabilities and gamma = r, made admissible."""
+    family = _FAMILIES[model]
     sigma0 = min(max(sigma0, SIGMA_BOUNDS[0] * 2), SIGMA_BOUNDS[1] / 2)
-    gamma0 = _inside(r, GAMMA_BOUNDS)
 
     def start(sigma: float) -> tuple[float, ...]:
-        neutral = {"sigma": sigma, "g": 0.5, "p_dt": 0.5, "gamma": gamma0}
+        neutral = {"sigma": sigma, "g": 0.5, "p_dt": 0.5, "gamma": r}
         return tuple(neutral[name] for name in family.params)
 
     # Keep the start admissible: the CRR slope diverges as sigma -> 0.
@@ -333,26 +336,21 @@ def _inside(value: float, bounds: tuple[float, float]) -> float:
 _PENALTY = 1e15
 
 
-def calibrate(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
-              config: CalibrationConfig | None = None, *,
-              extra_starts: Sequence[Sequence[float]] = ()) -> CalibrationResult:
+def _fit(model: str, starts: Sequence[Sequence[float]],
+         quotes: Sequence[OptionQuote], s0: float, r: float,
+         cfg: CalibrationConfig) -> CalibrationResult:
     """Fit ``model`` to the chain by least squares on prices.
 
-    The candidate starts are an at-the-money sigma inversion with neutral
-    probabilities and each of ``extra_starts`` (free-parameter vectors of
-    this model, e.g. a poorer model's optimum embedded in its space),
-    clipped into the box. One objective evaluation each ranks them; a
-    restarted Nelder-Mead with the optimizer settings of ``config`` runs
-    from the best, and a Levenberg-Marquardt polish on the price
-    residuals follows, whose point is kept only if it lowers the SSE.
-    ``objective_evaluations`` counts all three phases. ``converged`` is
-    the polish's flag: False if its iteration cap stopped it, or if the
-    search never left the region where the pricing raises.
-    Non-convergence is reported through the flag, never raised.
+    ``starts`` (free-parameter vectors of this model) are clipped into the
+    box and ranked by one objective evaluation each; a restarted
+    Nelder-Mead with the optimizer settings of ``cfg`` runs from the best,
+    and a Levenberg-Marquardt polish on the price residuals follows, whose
+    point is kept only if it lowers the SSE. ``objective_evaluations``
+    counts all three phases. ``converged`` is the polish's flag: False if
+    its iteration cap stopped it, or if the search never left the region
+    where the pricing raises. Non-convergence is reported through the
+    flag, never raised.
     """
-    cfg = config or CalibrationConfig()
-    if len(quotes) == 0:
-        raise DomainError("quote list must be non-empty")
     bounds, transforms = free_parameter_spec(model)
     market = np.array([q.market_price for q in quotes])
 
@@ -369,14 +367,8 @@ def calibrate(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
         sse = float(np.dot(diff, diff))
         return sse if math.isfinite(sse) else _PENALTY
 
-    for extra in extra_starts:
-        if len(extra) != len(bounds):
-            raise DomainError(
-                f"extra start {extra!r} has wrong length for model {model!r}")
-    starts = [tuple(_inside(float(value), box) for value, box in zip(start, bounds))
-              for start in (_default_start(model, quotes, s0, r, cfg.dt), *extra_starts)]
-
-    start = min(starts, key=objective)
+    start = min((tuple(_inside(float(value), box) for value, box in zip(x, bounds))
+                 for x in starts), key=objective)
     best = minimize(objective, bounds, start, transforms, cfg)
     evaluations = len(starts) + best.evaluations
     converged = False
@@ -394,34 +386,58 @@ def calibrate(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
                              converged=converged)
 
 
+def calibrate(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
+              config: CalibrationConfig | None = None) -> CalibrationResult:
+    """Fit ``model`` to the chain: ``calibrate_suite([model], ...)[0]``.
+
+    A nested family (mpbin1, mpbin2) is therefore fit after every family
+    before it in :data:`MODELS` and starts from their optima as well, so
+    its result equals the suite's.
+    """
+    return calibrate_suite([model], quotes, s0, r, config)[0]
+
+
 def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
                     s0: float, r: float,
                     config: CalibrationConfig | None = None
                     ) -> list[CalibrationResult]:
     """Calibrate several models, seeding richer ones from poorer optima.
 
-    Models run in :data:`MODELS` order. A family that can embed poorer
-    optima (mpbin1, mpbin2) starts from every earlier result as well,
-    which enforces the nesting of optimal errors numerically.
+    Families are fit in :data:`MODELS` order, each from an at-the-money
+    sigma inversion made once per chain. If a nested family (mpbin1,
+    mpbin2) is requested, every family before it is fit too, and the
+    nested family starts from all their optima as well, which enforces
+    the nesting of optimal errors numerically. Without a nested family
+    only the requested families are fit. The result holds the requested
+    models only, in :data:`MODELS` order.
 
     Raises
     ------
     DomainError
-        For an unknown model, or for mpbin2 at a rate outside
-        ``GAMMA_BOUNDS``: it embeds a poorer optimum at gamma = r.
+        For an empty or unknown model list, an empty quote list, or mpbin2
+        at a rate outside ``GAMMA_BOUNDS``: it embeds a poorer optimum at
+        gamma = r.
     """
     cfg = config or CalibrationConfig()
+    if len(models) == 0:
+        raise DomainError(f"model list must be non-empty; expected some of {MODELS}")
     for model in models:
         _family(model)  # rejects an unknown model
+    if len(quotes) == 0:
+        raise DomainError("quote list must be non-empty")
     if "mpbin2" in models and not GAMMA_BOUNDS[0] < r < GAMMA_BOUNDS[1]:
         raise DomainError(f"mpbin2 embeds poorer optima at gamma = r, so the "
                           f"rate must lie inside {GAMMA_BOUNDS}, got {r}")
+    last_nested = max((MODELS.index(m) for m in models if _FAMILIES[m].embed), default=-1)
+    sigma0 = implied_atm_sigma(quotes, s0, r, cfg.dt)
     results: list[CalibrationResult] = []
-    for model in (m for m in MODELS if m in models):
-        embed = _FAMILIES[model].embed
-        seeds = [embed(res.params, cfg.dt) for res in results] if embed else []
-        results.append(calibrate(model, quotes, s0, r, cfg, extra_starts=seeds))
-    return results
+    for i, model in enumerate(MODELS):
+        if i < last_nested or model in models:
+            embed = _FAMILIES[model].embed
+            seeds = [embed(res.params, cfg.dt) for res in results] if embed else []
+            starts = [_default_start(model, sigma0, r, cfg.dt), *seeds]
+            results.append(_fit(model, starts, quotes, s0, r, cfg))
+    return [res for res in results if res.model in models]
 
 
 def calibration_report_csv(results: Sequence[CalibrationResult]) -> str:

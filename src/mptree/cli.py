@@ -194,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="fit models to an option chain")
     p_cal.add_argument("--chain", required=True, help="chain CSV path")
     p_cal.add_argument("--models", default=",".join(calibration.MODELS),
-                       help="comma-separated subset of "
-                            f"{','.join(calibration.MODELS)}")
+                       help=f"comma-separated subset of {','.join(calibration.MODELS)}, fit "
+                            "in that order; mpbin1 and mpbin2 also fit every family before them")
     p_cal.add_argument("--config", default=None, help="key=value config path")
     p_cal.set_defaults(func=_cmd_calibrate)
 

@@ -26,6 +26,9 @@ an absent key keeps its default: ``dt``, ``optimizer_tolerance`` (field
 ``optimizer_max_iterations`` (``max_iterations``), ``seed`` and
 ``maturity_filter`` (``true`` or ``false``). Every malformed input
 produces a line-numbered diagnostic rather than a crash or a silent skip.
+
+All three readers drop a leading UTF-8 byte-order mark, which spreadsheet
+programs write at the start of "CSV UTF-8" files.
 """
 
 from __future__ import annotations
@@ -113,9 +116,14 @@ def _numeric(token: str, line_no: int, what: str) -> float:
     return value
 
 
+def _read_lines(path: str | Path) -> list[str]:
+    """The lines of a text file; a leading UTF-8 byte-order mark is dropped."""
+    return Path(path).read_text(encoding="utf-8-sig").splitlines()
+
+
 def load_chain(path: str | Path, short_maturities_only: bool = False) -> ChainFile:
     """Parse a chain CSV; optionally drop quotes beyond 100 trading days."""
-    lines = Path(path).read_text().splitlines()
+    lines = _read_lines(path)
     spot = rate = None
     header_seen = False
     quotes: list[OptionQuote] = []
@@ -195,7 +203,7 @@ def load_returns(path: str | Path,
                  value_kind: Literal["price", "return"] = "return") -> ReturnSeries:
     """Parse a ``date,value`` CSV with strictly ascending ISO dates."""
     _check_value_kind(value_kind)
-    lines = Path(path).read_text().splitlines()
+    lines = _read_lines(path)
     rows = _canonical_rows(lines, value_kind)
     if rows is None:
         rows = _rows_line_by_line(lines, value_kind)
@@ -275,7 +283,7 @@ _CONFIG_KEYS = {
 def load_config(path: str | Path) -> CalibrationConfig:
     """Parse a config file; unknown keys and malformed values are rejected."""
     config = CalibrationConfig()
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

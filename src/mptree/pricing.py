@@ -46,7 +46,8 @@ __all__ = [
 class Payoff:
     """Terminal payoff of a vanilla call or put at a strike.
 
-    An unknown ``kind`` is rejected at construction. Other terminal
+    An unknown ``kind`` and a negative or non-finite strike are rejected at
+    construction; a zero strike is the zero-strike limit. Other terminal
     values, one row per node, go to :meth:`Lattice.roll_back` directly.
     """
 
@@ -65,6 +66,8 @@ class Payoff:
         if self.kind not in ("call", "put"):
             raise DomainError(f"unknown payoff kind {self.kind!r}; "
                               f"expected 'call' or 'put'")
+        if not 0.0 <= self.strike < math.inf:
+            raise DomainError(f"strike must be finite and >= 0, got {self.strike}")
 
     def evaluate(self, terminal: np.ndarray) -> np.ndarray:
         if self.kind == "call":

@@ -291,12 +291,6 @@ def test_calibrate_is_deterministic():
     assert first.objective_evaluations == second.objective_evaluations
 
 
-def test_calibrate_rejects_bad_extra_start():
-    chain = synthetic_chain("jr", (0.25,))
-    with pytest.raises(DomainError, match="extra start"):
-        calibrate("mpbin1", chain, S0, RATE, extra_starts=[(0.2, 0.5, 0.5)])
-
-
 def test_calibrate_hands_its_config_to_the_optimizer(monkeypatch):
     # One Nelder-Mead search from the best-ranked start, then one polish.
     configs = []
@@ -310,8 +304,7 @@ def test_calibrate_hands_its_config_to_the_optimizer(monkeypatch):
     monkeypatch.setattr(calibration, "minimize", spy(minimize))
     monkeypatch.setattr(calibration, "least_squares", spy(least_squares))
     config = CalibrationConfig(tolerance=1e-6, restarts=1, max_iterations=30, seed=4)
-    calibrate("mpbin1", synthetic_chain("jr", (0.25,)), S0, RATE, config,
-              extra_starts=[(0.25, 0.5)])
+    calibrate("crr", synthetic_chain("jr", (0.25,)), S0, RATE, config)
     assert [name for name, _ in configs] == ["minimize", "least_squares"]
     assert all(c is config for _, c in configs)
 
@@ -325,9 +318,10 @@ def test_calibrate_counts_every_evaluation(monkeypatch):
         return model_prices(*args)
 
     monkeypatch.setattr(calibration, "model_prices", counting)
-    result = calibrate("mpbin1", chain, S0, RATE, extra_starts=[(0.25, 0.5)])
-    # model_prices also runs for the at-the-money sigma (as "crr") and once
-    # for the reported metrics.
+    result = calibrate("mpbin1", chain, S0, RATE)
+    # model_prices also runs for the at-the-money sigma and the poorer
+    # families' fits (as "crr", "jr" and "tian") and once for the reported
+    # metrics.
     assert result.objective_evaluations == calls.count("mpbin1") - 1
 
 
@@ -381,6 +375,39 @@ def test_suite_rejects_unknown_model():
     chain = synthetic_chain("jr", (0.25,))
     with pytest.raises(DomainError):
         calibrate_suite(["crr", "heston"], chain, S0, RATE)
+
+
+def test_suite_rejects_an_empty_model_list():
+    chain = synthetic_chain("jr", (0.25,))
+    with pytest.raises(DomainError, match="model list must be non-empty"):
+        calibrate_suite([], chain, S0, RATE)
+
+
+def test_suite_inverts_the_atm_sigma_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return implied_atm_sigma(*args)
+
+    monkeypatch.setattr(calibration, "implied_atm_sigma", counting)
+    calibrate_suite(MODELS, synthetic_chain("jr", (0.25,)), S0, RATE)
+    assert len(calls) == 1
+
+
+def test_calibrate_is_the_suite_result_of_one_model():
+    # A nested family requested alone or in a subset is still fit after
+    # every family before it, from all their optima.
+    chain = synthetic_chain("mpbin2", (0.21, 0.45, 0.52, 0.09))
+    suite = calibrate_suite(MODELS, chain, S0, RATE)
+    for model, expected in zip(MODELS, suite):
+        assert calibrate(model, chain, S0, RATE) == expected
+    assert calibrate_suite(["jr", "mpbin1"], chain, S0, RATE) == [suite[1], suite[3]]
+
+
+def test_standalone_mpbin2_fits_a_chain_of_its_nested_family():
+    chain = synthetic_chain("mpbin1", (0.2, 0.55))
+    assert calibrate("mpbin2", chain, S0, RATE).metrics.rmse < 1e-10
 
 
 def test_report_csv_layout():

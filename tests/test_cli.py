@@ -74,6 +74,21 @@ def test_price_missing_family_flag_exits_1(capsys, name, extra):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["price", "--model", "crr", "--s0", "100", "--strike", "-5", "--r", "0.03",
+     "--sigma", "0.25", "--T", "0.5", "--n", "60"],
+    ["price", "--model", "crr", "--s0", "100", "--strike", "nan", "--r", "0.03",
+     "--sigma", "0.25", "--T", "0.5", "--n", "60"],
+    ["demo-discontinuity", "--s0", "100", "--strike", "-10", "--r", "0.03",
+     "--sigma", "0.25", "--T", "0.5", "--kind", "put"],
+], ids=["price-negative", "price-nan", "demo-put-negative"])
+def test_a_negative_or_nan_strike_exits_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: strike must be finite and >= 0, got ")
+
+
 @pytest.mark.parametrize("name", ["heston", "mpbin2"])
 def test_price_unknown_model_is_a_usage_error(capsys, name):
     with pytest.raises(SystemExit) as exc:
@@ -113,6 +128,14 @@ def test_calibrate_config_sets_every_calibration_value(tmp_path, capsys):
                               chain.rate, config)
     assert out == ("# spot=100.0\n# rate=0.04\n"
                    + calibration_report_csv(results))
+
+
+def test_calibrate_rejects_an_empty_model_list(tmp_path, capsys):
+    chain_path = _two_maturity_chain(tmp_path)
+    assert main(["calibrate", "--chain", str(chain_path), "--models", ","]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: model list must be non-empty")
 
 
 @pytest.mark.parametrize("text", [

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mptree import market_io
 from mptree.calibration import OptionQuote
 from mptree.calibration import CalibrationConfig
 from mptree.errors import DataFormatError
@@ -82,6 +83,25 @@ def test_load_config_sets_calibration_config_fields(tmp_path):
         "dt", "tolerance", "restarts", "max_iterations", "seed", "maturity_filter"}
     path.write_text("seed=1\n")
     assert load_config(path) == CalibrationConfig(seed=1)
+
+
+@pytest.mark.parametrize("read,text", [
+    (load_chain, "# spot=100.0\n# rate=0.04\nstrike,days_to_maturity,market_price\n"
+                 "95.0,21,7.5\n105.0,21,1.5\n"),
+    (load_returns, "date,value\n2020-01-02,0.01\n2020-01-03,-0.02\n"),
+    (load_config, "seed=7\noptimizer_restarts=1\n"),
+], ids=["chain", "returns", "config"])
+def test_readers_accept_a_utf8_byte_order_mark(tmp_path, monkeypatch, read, text):
+    # Spreadsheet programs write the mark at the start of "CSV UTF-8" files.
+    # A canonical returns file keeps the column path with or without it.
+    def no_line_loop(*args):
+        raise AssertionError("canonical returns file took the line loop")
+
+    monkeypatch.setattr(market_io, "_rows_line_by_line", no_line_loop)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert read(marked) == read(plain)
 
 
 def test_load_config_names_the_line_of_an_out_of_range_value(tmp_path):

@@ -191,6 +191,19 @@ def test_payoff_checks_kind_at_construction():
             Payoff(kind=kind, strike=100.0)
 
 
+@pytest.mark.parametrize("strike", [-5.0, -1e-300, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [Payoff.call, Payoff.put])
+def test_payoff_rejects_a_negative_or_non_finite_strike(make, strike):
+    with pytest.raises(DomainError, match="strike must be finite and >= 0"):
+        make(strike)
+
+
+def test_payoff_allows_the_zero_strike_limit():
+    terminal = np.array([50.0, 100.0, 200.0])
+    assert Payoff.call(0.0).evaluate(terminal).tolist() == [50.0, 100.0, 200.0]
+    assert Payoff.put(0.0).evaluate(terminal).tolist() == [0.0, 0.0, 0.0]
+
+
 def test_lattice_rejects_unknown_factor_method():
     with pytest.raises(DomainError, match="'exatc'"):
         Lattice.build(100.0, mp(), n=10, dt=DAILY, rate=0.0, method="exatc")
