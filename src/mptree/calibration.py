@@ -147,8 +147,8 @@ class CalibrationConfig(MinimizeConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.dt > 0.0:
-            raise DomainError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise DomainError(f"dt must be finite and > 0, got {self.dt}")
 
 
 @dataclass(frozen=True)

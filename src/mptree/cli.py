@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Subcommands: price, calibrate, converge, estimate-p, demo-discontinuity,
-moments. Output is CSV on stdout with ``#`` comment metadata; numbers
-print at 6 significant digits unless --full-precision is given. Exit
-codes: 0 success, 1 data or domain errors, 2 usage errors.
+moments. Output is CSV on stdout with ``#`` comment metadata. The
+subcommands price, estimate-p, demo-discontinuity and moments print
+numbers at 6 significant digits unless --full-precision is given, which
+prints each float's shortest round-trip repr; calibrate and converge
+always print that repr. Exit codes: 0 success, 1 data or domain errors,
+2 usage errors.
 """
 
 from __future__ import annotations
@@ -171,7 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mptree",
         description="Binomial tree pricing, calibration, and diagnostics")
     parser.add_argument("--full-precision", action="store_true",
-                        help="print 17 significant digits instead of 6")
+                        help="print full-precision floats instead of 6 significant "
+                             "digits (price, estimate-p, demo-discontinuity, moments; "
+                             "calibrate and converge always do)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_price = sub.add_parser("price", help="price a European call on the lattice")

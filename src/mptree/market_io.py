@@ -20,12 +20,13 @@ Every other file goes through the line-by-line parser, which gives the
 same rows for a canonical file and is the one source of diagnostics.
 
 config: ``key=value`` lines with ``#`` comments, read into a
-:class:`~mptree.calibration.CalibrationConfig`; each key sets one field and
-an absent key keeps its default: ``dt``, ``optimizer_tolerance`` (field
-``tolerance``), ``optimizer_restarts`` (``restarts``),
-``optimizer_max_iterations`` (``max_iterations``), ``seed`` and
-``maturity_filter`` (``true`` or ``false``). Every malformed input
-produces a line-numbered diagnostic rather than a crash or a silent skip.
+:class:`~mptree.calibration.CalibrationConfig`; each key may appear once
+and sets one field, and an absent key keeps its default: ``dt``,
+``optimizer_tolerance`` (field ``tolerance``), ``optimizer_restarts``
+(``restarts``), ``optimizer_max_iterations`` (``max_iterations``),
+``seed`` and ``maturity_filter`` (``true`` or ``false``). Every malformed
+input, a repeated key included, produces a line-numbered diagnostic
+rather than a crash or a silent skip.
 
 All three readers drop a leading UTF-8 byte-order mark, which spreadsheet
 programs write at the start of "CSV UTF-8" files.
@@ -53,7 +54,6 @@ __all__ = [
     "write_chain",
     "load_returns",
     "load_config",
-    "MAX_CALIBRATION_DAYS",
 ]
 
 # Chains used for calibration can be restricted to short-dated quotes.
@@ -281,8 +281,9 @@ _CONFIG_KEYS = {
 
 
 def load_config(path: str | Path) -> CalibrationConfig:
-    """Parse a config file; unknown keys and malformed values are rejected."""
+    """Parse a config file; rejects unknown or repeated keys and bad values."""
     config = CalibrationConfig()
+    seen: set[str] = set()
     for line_no, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -293,6 +294,9 @@ def load_config(path: str | Path) -> CalibrationConfig:
         key, token = key.strip(), token.strip()
         if key not in _CONFIG_KEYS:
             raise DataFormatError(f"line {line_no}: unknown key {key!r}")
+        if key in seen:
+            raise DataFormatError(f"line {line_no}: repeated key {key!r}")
+        seen.add(key)
         name, parse = _CONFIG_KEYS[key]
         try:
             config = replace(config, **{name: parse(token)})

@@ -40,7 +40,6 @@ from .errors import DomainError
 __all__ = [
     "ModelParams",
     "StepFactors",
-    "node_values",
     "validate_params",
     "p_up",
     "step_factors_exact",
@@ -50,7 +49,6 @@ __all__ = [
     "tian_params",
     "step_moment",
     "gbm_moment",
-    "MAX_MOMENT_ORDER",
 ]
 
 # Beyond this order u**j at realistic dt either overflows or has lost all

@@ -17,7 +17,7 @@ from mptree.calibration import (MODELS, CalibrationConfig, OptionQuote,
 from mptree.calibration import free_parameter_names
 from mptree.errors import ArbitrageError, DomainError
 from mptree.optimize import least_squares, minimize
-from mptree.model import crr_params, jarrow_rudd_params
+from mptree.model import crr_params, jarrow_rudd_params, validate_params
 from mptree.pricing import (Lattice, Payoff, black_scholes_call,
                             price_european, risk_neutral_prob)
 
@@ -323,6 +323,41 @@ def test_calibrate_counts_every_evaluation(monkeypatch):
     # families' fits (as "crr", "jr" and "tian") and once for the reported
     # metrics.
     assert result.objective_evaluations == calls.count("mpbin1") - 1
+
+
+def test_calibrate_crosses_the_region_where_pricing_raises(monkeypatch):
+    # At sigma = 0.005 the CRR probability slope is steep, and the search
+    # tries trial points whose up probability leaves (0, 1). Those price
+    # to NaN residuals, and the fit still reaches the generating tree.
+    protos = [OptionQuote(k, d, 1.0) for d in (21, 42) for k in (95.0, 100.0)]
+    prices = model_prices("crr", crr_params(RATE, 0.005), protos, S0, RATE)
+    chain = [OptionQuote(q.strike, q.days_to_maturity, p) for q, p in zip(protos, prices)]
+    failed = []
+
+    def recording(*args):
+        try:
+            return model_prices(*args)
+        except (DomainError, ArbitrageError):
+            # The at-the-money inversion prices one quote at a time.
+            if len(args[2]) == len(chain):
+                failed.append(args[1])
+            raise
+
+    monkeypatch.setattr(calibration, "model_prices", recording)
+    result = calibrate("crr", chain, S0, RATE)
+    assert failed
+    assert result.params.sigma == pytest.approx(0.005, rel=1e-10)
+    assert result.metrics.rmse < 1e-12
+    assert result.converged
+
+
+def test_default_start_walks_sigma_up_to_an_admissible_tree():
+    # At r = 3.5 the CRR tree at sigma 0.2 has its up probability above 1.
+    with pytest.raises(DomainError, match="up probability"):
+        validate_params(crr_params(3.5, 0.2), DAILY)
+    start = calibration._default_start("crr", 0.2, 3.5, DAILY)
+    assert start == (0.2 * 1.5,)
+    validate_params(build_params("crr", start, 3.5, DAILY), DAILY)
 
 
 def test_calibrate_requires_quotes():

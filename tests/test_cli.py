@@ -147,6 +147,8 @@ def test_calibrate_rejects_an_empty_model_list(tmp_path, capsys):
     "dt\n",
     "dt=0\n",
     "dt=-0.004\n",
+    "dt=inf\n",
+    "seed=1\nseed=2\n",
     "optimizer_tolerance=0\n",
     "optimizer_tolerance=nan\n",
     "optimizer_tolerance=inf\n",

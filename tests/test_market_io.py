@@ -112,10 +112,19 @@ def test_load_config_names_the_line_of_an_out_of_range_value(tmp_path):
 
 
 @pytest.mark.parametrize("token", ["nan", "inf"])
-def test_load_config_names_the_line_of_a_non_finite_tolerance(tmp_path, token):
+@pytest.mark.parametrize("key,field", [("optimizer_tolerance", "tolerance"), ("dt", "dt")])
+def test_load_config_names_the_line_of_a_non_finite_value(tmp_path, key, field, token):
     path = tmp_path / "run.cfg"
-    path.write_text(f"seed=1\noptimizer_tolerance={token}\n")
-    with pytest.raises(DataFormatError, match="line 2: optimizer_tolerance: tolerance"):
+    path.write_text(f"seed=1\n{key}={token}\n")
+    with pytest.raises(DataFormatError, match=f"line 2: {key}: {field} must be finite and > 0"):
+        load_config(path)
+
+
+def test_load_config_names_the_line_of_a_repeated_key(tmp_path):
+    # The later value used to win silently.
+    path = tmp_path / "run.cfg"
+    path.write_text("seed=1\n# again\n seed = 2\n")
+    with pytest.raises(DataFormatError, match="line 3: repeated key 'seed'"):
         load_config(path)
 
 

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from mptree.errors import ArbitrageError, DomainError
@@ -202,6 +204,21 @@ def test_payoff_allows_the_zero_strike_limit():
     terminal = np.array([50.0, 100.0, 200.0])
     assert Payoff.call(0.0).evaluate(terminal).tolist() == [50.0, 100.0, 200.0]
     assert Payoff.put(0.0).evaluate(terminal).tolist() == [0.0, 0.0, 0.0]
+
+
+@settings(deadline=None, max_examples=300)
+@given(s0=st.floats(1.0, 1000.0), r=st.floats(-0.05, 0.2),
+       sigma=st.floats(0.01, 1.0), dt=st.floats(1e-4, 0.05), n=st.integers(1, 400))
+def test_zero_strike_call_carries_the_documented_martingale_residual(
+        s0, r, sigma, dt, n):
+    # On the exact Jarrow-Rudd lattice Q = 1/2, so one discounted step
+    # takes S to S e^{-s^2/2} cosh s with s = sigma*sqrt(dt).
+    params = jarrow_rudd_params(r, sigma)
+    lattice = Lattice.build(s0, params, n=n, dt=dt, rate=r)
+    s = sigma * math.sqrt(dt)
+    expected = s0 * (math.exp(-s * s / 2.0) * math.cosh(s)) ** n
+    assert price_european(lattice, params, Payoff.call(0.0)) == \
+        pytest.approx(expected, rel=1e-12)
 
 
 def test_lattice_rejects_unknown_factor_method():
