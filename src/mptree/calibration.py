@@ -47,7 +47,7 @@ from .errors import ArbitrageError, DomainError
 from .model import (ModelParams, crr_params, jarrow_rudd_params,
                     step_factors_exact, tian_params, validate_params)
 from .optimize import MinimizeConfig, least_squares, minimize
-from .pricing import Lattice, risk_neutral_prob
+from .pricing import Lattice, _sweep, risk_neutral_prob
 
 __all__ = [
     "MODELS",
@@ -235,9 +235,12 @@ def model_prices(model: str, params: ModelParams, quotes: Sequence[OptionQuote],
                  dt: float = 1.0 / TRADING_DAYS_PER_YEAR) -> list[float]:
     """Price every quote: n = days to maturity on a step of ``dt``.
 
-    Quotes sharing a maturity are priced in one
-    :meth:`~mptree.pricing.Lattice.roll_back` with a strike column per
-    quote, so each price is bit-identical to pricing its quote alone with
+    Every maturity shares one recombining lattice, so the whole chain is
+    priced in one backward induction with a strike column per quote: it
+    starts from the longest maturity's payoffs, and each shorter
+    maturity's payoff columns join at their own step. Each column goes
+    through the arithmetic of :meth:`~mptree.pricing.Lattice.roll_back`
+    alone, so each price is bit-identical to pricing its quote with
     :func:`~mptree.pricing.price_european`. The lattice uses the exact
     (exponential) factors and the paper's hedge probability Q, which
     leaves the martingale residual documented on ``roll_back``.
@@ -250,18 +253,23 @@ def model_prices(model: str, params: ModelParams, quotes: Sequence[OptionQuote],
         q = risk_neutral_prob(params, r, dt)
     except (DomainError, ArbitrageError) as exc:
         raise type(exc)(f"{exc} (while pricing quote 0)") from exc
-    prices = [0.0] * len(quotes)
     by_maturity: dict[int, list[int]] = {}
     for idx, quote in enumerate(quotes):
         by_maturity.setdefault(quote.days_to_maturity, []).append(idx)
-    for n, idxs in by_maturity.items():
-        lattice = Lattice(s0=s0, n=n, dt=dt, factors=factors, rate=r)
+    steps = sorted(by_maturity, reverse=True)
+    lattice = Lattice(s0=s0, n=steps[0], dt=dt, factors=factors, rate=r)
+    disc = math.exp(-r * dt)
+    values = np.empty((steps[0] + 1, 0))
+    order: list[int] = []
+    for n, below in zip(steps, steps[1:] + [0]):
+        idxs = by_maturity[n]
         strikes = np.array([quotes[idx].strike for idx in idxs])
-        root = lattice.roll_back(q, np.maximum(
-            lattice.node_values(n)[:, None] - strikes[None, :], 0.0))
-        for col, idx in enumerate(idxs):
-            prices[idx] = float(root[col])
-    return prices
+        payoffs = np.maximum(lattice.node_values(n)[:, None] - strikes[None, :], 0.0)
+        values = _sweep(q, disc, np.hstack([values, payoffs]), n - below)
+        order += idxs
+    prices = np.empty(len(quotes))
+    prices[order] = values[0]
+    return prices.tolist()
 
 
 def implied_atm_sigma(quotes: Sequence[OptionQuote], s0: float, r: float,

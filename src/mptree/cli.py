@@ -141,6 +141,10 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     for flag, value in (("--j-max", args.j_max), ("--halvings", args.halvings)):
         if value < 1:
             raise DomainError(f"{flag} must be >= 1, got {value}")
+    if args.j_max > model.MAX_MOMENT_ORDER:
+        raise DomainError(f"--j-max must be <= {model.MAX_MOMENT_ORDER}, got {args.j_max}")
+    if not 0.0 < args.dt_start < math.inf:
+        raise DomainError(f"--dt-start must be finite and > 0, got {args.dt_start}")
     params = model.ModelParams(gamma=args.b, delta=args.b, g=args.g, v=args.v,
                                sigma=args.sigma)
     full = args.full_precision

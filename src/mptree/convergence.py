@@ -196,6 +196,8 @@ def rate_experiment(params: ModelParams, t: float,
     ns = [int(n) for n in n_values]
     if len(ns) < 2:
         raise DomainError("need at least two step counts to fit a slope")
+    if min(ns) < 1:
+        raise DomainError(f"step counts must be >= 1, got {min(ns)}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("step counts must be strictly ascending")
     b = params.mean_drift

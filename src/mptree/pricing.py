@@ -12,9 +12,10 @@ probability from (u, d, r) alone prices independently of p on (0, 1) and
 jumps at p = 0 and p = 1; :func:`discontinuity_report` exhibits those
 gaps for comparison.
 
-:meth:`Lattice.roll_back` is the one backward induction: both
-:func:`price_european` and calibration's chain pricer
-(:func:`~mptree.calibration.model_prices`) price through it.
+There is one backward-induction sweep. :meth:`Lattice.roll_back` runs it
+for :func:`price_european`; calibration's chain pricer
+(:func:`~mptree.calibration.model_prices`) runs it once for a whole chain,
+in which each maturity's strike columns join at their own step.
 """
 
 from __future__ import annotations
@@ -132,10 +133,14 @@ class Lattice:
         """
         if np.shape(values)[:1] != (self.n + 1,):
             raise DomainError(f"need {self.n + 1} terminal rows, got {np.shape(values)}")
-        disc = math.exp(-self.rate * self.dt)
-        for _ in range(self.n):
-            values = disc * (q * values[1:] + (1.0 - q) * values[:-1])
-        return values[0]
+        return _sweep(q, math.exp(-self.rate * self.dt), values, self.n)[0]
+
+
+def _sweep(q: float, disc: float, values: np.ndarray, steps: int) -> np.ndarray:
+    """Roll ``values`` back ``steps`` steps: each sweep drops one row."""
+    for _ in range(steps):
+        values = disc * (q * values[1:] + (1.0 - q) * values[:-1])
+    return values
 
 
 def risk_neutral_prob(params: ModelParams, r: float, dt: float) -> float:
@@ -218,6 +223,9 @@ def discontinuity_report(s0: float, r: float, sigma: float, t: float,
         raise DomainError(f"spot must be positive, got {s0}")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"probability must be in [0, 1], got {p}")
+    if not (0.0 < sigma < math.inf and 0.0 < t < math.inf):
+        raise DomainError(f"sigma and t must be positive and finite, "
+                          f"got sigma={sigma}, t={t}")
     u = math.exp(sigma * math.sqrt(t))
     d = 1.0 / u
     grow = math.exp(r * t)

@@ -540,6 +540,40 @@ def test_model_prices_is_price_european_of_each_quote(case, s0, legs):
     assert batch == one_at_a_time()
 
 
+@st.composite
+def arranged_chain(draw):
+    """Quotes with maturity 1 among them, each maturity struck 1 to 3 times.
+
+    The maturities come ascending, descending, or interleaved as two
+    ascending runs (1, 21, 63, 1, 42, ...).
+    """
+    days = draw(st.lists(st.sampled_from(MATURITIES), max_size=5)) + [1]
+    legs = sorted((n, draw(st.floats(0.5, 1.5)))
+                  for n in days for _ in range(draw(st.integers(1, 3))))
+    order = draw(st.sampled_from(["ascending", "descending", "interleaved"]))
+    if order == "descending":
+        legs.reverse()
+    elif order == "interleaved":
+        legs = legs[0::2] + legs[1::2]
+    return [OptionQuote(moneyness * S0, n, 1.0) for n, moneyness in legs]
+
+
+@settings(deadline=None)
+@given(case=family_params(), data=st.data())
+def test_model_prices_do_not_depend_on_the_order_of_the_quotes(case, data):
+    model, r, params = case
+    quotes = data.draw(arranged_chain())
+    perm = data.draw(st.permutations(range(len(quotes))))
+    permuted = [quotes[i] for i in perm]
+    try:
+        prices = model_prices(model, params, quotes, S0, r)
+    except (DomainError, ArbitrageError) as exc:
+        with pytest.raises(type(exc)):
+            model_prices(model, params, permuted, S0, r)
+        return
+    assert model_prices(model, params, permuted, S0, r) == [prices[i] for i in perm]
+
+
 @settings(deadline=None)
 @given(case=family_params(), s0=st.floats(50.0, 150.0),
        n=st.sampled_from(MATURITIES),

@@ -200,6 +200,14 @@ def test_converge_rejects_a_step_list_without_a_slope(capsys, n_values):
     assert captured.err.startswith("error: ")
 
 
+def test_converge_rejects_a_step_count_below_one(capsys):
+    assert main(["converge", "--b", "0.05", "--sigma", "0.2", "--g", "0.5",
+                 "--n-values", "0,16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: step counts must be >= 1, got 0\n"
+
+
 def test_converge_rejects_a_step_count_that_is_not_an_integer(capsys):
     assert main(["converge", "--b", "0.05", "--sigma", "0.2", "--g", "0.5",
                  "--n-values", "16,abc"]) == 1
@@ -314,6 +322,16 @@ def test_demo_discontinuity_arbitrage_rate_exits_1(capsys):
     assert captured.err.startswith("error: replication probability")
 
 
+@pytest.mark.parametrize("sigma, t", [("0.2", "0"), ("0", "1"), ("nan", "1")])
+def test_demo_discontinuity_rejects_a_sigma_or_t_that_is_not_positive(capsys, sigma, t):
+    assert main(["demo-discontinuity", "--s0", "100", "--strike", "100", "--r", "0.05",
+                 "--sigma", sigma, "--T", t]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: sigma and t must be positive")
+    assert captured.err.count("\n") == 1
+
+
 def test_demo_discontinuity_rejects_an_empty_grid(capsys):
     assert main(["demo-discontinuity", "--s0", "100", "--strike", "100", "--r", "0.05",
                  "--sigma", "0.2", "--T", "1", "--p-grid", " , "]) == 1
@@ -366,3 +384,17 @@ def test_moments_rejects_a_run_that_compares_nothing(capsys, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--j-max", "65", "--halvings", "1"], "--j-max must be <= 64, got 65"),
+    (["--dt-start", "0"], "--dt-start must be finite and > 0, got 0.0"),
+    (["--dt-start", "-0.01"], "--dt-start must be finite and > 0, got -0.01"),
+    (["--dt-start", "nan"], "--dt-start must be finite and > 0, got nan"),
+    (["--dt-start", "inf"], "--dt-start must be finite and > 0, got inf"),
+])
+def test_moments_rejects_a_bad_order_or_step_before_the_header(capsys, args, message):
+    assert main(["moments"] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

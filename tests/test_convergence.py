@@ -347,6 +347,12 @@ def test_rate_experiment_validates_input():
         rate_experiment(mp(), float("nan"), [16, 32])
 
 
+@pytest.mark.parametrize("n_values", [[0, 16], [-4, 16], [-8, -4]])
+def test_rate_experiment_rejects_a_step_count_below_one(n_values):
+    with pytest.raises(DomainError, match=f"step counts must be >= 1, got {n_values[0]}"):
+        rate_experiment(mp(), 1.0, n_values)
+
+
 def test_rate_experiment_csv_round_trip():
     experiment = rate_experiment(mp(g=0.5), 1.0, [16, 32, 64])
     lines = experiment.to_csv().strip().splitlines()

@@ -317,6 +317,14 @@ def test_discontinuity_rejects_arbitrage_rate():
         discontinuity_report(100.0, 1.5, 0.2, 1.0, Payoff.call(100.0), 0.5)
 
 
+@pytest.mark.parametrize("sigma, t", [(0.2, 0.0), (0.2, -1.0), (0.0, 1.0), (-0.2, 1.0),
+                                      (math.nan, 1.0), (0.2, math.nan), (math.inf, 1.0),
+                                      (0.2, math.inf)])
+def test_discontinuity_rejects_a_sigma_or_t_that_is_not_positive_and_finite(sigma, t):
+    with pytest.raises(DomainError, match="sigma and t must be positive"):
+        discontinuity_report(100.0, 0.05, sigma, t, Payoff.call(100.0), 0.5)
+
+
 def test_discontinuity_rejects_bad_probability():
     with pytest.raises(DomainError):
         discontinuity_report(100.0, 0.0, 0.2, 1.0, Payoff.call(100.0), 1.5)
