@@ -95,6 +95,10 @@ def _cmd_estimate_p(args: argparse.Namespace) -> int:
     counts = stats.up_proportion(values)
     lo, hi = stats.proportion_ci(counts, args.ci_level)
     p_value = stats.exact_binomial_test(counts, args.p0)
+    estimates = (stats.grouped_estimates(dated, level=args.ci_level)
+                 if args.by_year else [])
+    hom = (stats.homogeneity_test([e.counts for e in estimates])
+           if len(estimates) >= 2 else None)
     full = args.full_precision
     print(f"# ups={counts.ups}")
     print(f"# total={counts.total}")
@@ -104,9 +108,7 @@ def _cmd_estimate_p(args: argparse.Namespace) -> int:
     print(f"# exact_test_p0={_fmt(args.p0, full)}")
     print(f"# exact_test_p_value={_fmt(p_value, full)}")
     if args.by_year:
-        estimates = stats.grouped_estimates(dated, level=args.ci_level)
-        if len(estimates) >= 2:
-            hom = stats.homogeneity_test([e.counts for e in estimates])
+        if hom is not None:
             print(f"# homogeneity_statistic={_fmt(hom.statistic, full)}")
             print(f"# homogeneity_df={hom.df}")
             print(f"# homogeneity_p_value={_fmt(hom.p_value, full)}")
@@ -148,7 +150,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     params = model.ModelParams(gamma=args.b, delta=args.b, g=args.g, v=args.v,
                                sigma=args.sigma)
     full = args.full_precision
-    print("j,dt,step_moment,gbm_moment,abs_error,halving_ratio,status")
+    # Every row is computed before any is printed, so an error prints nothing.
+    lines = ["j,dt,step_moment,gbm_moment,abs_error,halving_ratio,status"]
     all_pass = True
     for j in range(1, args.j_max + 1):
         previous = None
@@ -165,11 +168,12 @@ def _cmd_moments(args: argparse.Namespace) -> int:
                 ok = 0.25 <= ratio <= 4.0
                 status = "PASS" if ok else "FAIL"
                 all_pass = all_pass and ok
-            print(f"{j},{_fmt(dt, full)},{_fmt(sm, full)},{_fmt(gm, full)},"
-                  f"{_fmt(err, full)},{_fmt(ratio, full)},{status}")
+            lines.append(f"{j},{_fmt(dt, full)},{_fmt(sm, full)},{_fmt(gm, full)},"
+                         f"{_fmt(err, full)},{_fmt(ratio, full)},{status}")
             previous = scaled
             dt /= 2.0
-    print(f"# overall={'PASS' if all_pass else 'FAIL'}")
+    lines.append(f"# overall={'PASS' if all_pass else 'FAIL'}")
+    print("\n".join(lines))
     return 0 if all_pass else 1
 
 

@@ -121,10 +121,14 @@ def _read_lines(path: str | Path) -> list[str]:
     return Path(path).read_text(encoding="utf-8-sig").splitlines()
 
 
+# The chain file's metadata keys, in the order write_chain writes them.
+_CHAIN_KEYS = ("spot", "rate")
+
+
 def load_chain(path: str | Path, short_maturities_only: bool = False) -> ChainFile:
     """Parse a chain CSV; optionally drop quotes beyond 100 trading days."""
     lines = _read_lines(path)
-    spot = rate = None
+    meta: dict[str, float] = {}
     header_seen = False
     quotes: list[OptionQuote] = []
     for line_no, raw in enumerate(lines, start=1):
@@ -132,21 +136,15 @@ def load_chain(path: str | Path, short_maturities_only: bool = False) -> ChainFi
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                key = key.strip()
-                if (key == "spot" and spot is not None) or (
-                        key == "rate" and rate is not None):
+            key, eq, value = (part.strip() for part in line[1:].partition("="))
+            if eq and key in _CHAIN_KEYS:
+                if key in meta:
                     raise DataFormatError(
                         f"line {line_no}: repeated '# {key}=' metadata line")
-                if key == "spot":
-                    spot = _numeric(value.strip(), line_no, "spot")
-                    if not spot > 0.0:
-                        raise DataFormatError(
-                            f"line {line_no}: spot must be positive, got {spot}")
-                elif key == "rate":
-                    rate = _numeric(value.strip(), line_no, "rate")
+                meta[key] = _numeric(value, line_no, key)
+                if key == "spot" and not meta[key] > 0.0:
+                    raise DataFormatError(
+                        f"line {line_no}: spot must be positive, got {meta[key]}")
             continue
         if not header_seen:
             columns = [c.strip() for c in line.split(",")]
@@ -178,21 +176,20 @@ def load_chain(path: str | Path, short_maturities_only: bool = False) -> ChainFi
         if short_maturities_only and quote.days_to_maturity > MAX_CALIBRATION_DAYS:
             continue
         quotes.append(quote)
-    if spot is None:
-        raise DataFormatError("missing '# spot=' metadata line")
-    if rate is None:
-        raise DataFormatError("missing '# rate=' metadata line")
+    for key in _CHAIN_KEYS:
+        if key not in meta:
+            raise DataFormatError(f"missing '# {key}=' metadata line")
     if not header_seen:
         raise DataFormatError("missing 'strike,days_to_maturity,market_price' header")
     if not quotes:
         raise DataFormatError("chain file contains no quotes after filtering")
-    return ChainFile(spot=spot, rate=rate, quotes=tuple(quotes))
+    return ChainFile(**meta, quotes=tuple(quotes))
 
 
 def write_chain(chain: ChainFile, path: str | Path) -> None:
     """Write a chain in canonical form; loading it back round-trips bytes."""
-    lines = [f"# spot={chain.spot!r}", f"# rate={chain.rate!r}",
-             "strike,days_to_maturity,market_price"]
+    lines = [f"# {key}={getattr(chain, key)!r}" for key in _CHAIN_KEYS]
+    lines.append("strike,days_to_maturity,market_price")
     for quote in chain.quotes:
         lines.append(
             f"{quote.strike!r},{quote.days_to_maturity},{quote.market_price!r}")

@@ -21,6 +21,7 @@ in which each maturity's strike columns join at their own step.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal
 
@@ -41,6 +42,9 @@ __all__ = [
     "discontinuity_report",
     "black_scholes_call",
 ]
+
+# The largest argument for which math.exp returns a finite float.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -226,6 +230,9 @@ def discontinuity_report(s0: float, r: float, sigma: float, t: float,
     if not (0.0 < sigma < math.inf and 0.0 < t < math.inf):
         raise DomainError(f"sigma and t must be positive and finite, "
                           f"got sigma={sigma}, t={t}")
+    for name, arg in (("sigma*sqrt(t)", sigma * math.sqrt(t)), ("r*t", r * t)):
+        if arg > _LOG_FLOAT_MAX:
+            raise DomainError(f"{name} = {arg} is too large for exp")
     u = math.exp(sigma * math.sqrt(t))
     d = 1.0 / u
     grow = math.exp(r * t)

@@ -193,6 +193,12 @@ def test_free_parameter_spec_shapes():
         free_parameter_spec("black-scholes")
 
 
+def test_implied_atm_sigma_falls_back_to_0_2_when_no_bracket_prices():
+    # At r = 100 the CRR up probability of a daily step exceeds 1 for every
+    # sigma in the bracket, so neither end of it prices.
+    assert implied_atm_sigma([OptionQuote(100.0, 21, 1.0)], 100.0, 100.0) == 0.2
+
+
 def test_implied_atm_sigma_recovers_generator_vol():
     chain = synthetic_chain("crr", (0.2,))
     assert implied_atm_sigma(chain, S0, RATE) == pytest.approx(0.2, abs=2e-3)

@@ -267,6 +267,17 @@ def test_estimate_p_by_year_with_one_year_has_no_homogeneity_lines(tmp_path, cap
         "year,ups,total,p_hat,ci_low,ci_high", f"2020,1,2,0.5,{fmt(lo)},{fmt(hi)}"]
 
 
+def test_estimate_p_by_year_prints_nothing_when_homogeneity_is_degenerate(tmp_path,
+                                                                         capsys):
+    path = tmp_path / "returns.csv"
+    path.write_text("2020-01-02,0.01\n2020-01-03,0.02\n2021-01-04,0.03\n")
+    assert main(["estimate-p", "--returns", str(path), "--by-year"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: pooled proportion is degenerate (0 or 1); "
+                            "expected counts vanish\n")
+
+
 def test_estimate_p_level_whose_quantile_is_infinite_exits_1(tmp_path, capsys):
     path = tmp_path / "returns.csv"
     path.write_text(RETURNS)
@@ -332,6 +343,19 @@ def test_demo_discontinuity_rejects_a_sigma_or_t_that_is_not_positive(capsys, si
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("r, sigma, message", [
+    ("0.05", "1000", "sigma*sqrt(t) = 1000.0 is too large for exp"),
+    ("1000", "0.2", "r*t = 1000.0 is too large for exp"),
+])
+def test_demo_discontinuity_rejects_an_exponent_too_large_for_exp(capsys, r, sigma,
+                                                                  message):
+    assert main(["demo-discontinuity", "--s0", "100", "--strike", "100", "--r", r,
+                 "--sigma", sigma, "--T", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_demo_discontinuity_rejects_an_empty_grid(capsys):
     assert main(["demo-discontinuity", "--s0", "100", "--strike", "100", "--r", "0.05",
                  "--sigma", "0.2", "--T", "1", "--p-grid", " , "]) == 1
@@ -373,8 +397,17 @@ def test_moments_passes_rows_that_agree_exactly(capsys):
 def test_moments_rejects_an_inadmissible_probability(capsys):
     assert main(["moments", "--g", "1.5"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "j,dt,step_moment,gbm_moment,abs_error,halving_ratio,status\n"
+    assert captured.out == ""
     assert captured.err.startswith("error: base up probability g")
+
+
+def test_moments_prints_nothing_when_a_step_rounds_to_a_flat_tree(capsys):
+    assert main(["moments", "--dt-start", "1e-170", "--j-max", "1",
+                 "--halvings", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: step factors must satisfy 0 < d < u, "
+                            "got d=1.0, u=1.0\n")
 
 
 @pytest.mark.parametrize("flag", ["--j-max", "--halvings"])

@@ -97,6 +97,12 @@ def test_terminal_rejects_a_nan_spot():
         terminal_distribution(float("nan"), mp(), 2, 0.01)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_terminal_rejects_a_step_count_below_one(n):
+    with pytest.raises(DomainError, match=f"step count must be >= 1, got {n}"):
+        terminal_distribution(100.0, mp(), n, 0.01)
+
+
 @pytest.mark.parametrize("n", [4096, 65_536])
 def test_terminal_cumulative_weights_match_scipy(n):
     params = mp(g=0.57, v=0.2, sigma=0.3)

@@ -63,6 +63,11 @@ def test_chain_file_rejects_a_nan_spot():
         ChainFile(float("nan"), 0.04, (quote,))
 
 
+def test_chain_file_rejects_an_empty_quote_tuple():
+    with pytest.raises(DomainError, match="chain must contain at least one quote"):
+        ChainFile(100.0, 0.04, ())
+
+
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf")])
 def test_chain_file_rejects_a_non_finite_rate(rate):
     quote = OptionQuote(100.0, 21, 1.0)

@@ -89,6 +89,25 @@ def test_validate_rejects_nonpositive_dt(dt):
         step_moment(mp(), dt, 2)
 
 
+@pytest.mark.parametrize("u, d, p, message", [
+    (1.0, 1.0, 0.5, "0 < d < u"),
+    (0.9, 1.1, 0.5, "0 < d < u"),
+    (1.1, 0.0, 0.5, "0 < d < u"),
+    (1.1, 0.9, 1.0, "up probability must be in"),
+    (1.1, 0.9, 0.0, "up probability must be in"),
+])
+def test_step_factors_reject_unordered_factors_or_a_boundary_probability(u, d, p, message):
+    with pytest.raises(DomainError, match=message):
+        StepFactors(u=u, d=d, p=p)
+
+
+@pytest.mark.parametrize("ctor", [crr_params, jarrow_rudd_params, tian_params])
+@pytest.mark.parametrize("sigma", [0.0, -0.2, math.nan])
+def test_classical_params_reject_a_sigma_that_is_not_positive(ctor, sigma):
+    with pytest.raises(DomainError, match="volatility sigma must be positive"):
+        ctor(0.05, sigma)
+
+
 def test_p_up_values():
     assert p_up(mp(g=0.5, v=0.0), 0.01) == 0.5
     assert p_up(mp(g=0.5, v=0.1), 0.04) == pytest.approx(0.52, rel=1e-15)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,12 @@ def test_q_denominator_guard():
 
 def test_delta_hedge_flat_payoff():
     assert delta_hedge(100.0, 5.0, 5.0, mp(), 0.01) == 0.0
+
+
+def test_delta_hedge_rejects_a_zero_factor_spread():
+    # (gamma - delta)*dt = -0.5 cancels sigma*sqrt(dt)/sqrt(p(1-p)) = 0.5.
+    with pytest.raises(DomainError, match="degenerate hedge"):
+        delta_hedge(100.0, 5.0, 0.0, mp(gamma=-1.0, delta=1.0, sigma=0.5), 0.25)
 
 
 def test_delta_hedge_direct_arithmetic():
@@ -365,6 +372,30 @@ def test_black_scholes_input_guards():
         black_scholes_call(100, 100, 0.0, nan, 1.0)
     with pytest.raises(DomainError, match="sigma and t must be positive"):
         black_scholes_call(100, 100, 0.0, 0.2, nan)
+
+
+@pytest.mark.parametrize("r, sigma, t, message", [
+    (0.05, 1000.0, 1.0, "sigma*sqrt(t) = 1000.0 is too large for exp"),
+    (0.05, 1e200, 1e300, "sigma*sqrt(t) = inf is too large for exp"),
+    (1000.0, 0.2, 1.0, "r*t = 1000.0 is too large for exp"),
+    (1e308, 0.2, 10.0, "r*t = inf is too large for exp"),
+])
+def test_discontinuity_rejects_an_exponent_too_large_for_exp(r, sigma, t, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        discontinuity_report(100.0, r, sigma, t, Payoff.call(100.0), 0.5)
+
+
+def test_discontinuity_accepts_the_largest_finite_exponent():
+    # math.exp(log(max float)) is finite, so the bound itself is allowed.
+    log_max = math.log(1.7976931348623157e308)
+    report = discontinuity_report(1.0, 0.0, log_max, 1.0, Payoff.put(1.0), 0.5)
+    assert math.isfinite(report.f0_interior)
+
+
+def test_discontinuity_rejects_a_very_negative_rate_as_arbitrage():
+    # exp(r*t) underflows to 0, so q = -d/(u - d) < 0.
+    with pytest.raises(ArbitrageError, match="replication probability"):
+        discontinuity_report(100.0, -1000.0, 0.2, 1.0, Payoff.call(100.0), 0.5)
 
 
 def test_delta_hedge_and_discontinuity_reject_a_nan_spot():

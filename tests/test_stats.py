@@ -13,7 +13,7 @@ from mptree import chi2_sf
 from mptree.errors import DomainError
 from mptree.market_io import ReturnSeries
 from mptree.stats import UpDownCounts, exact_binomial_test, proportion_ci
-from mptree.stats import grouped_estimates
+from mptree.stats import grouped_estimates, up_proportion
 from mptree.stats import homogeneity_test
 
 
@@ -117,6 +117,26 @@ def test_chi2_sf_limits():
 def test_chi2_sf_rejects_a_nan_statistic_and_a_bad_df(x, df):
     with pytest.raises(DomainError):
         chi2_sf(x, df)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: UpDownCounts(0, 0), "total must be >= 1"),
+    (lambda: UpDownCounts(3, 2), "ups must be between 0 and total"),
+    (lambda: UpDownCounts(-1, 2), "ups must be between 0 and total"),
+    (lambda: up_proportion([]), "return sequence must be non-empty"),
+    (lambda: exact_binomial_test(UpDownCounts(1, 2), 0.0), "null probability"),
+    (lambda: exact_binomial_test(UpDownCounts(1, 2), 1.0), "null probability"),
+    (lambda: homogeneity_test([UpDownCounts(1, 2)]), "at least two groups"),
+    (lambda: homogeneity_test([UpDownCounts(2, 2), UpDownCounts(1, 1)]),
+     "pooled proportion is degenerate"),
+    (lambda: homogeneity_test([UpDownCounts(0, 2), UpDownCounts(0, 1)]),
+     "pooled proportion is degenerate"),
+    (lambda: grouped_estimates([]), "dated return sequence must be non-empty"),
+], ids=["no-total", "ups-above-total", "negative-ups", "no-returns", "p0-zero",
+        "p0-one", "one-group", "all-up", "all-down", "no-dated-returns"])
+def test_stats_reject_degenerate_inputs(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def test_grouped_estimates_counts_each_year_of_unsorted_dates():
