@@ -5,8 +5,8 @@ moments. Output is CSV on stdout with ``#`` comment metadata. The
 subcommands price, estimate-p, demo-discontinuity and moments print
 numbers at 6 significant digits unless --full-precision is given, which
 prints each float's shortest round-trip repr; calibrate and converge
-always print that repr. Exit codes: 0 success, 1 data or domain errors,
-2 usage errors.
+always print that repr. Exit codes: 0 success, 1 data or domain errors
+or a failed allocation, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -264,6 +264,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (DomainError, ArbitrageError, DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 1
 
 

@@ -5,6 +5,11 @@ recombining nodes. Against the lognormal limit the sup-norm (Kolmogorov)
 distance decays like 1/sqrt(n) with a p-dependent factor
 (1 - 2p + 2p^2)/sqrt(p(1-p)); :func:`rate_experiment` measures both the
 decay exponent and the stabilized sqrt(n)-scaled distances.
+
+:func:`kolmogorov_distance` calls a public caller's F once per support
+point it scans. :func:`rate_experiment` passes the lognormal limit as a
+private evaluator that it computes on each scanned slice of the support
+in one vector call, bit for bit equal to :func:`lognormal_cdf`.
 """
 
 from __future__ import annotations
@@ -97,23 +102,76 @@ def terminal_distribution(s0: float, params: ModelParams, n: int, dt: float,
                        cum=np.cumsum(binomial_weights(n, q)))
 
 
+class _LognormalCdf:
+    """F(x) = P(s0 exp((b - sigma^2/2) t + sigma B(t)) <= x), checked once.
+
+    Called with one x it is a scalar CDF like any other; :meth:`on`
+    evaluates a whole array. Both share :meth:`_z` and take ``math.log``
+    and ``math.erfc`` element by element: NumPy has no erfc, and np.log
+    can differ from math.log in the last bit.
+    """
+
+    def __init__(self, s0: float, b: float, sigma: float, t: float) -> None:
+        if not s0 > 0.0:
+            raise DomainError(f"spot must be positive, got {s0}")
+        if not (0.0 < sigma < math.inf and 0.0 < t < math.inf):
+            raise DomainError(f"sigma and t must be positive and finite, "
+                              f"got sigma={sigma}, t={t}")
+        if not (s0 < math.inf and math.isfinite(b)):
+            raise DomainError(f"spot and drift must be finite, got s0={s0}, b={b}")
+        drift = (b - sigma * sigma / 2.0) * t
+        scale = sigma * math.sqrt(t)
+        if not (math.isfinite(drift) and 0.0 < scale < math.inf):
+            raise DomainError(f"log-mean (b - sigma^2/2)*t = {drift} must be finite "
+                              f"and log-sd sigma*sqrt(t) = {scale} positive and finite")
+        self._s0, self._drift, self._scale = s0, drift, scale
+
+    def _z(self, log_ratio):
+        return (log_ratio - self._drift) / self._scale
+
+    def __call__(self, x: float) -> float:
+        if math.isnan(x):
+            raise DomainError("lognormal CDF argument must not be NaN")
+        ratio = x / self._s0
+        return normal_cdf(self._z(math.log(ratio))) if ratio > 0.0 else 0.0
+
+    def on(self, x: np.ndarray) -> np.ndarray:
+        """F at every point of the 1-d array x, equal bit for bit to calls."""
+        if np.isnan(x).any():
+            raise DomainError("lognormal CDF argument must not be NaN")
+        ratio = x / self._s0
+        inside = ratio > 0.0
+        count = int(inside.sum())
+        z = self._z(np.fromiter(map(math.log, ratio[inside].tolist()), float, count))
+        values = np.zeros(x.shape)
+        # normal_cdf(z) = erfc(-z/sqrt(2))/2, with the division done in NumPy.
+        values[inside] = 0.5 * np.fromiter(
+            map(math.erfc, (-z / math.sqrt(2.0)).tolist()), float, count)
+        return values
+
+
 def lognormal_cdf(x: float, s0: float, b: float, sigma: float, t: float) -> float:
-    """CDF at x of s0 * exp((b - sigma^2/2) t + sigma B(t)); 0 for x <= 0."""
-    if not s0 > 0.0:
-        raise DomainError(f"spot must be positive, got {s0}")
-    if not (sigma > 0.0 and t > 0.0):
-        raise DomainError("sigma and t must be positive")
-    if x <= 0.0:
-        return 0.0
-    z = (math.log(x / s0) - (b - sigma * sigma / 2.0) * t) / (sigma * math.sqrt(t))
-    return normal_cdf(z)
+    """CDF at x of s0 * exp((b - sigma^2/2) t + sigma B(t)); 0 for x <= 0.
+
+    Raises
+    ------
+    DomainError
+        Unless s0, sigma and t are positive and finite, b is finite, the
+        log-mean and log-sd are finite with a positive log-sd, and x is
+        not NaN.
+    """
+    return _LognormalCdf(s0, b, sigma, t)(x)
 
 
-def _scan(empirical: DiscreteCdf, continuous: Callable[[float], float],
+def _scan(empirical: DiscreteCdf, values: Callable[[np.ndarray], np.ndarray],
           lo: int, hi: int) -> tuple[float, np.ndarray]:
     """Largest one-sided gap at support points lo..hi-1, and F there."""
     cum = empirical.cum
-    f_vals = np.array([continuous(float(x)) for x in empirical.support[lo:hi]])
+    f_vals = values(empirical.support[lo:hi])
+    in_range = (f_vals >= 0.0) & (f_vals <= 1.0)
+    if not in_range.all():
+        raise DomainError(f"continuous CDF values must lie in [0, 1], "
+                          f"got {float(f_vals[~in_range][0])!r}")
     right = np.abs(cum[lo:hi] - f_vals)
     left = np.abs(np.concatenate(([cum[lo - 1] if lo > 0 else 0.0],
                                   cum[lo:hi - 1])) - f_vals)
@@ -139,17 +197,29 @@ def kolmogorov_distance(empirical: DiscreteCdf,
     at most the body's largest gap, that gap is bit-for-bit the result
     of scanning every support point. Otherwise, or when the body is
     empty, every support point is scanned.
+
+    ``continuous`` is called once per scanned point. The lognormal CDF
+    that :func:`rate_experiment` passes is the one exception: it is
+    evaluated on each scanned slice in one vector call, with the same
+    bits.
+
+    Raises
+    ------
+    DomainError
+        If a scanned value of F is NaN or outside [0, 1].
     """
+    values = (continuous.on if isinstance(continuous, _LognormalCdf)
+              else lambda x: np.array([continuous(float(v)) for v in x], dtype=float))
     cum = empirical.cum
     lo = int(np.searchsorted(cum, _TAIL, side="right"))
     hi = int(np.searchsorted(cum, 1.0 - _TAIL, side="left")) - 1
     if lo <= hi:
-        dist, f_vals = _scan(empirical, continuous, lo, hi + 1)
+        dist, f_vals = _scan(empirical, values, lo, hi + 1)
         left_bound = max(cum[lo - 1], f_vals[0]) if lo > 0 else 0.0
         right_bound = max(cum[-1] - f_vals[-1], 1.0 - cum[hi])
         if left_bound <= dist and right_bound <= dist:
             return dist
-    return _scan(empirical, continuous, 0, cum.size)[0]
+    return _scan(empirical, values, 0, cum.size)[0]
 
 
 def rate_constant(p: float) -> float:
@@ -200,7 +270,6 @@ def rate_experiment(params: ModelParams, t: float,
         raise DomainError(f"step counts must be >= 1, got {min(ns)}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("step counts must be strictly ascending")
-    b = params.mean_drift
     s0 = 1.0
     points = []
     for n in ns:
@@ -208,7 +277,7 @@ def rate_experiment(params: ModelParams, t: float,
         validate_params(params, dt)
         cdf = terminal_distribution(s0, params, n, dt, measure="physical")
         dist = kolmogorov_distance(
-            cdf, lambda x: lognormal_cdf(x, s0, b, params.sigma, t))
+            cdf, _LognormalCdf(s0, params.mean_drift, params.sigma, t))
         points.append(RatePoint(n=n, distance=dist, scaled=dist * math.sqrt(n)))
     log_n = np.log([pt.n for pt in points])
     log_d = np.log([pt.distance for pt in points])

@@ -222,6 +222,12 @@ def discontinuity_report(s0: float, r: float, sigma: float, t: float,
     and does not depend on p at all; at p = 0 or p = 1 the option is worth
     the discounted single-branch payoff. The two gap fields quantify the
     jumps at the endpoints.
+
+    Raises
+    ------
+    DomainError
+        If s0*u or any field of the report is not finite, besides the
+        argument checks.
     """
     if not s0 > 0.0:
         raise DomainError(f"spot must be positive, got {s0}")
@@ -234,6 +240,8 @@ def discontinuity_report(s0: float, r: float, sigma: float, t: float,
         if arg > _LOG_FLOAT_MAX:
             raise DomainError(f"{name} = {arg} is too large for exp")
     u = math.exp(sigma * math.sqrt(t))
+    if not math.isfinite(s0 * u):
+        raise DomainError(f"s0*u = {s0 * u} is not finite")
     d = 1.0 / u
     grow = math.exp(r * t)
     q = (grow - d) / (u - d)
@@ -251,12 +259,16 @@ def discontinuity_report(s0: float, r: float, sigma: float, t: float,
         at_p = disc * f_u
     else:
         at_p = interior
-    return DiscontinuityReport(
+    report = DiscontinuityReport(
         f0_interior=interior,
         f0_at_p=at_p,
         gap_at_0=disc * q * (f_d - f_u),
         gap_at_1=disc * (1.0 - q) * (f_u - f_d),
     )
+    for name, value in vars(report).items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} = {value} is not finite")
+    return report
 
 
 def black_scholes_call(s0: float, strike: float, r: float, sigma: float,

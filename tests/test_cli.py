@@ -166,6 +166,24 @@ def test_calibrate_rejects_a_bad_config(tmp_path, capsys, text):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("exc, err", [
+    (MemoryError("Unable to allocate 74.5 GiB"),
+     "error: out of memory: Unable to allocate 74.5 GiB\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["with-message", "without-message"])
+def test_price_reports_a_failed_allocation(monkeypatch, capsys, exc, err):
+    # The lattice is never allocated: Lattice.build fails as a refused
+    # allocation of 1e10 steps would.
+    def build(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(pricing.Lattice, "build", build)
+    argv = ["price", "--model", "crr"] + PRICE_ARGS[:-1] + ["10000000000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_price_rejects_zero_steps(capsys):
     argv = ["price", "--model", "crr"] + PRICE_ARGS[:-1] + ["0"]
     assert main(argv) == 1
@@ -189,6 +207,23 @@ def test_converge_prints_the_rate_experiment(capsys):
     assert lines[0] == "n,distance,scaled"
     assert [line.split(",")[0] for line in lines[1:4]] == ["16", "32", "64"]
     assert lines[4].startswith("# slope=")
+
+
+def test_converge_default_output_is_pinned(capsys):
+    # Captured from the release whose rate_experiment called lognormal_cdf
+    # once per support point; evaluating F per slice must keep every bit.
+    assert main(["converge", "--b", "0.05", "--sigma", "0.2", "--g", "0.45"]) == 0
+    assert capsys.readouterr().out == (
+        "n,distance,scaled\n"
+        "16,0.10272667330158775,0.410906693206351\n"
+        "32,0.07283793727045212,0.41203359497261655\n"
+        "64,0.051332658581814905,0.41066126865451924\n"
+        "128,0.036474018013424814,0.41265640759060757\n"
+        "256,0.02587230981132488,0.41395695698119805\n"
+        "512,0.018294653709976294,0.4139607583290838\n"
+        "1024,0.012942560755432764,0.41416194417384844\n"
+        "2048,0.009153173410147541,0.4142253432122703\n"
+        "# slope=-0.49812410508986926\n")
 
 
 @pytest.mark.parametrize("n_values", ["16", "64,32", "16,16"])
@@ -354,6 +389,15 @@ def test_demo_discontinuity_rejects_an_exponent_too_large_for_exp(capsys, r, sig
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_demo_discontinuity_rejects_an_infinite_price(capsys):
+    # exp(709) is finite, so the exp bound passes, but 100*exp(709) is not.
+    assert main(["demo-discontinuity", "--s0", "100", "--strike", "100", "--r", "0.05",
+                 "--sigma", "709", "--T", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: s0*u = inf is not finite\n"
 
 
 def test_demo_discontinuity_rejects_an_empty_grid(capsys):

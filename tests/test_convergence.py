@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.stats import binom
 from mptree.convergence import (DiscreteCdf, kolmogorov_distance,
                                 lognormal_cdf, rate_constant, rate_experiment,
                                 terminal_distribution)
+from mptree.convergence import _LognormalCdf
 from mptree.errors import DomainError
 from mptree.model import ModelParams, step_factors_exact
 from mptree.pricing import risk_neutral_prob
@@ -188,6 +190,42 @@ def test_lognormal_rejects_nan_inputs():
         lognormal_cdf(1.0, 1.0, 0.05, 0.2, nan)
 
 
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("x, s0, b, sigma, t, message", [
+    (1.0, INF, 0.05, 0.2, 1.0, "spot and drift must be finite"),
+    (1.0, 1.0, NAN, 0.2, 1.0, "spot and drift must be finite"),
+    (1.0, 1.0, INF, 0.2, 1.0, "spot and drift must be finite"),
+    (1.0, 1.0, -INF, 0.2, 1.0, "spot and drift must be finite"),
+    (1.0, 1.0, 0.05, INF, 1.0, "sigma and t must be positive and finite"),
+    (1.0, 1.0, 0.05, 0.2, INF, "sigma and t must be positive and finite"),
+    (1.0, 1.0, 0.05, 0.0, 1.0, "sigma and t must be positive and finite"),
+    (NAN, 1.0, 0.05, 0.2, 1.0, "argument must not be NaN"),
+    # (b - sigma^2/2)*t overflows, through b*t and through sigma^2.
+    (1.0, 1.0, 1e300, 0.2, 1e10, "log-mean"),
+    (1.0, 1.0, 0.05, 1e200, 1.0, "log-mean"),
+    # sigma*sqrt(t) underflows to 0.
+    (1.0, 1.0, 0.05, 1e-200, 1e-300, "log-sd"),
+], ids=["inf-spot", "nan-b", "inf-b", "-inf-b", "inf-sigma", "inf-t", "zero-sigma",
+        "nan-x", "log-mean-overflow-b", "log-mean-overflow-sigma", "log-sd-underflow"])
+def test_lognormal_rejects_non_finite_or_degenerate_inputs(x, s0, b, sigma, t, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        lognormal_cdf(x, s0, b, sigma, t)
+
+
+def test_lognormal_array_evaluation_equals_one_call_per_point():
+    # x <= 0, x/s0 underflowing to 0, and x = inf take the edge branches.
+    s0, b, sigma, t = 1e300, 0.05, 0.3, 0.7
+    x = np.array([-INF, -1.0, 0.0, 1e-30, 1e299, 1e300, 3e300, INF])
+    limit = _LognormalCdf(s0, b, sigma, t)
+    expected = [lognormal_cdf(float(v), s0, b, sigma, t) for v in x]
+    assert limit.on(x).tolist() == expected
+    assert expected[:4] == [0.0] * 4 and expected[-1] == 1.0
+    with pytest.raises(DomainError, match="argument must not be NaN"):
+        limit.on(np.array([1.0, NAN]))
+
+
 # ---------------------------------------------------------------------------
 # Kolmogorov distance
 # ---------------------------------------------------------------------------
@@ -304,6 +342,22 @@ def test_kolmogorov_evaluates_f_on_the_body_only():
     assert distance == full_scan(cdf, continuous)
 
 
+@pytest.mark.parametrize("level", [NAN, -1e-300, 1.0 + 1e-15, INF])
+def test_kolmogorov_rejects_f_values_that_are_not_probabilities(level):
+    cdf = DiscreteCdf(support=[1.0, 2.0, 3.0], cum=[0.25, 0.5, 1.0])
+    with pytest.raises(DomainError, match=re.escape("must lie in [0, 1], got")):
+        kolmogorov_distance(cdf, lambda x: level)
+
+
+def test_kolmogorov_rejects_a_bad_f_value_in_the_full_scan():
+    # The body alone is fine, but the bound at the right end fails, so the
+    # tail point at 4.0, where F is NaN, is scanned too.
+    cdf = DiscreteCdf(support=[1.0, 2.0, 3.0, 4.0], cum=[1e-8, 0.5, 1.0 - 1e-8, 1.0])
+    continuous = lambda x: NAN if x == 4.0 else 0.0
+    with pytest.raises(DomainError, match=re.escape("must lie in [0, 1], got nan")):
+        kolmogorov_distance(cdf, continuous)
+
+
 # ---------------------------------------------------------------------------
 # rate constant and experiment
 # ---------------------------------------------------------------------------
@@ -370,3 +424,22 @@ def test_rate_experiment_csv_round_trip():
         assert float(row[2]) == pt.scaled
     assert lines[-1].startswith("# slope=")
     assert float(lines[-1].split("=")[1]) == experiment.slope
+
+
+@settings(deadline=None, max_examples=150)
+@given(sigma=st.floats(0.05, 1.0), g=st.floats(0.2, 0.8), v=st.floats(-0.1, 0.1),
+       gamma=st.floats(-0.2, 0.2), delta=st.floats(-0.2, 0.2), t=st.floats(0.1, 2.0),
+       ns=st.lists(st.integers(1, 4096), min_size=2, max_size=3, unique=True))
+def test_rate_experiment_distances_equal_the_scalar_lognormal_scan(sigma, g, v, gamma,
+                                                                   delta, t, ns):
+    # rate_experiment evaluates the lognormal on whole slices of the
+    # support; a public caller's scalar F must give the same bits.
+    ns = sorted(ns)
+    t = min(t, ns[0] / 16.0)  # dt <= 1/16 keeps the exact factors' d below u
+    params = ModelParams(gamma=gamma, delta=delta, g=g, v=v, sigma=sigma)
+    experiment = rate_experiment(params, t, ns)
+    for point in experiment.points:
+        cdf = terminal_distribution(1.0, params, point.n, t / point.n)
+        scalar = kolmogorov_distance(
+            cdf, lambda x: lognormal_cdf(x, 1.0, params.mean_drift, sigma, t))
+        assert point.distance == scalar

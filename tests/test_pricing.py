@@ -392,6 +392,18 @@ def test_discontinuity_accepts_the_largest_finite_exponent():
     assert math.isfinite(report.f0_interior)
 
 
+@pytest.mark.parametrize("s0, r, sigma, strike, message", [
+    # exp(709) is finite, 100*exp(709) is not.
+    (100.0, 0.05, 709.0, 100.0, "s0*u = inf is not finite"),
+    (math.inf, 0.05, 0.2, 100.0, "s0*u = inf is not finite"),
+    # s0*u = exp(709) is finite, but exp(30) times it is not.
+    (1.0, -30.0, 709.0, 0.0, "gap_at_1 = inf is not finite"),
+], ids=["overflowing-up-price", "infinite-spot", "overflowing-gap"])
+def test_discontinuity_rejects_a_price_that_is_not_finite(s0, r, sigma, strike, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        discontinuity_report(s0, r, sigma, 1.0, Payoff.call(strike), 0.5)
+
+
 def test_discontinuity_rejects_a_very_negative_rate_as_arbitrage():
     # exp(r*t) underflows to 0, so q = -d/(u - d) < 0.
     with pytest.raises(ArbitrageError, match="replication probability"):
