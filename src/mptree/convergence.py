@@ -6,24 +6,24 @@ distance decays like 1/sqrt(n) with a p-dependent factor
 (1 - 2p + 2p^2)/sqrt(p(1-p)); :func:`rate_experiment` measures both the
 decay exponent and the stabilized sqrt(n)-scaled distances.
 
-:func:`kolmogorov_distance` calls a public caller's F once per support
-point it scans. :func:`rate_experiment` passes the lognormal limit as a
-private evaluator that it computes on each scanned slice of the support
-in one vector call, bit for bit equal to :func:`lognormal_cdf`.
+:func:`kolmogorov_distance` evaluates F on arrays, one call per scanned
+slice of the support. :func:`lognormal_cdf` takes a float or an array, so
+:func:`rate_experiment` passes it with its parameters bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelParams, node_values, step_factors_exact, validate_params
+from .model import ModelParams, _require_finite_nodes, node_values, step_factors_exact
 from .pricing import risk_neutral_prob
-from .special import binomial_weights, normal_cdf
+from .special import binomial_weights
 
 __all__ = [
     "DiscreteCdf",
@@ -90,6 +90,7 @@ def terminal_distribution(s0: float, params: ModelParams, n: int, dt: float,
     if n < 1:
         raise DomainError(f"step count must be >= 1, got {n}")
     factors = step_factors_exact(params, dt)
+    _require_finite_nodes(s0, factors, n)
     if measure == "physical":
         q = factors.p
     elif measure == "risk_neutral":
@@ -102,72 +103,60 @@ def terminal_distribution(s0: float, params: ModelParams, n: int, dt: float,
                        cum=np.cumsum(binomial_weights(n, q)))
 
 
-class _LognormalCdf:
-    """F(x) = P(s0 exp((b - sigma^2/2) t + sigma B(t)) <= x), checked once.
-
-    Called with one x it is a scalar CDF like any other; :meth:`on`
-    evaluates a whole array. Both share :meth:`_z` and take ``math.log``
-    and ``math.erfc`` element by element: NumPy has no erfc, and np.log
-    can differ from math.log in the last bit.
-    """
-
-    def __init__(self, s0: float, b: float, sigma: float, t: float) -> None:
-        if not s0 > 0.0:
-            raise DomainError(f"spot must be positive, got {s0}")
-        if not (0.0 < sigma < math.inf and 0.0 < t < math.inf):
-            raise DomainError(f"sigma and t must be positive and finite, "
-                              f"got sigma={sigma}, t={t}")
-        if not (s0 < math.inf and math.isfinite(b)):
-            raise DomainError(f"spot and drift must be finite, got s0={s0}, b={b}")
-        drift = (b - sigma * sigma / 2.0) * t
-        scale = sigma * math.sqrt(t)
-        if not (math.isfinite(drift) and 0.0 < scale < math.inf):
-            raise DomainError(f"log-mean (b - sigma^2/2)*t = {drift} must be finite "
-                              f"and log-sd sigma*sqrt(t) = {scale} positive and finite")
-        self._s0, self._drift, self._scale = s0, drift, scale
-
-    def _z(self, log_ratio):
-        return (log_ratio - self._drift) / self._scale
-
-    def __call__(self, x: float) -> float:
-        if math.isnan(x):
-            raise DomainError("lognormal CDF argument must not be NaN")
-        ratio = x / self._s0
-        return normal_cdf(self._z(math.log(ratio))) if ratio > 0.0 else 0.0
-
-    def on(self, x: np.ndarray) -> np.ndarray:
-        """F at every point of the 1-d array x, equal bit for bit to calls."""
-        if np.isnan(x).any():
-            raise DomainError("lognormal CDF argument must not be NaN")
-        ratio = x / self._s0
-        inside = ratio > 0.0
-        count = int(inside.sum())
-        z = self._z(np.fromiter(map(math.log, ratio[inside].tolist()), float, count))
-        values = np.zeros(x.shape)
-        # normal_cdf(z) = erfc(-z/sqrt(2))/2, with the division done in NumPy.
-        values[inside] = 0.5 * np.fromiter(
-            map(math.erfc, (-z / math.sqrt(2.0)).tolist()), float, count)
-        return values
-
-
-def lognormal_cdf(x: float, s0: float, b: float, sigma: float, t: float) -> float:
+def lognormal_cdf(x: float | np.ndarray, s0: float, b: float, sigma: float,
+                  t: float) -> float | np.ndarray:
     """CDF at x of s0 * exp((b - sigma^2/2) t + sigma B(t)); 0 for x <= 0.
+
+    ``x`` is a float, giving a float, or an array, giving an array of its
+    shape. Every point goes through ``math.log`` and ``math.erfc``: NumPy
+    has no erfc, and np.log can differ from math.log in the last bit.
 
     Raises
     ------
     DomainError
         Unless s0, sigma and t are positive and finite, b is finite, the
-        log-mean and log-sd are finite with a positive log-sd, and x is
-        not NaN.
+        log-mean and log-sd are finite with a positive log-sd, and no x is
+        NaN.
     """
-    return _LognormalCdf(s0, b, sigma, t)(x)
+    if not s0 > 0.0:
+        raise DomainError(f"spot must be positive, got {s0}")
+    if not (0.0 < sigma < math.inf and 0.0 < t < math.inf):
+        raise DomainError(f"sigma and t must be positive and finite, "
+                          f"got sigma={sigma}, t={t}")
+    if not (s0 < math.inf and math.isfinite(b)):
+        raise DomainError(f"spot and drift must be finite, got s0={s0}, b={b}")
+    drift = (b - sigma * sigma / 2.0) * t
+    scale = sigma * math.sqrt(t)
+    if not (math.isfinite(drift) and 0.0 < scale < math.inf):
+        raise DomainError(f"log-mean (b - sigma^2/2)*t = {drift} must be finite "
+                          f"and log-sd sigma*sqrt(t) = {scale} positive and finite")
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise DomainError("lognormal CDF argument must not be NaN")
+    with np.errstate(over="ignore"):  # as in float arithmetic, overflow gives inf
+        ratio = x / s0
+        inside = ratio > 0.0
+        count = np.count_nonzero(inside)
+        z = (np.fromiter(map(math.log, ratio[inside].tolist()), float, count)
+             - drift) / scale
+    values = np.zeros(x.shape)
+    # Phi(z) = erfc(-z/sqrt(2))/2, as in special.normal_cdf, with the division
+    # done in NumPy.
+    values[inside] = 0.5 * np.fromiter(
+        map(math.erfc, (-z / math.sqrt(2.0)).tolist()), float, count)
+    return values if values.ndim else float(values)
 
 
-def _scan(empirical: DiscreteCdf, values: Callable[[np.ndarray], np.ndarray],
+def _scan(empirical: DiscreteCdf, continuous: Callable[[np.ndarray], np.ndarray],
           lo: int, hi: int) -> tuple[float, np.ndarray]:
     """Largest one-sided gap at support points lo..hi-1, and F there."""
     cum = empirical.cum
-    f_vals = values(empirical.support[lo:hi])
+    x = empirical.support[lo:hi]
+    f_vals = continuous(x)
+    shape = getattr(f_vals, "shape", None)
+    if shape != x.shape:
+        raise DomainError(f"continuous CDF must return an array of shape {x.shape}, "
+                          f"got {type(f_vals).__name__} with shape {shape}")
     in_range = (f_vals >= 0.0) & (f_vals <= 1.0)
     if not in_range.all():
         raise DomainError(f"continuous CDF values must lie in [0, 1], "
@@ -179,7 +168,7 @@ def _scan(empirical: DiscreteCdf, values: Callable[[np.ndarray], np.ndarray],
 
 
 def kolmogorov_distance(empirical: DiscreteCdf,
-                        continuous: Callable[[float], float]) -> float:
+                        continuous: Callable[[np.ndarray], np.ndarray]) -> float:
     """sup_x |F_n(x) - F(x)| for a step CDF against a continuous one.
 
     F must be a CDF: monotone and within [0, 1]; F_n is monotone by
@@ -198,28 +187,27 @@ def kolmogorov_distance(empirical: DiscreteCdf,
     of scanning every support point. Otherwise, or when the body is
     empty, every support point is scanned.
 
-    ``continuous`` is called once per scanned point. The lognormal CDF
-    that :func:`rate_experiment` passes is the one exception: it is
-    evaluated on each scanned slice in one vector call, with the same
-    bits.
+    ``continuous`` takes the scanned support points as one 1-d float
+    array, once for the body and once more for a full scan, and returns F
+    at each of them as an array of the same shape. A caller whose F takes
+    one point at a time vectorises it first.
 
     Raises
     ------
     DomainError
-        If a scanned value of F is NaN or outside [0, 1].
+        If F does not return an array of the scanned points' shape, or a
+        scanned value of F is NaN or outside [0, 1].
     """
-    values = (continuous.on if isinstance(continuous, _LognormalCdf)
-              else lambda x: np.array([continuous(float(v)) for v in x], dtype=float))
     cum = empirical.cum
     lo = int(np.searchsorted(cum, _TAIL, side="right"))
     hi = int(np.searchsorted(cum, 1.0 - _TAIL, side="left")) - 1
     if lo <= hi:
-        dist, f_vals = _scan(empirical, values, lo, hi + 1)
+        dist, f_vals = _scan(empirical, continuous, lo, hi + 1)
         left_bound = max(cum[lo - 1], f_vals[0]) if lo > 0 else 0.0
         right_bound = max(cum[-1] - f_vals[-1], 1.0 - cum[hi])
         if left_bound <= dist and right_bound <= dist:
             return dist
-    return _scan(empirical, values, 0, cum.size)[0]
+    return _scan(empirical, continuous, 0, cum.size)[0]
 
 
 def rate_constant(p: float) -> float:
@@ -271,13 +259,12 @@ def rate_experiment(params: ModelParams, t: float,
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("step counts must be strictly ascending")
     s0 = 1.0
+    limit = partial(lognormal_cdf, s0=s0, b=params.mean_drift,
+                    sigma=params.sigma, t=t)
     points = []
     for n in ns:
-        dt = t / n
-        validate_params(params, dt)
-        cdf = terminal_distribution(s0, params, n, dt, measure="physical")
-        dist = kolmogorov_distance(
-            cdf, _LognormalCdf(s0, params.mean_drift, params.sigma, t))
+        cdf = terminal_distribution(s0, params, n, t / n, measure="physical")
+        dist = kolmogorov_distance(cdf, limit)
         points.append(RatePoint(n=n, distance=dist, scaled=dist * math.sqrt(n)))
     log_n = np.log([pt.n for pt in points])
     log_d = np.log([pt.distance for pt in points])

@@ -31,6 +31,7 @@ g = 1/2 and O(dt^(3/2)) otherwise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,8 @@ __all__ = [
 # Beyond this order u**j at realistic dt either overflows or has lost all
 # relative precision, so moment operations refuse rather than return noise.
 MAX_MOMENT_ORDER = 64
+# The largest argument for which math.exp returns a finite float.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,26 @@ def node_values(s0: float, factors: StepFactors, k: int) -> np.ndarray:
     return s0 * np.exp(k * log_d + np.arange(k + 1) * (math.log(factors.u) - log_d))
 
 
+def _require_finite_nodes(s0: float, factors: StepFactors, n: int) -> None:
+    """Check that a positive s0 and every node up to n steps are finite.
+
+    The largest node is s0 * u^n, or s0 itself when u <= 1, and
+    :func:`node_values` takes it as s0 * exp(n ln u), so both factors must
+    stay finite.
+
+    Raises
+    ------
+    DomainError
+        If s0 is infinite, or u^n or s0 * u^n overflows.
+    """
+    if s0 == math.inf:
+        raise DomainError(f"spot must be finite, got {s0}")
+    log_s0, growth = math.log(s0), n * max(math.log(factors.u), 0.0)
+    if max(growth, log_s0 + growth) > _LOG_FLOAT_MAX:
+        raise DomainError(f"top node s0*u^n overflows: ln(s0) = {log_s0}, "
+                          f"n*ln(u) = {growth}")
+
+
 def validate_params(params: ModelParams, dt: float) -> ModelParams:
     """Check the admissibility of ``params`` at time step ``dt``.
 
@@ -156,14 +179,24 @@ def p_up(params: ModelParams, dt: float) -> float:
 
 
 def step_factors_exact(params: ModelParams, dt: float) -> StepFactors:
-    """Exponential-form one-step factors; gross prices stay positive."""
+    """Exponential-form one-step factors; gross prices stay positive.
+
+    Raises
+    ------
+    DomainError
+        If log u or log d is too large for exp, besides the checks of
+        :func:`validate_params`.
+    """
     p = p_up(params, dt)
     sqrt_dt = math.sqrt(dt)
     h_u = params.sigma * math.sqrt((1.0 - p) / p)
     h_d = params.sigma * math.sqrt(p / (1.0 - p))
-    u = math.exp((params.gamma - h_u * h_u / 2.0) * dt + h_u * sqrt_dt)
-    d = math.exp((params.delta - h_d * h_d / 2.0) * dt - h_d * sqrt_dt)
-    return StepFactors(u=u, d=d, p=p)
+    log_u = (params.gamma - h_u * h_u / 2.0) * dt + h_u * sqrt_dt
+    log_d = (params.delta - h_d * h_d / 2.0) * dt - h_d * sqrt_dt
+    for name, arg in (("log u", log_u), ("log d", log_d)):
+        if arg > _LOG_FLOAT_MAX:
+            raise DomainError(f"{name} = {arg} is too large for exp")
+    return StepFactors(u=math.exp(log_u), d=math.exp(log_d), p=p)
 
 
 def step_factors_asymptotic(params: ModelParams, dt: float) -> StepFactors:

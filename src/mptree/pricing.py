@@ -21,15 +21,14 @@ in which each maturity's strike columns join at their own step.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from .errors import ArbitrageError, DomainError
-from .model import (ModelParams, StepFactors, node_values, p_up,
-                    step_factors_asymptotic, step_factors_exact)
+from .model import (_LOG_FLOAT_MAX, ModelParams, StepFactors, _require_finite_nodes,
+                    node_values, p_up, step_factors_asymptotic, step_factors_exact)
 from .special import normal_cdf
 
 __all__ = [
@@ -42,9 +41,6 @@ __all__ = [
     "discontinuity_report",
     "black_scholes_call",
 ]
-
-# The largest argument for which math.exp returns a finite float.
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -97,6 +93,7 @@ class Lattice:
             raise DomainError(f"step count must be >= 1, got {self.n}")
         if not self.dt > 0.0:
             raise DomainError(f"time step must be positive, got {self.dt}")
+        _require_finite_nodes(self.s0, self.factors, self.n)
 
     @classmethod
     def build(cls, s0: float, params: ModelParams, n: int, dt: float, rate: float,

@@ -192,6 +192,26 @@ def test_price_rejects_zero_steps(capsys):
     assert captured.err == "error: step count must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["converge", "--b", "1e300", "--sigma", "0.2", "--g", "0.45", "--n-values", "16,32"],
+     "log u = 6.25e+298 is too large for exp"),
+    (["price", "--model", "mp", "--gamma", "1e300", "--delta", "0.01", "--g", "0.5",
+      "--s0", "100", "--strike", "100", "--r", "0.05", "--sigma", "0.2", "--T", "1",
+      "--n", "10"], "log u = 1e+299 is too large for exp"),
+    (["price", "--model", "jr", "--s0", "inf", "--strike", "100", "--r", "0.05",
+      "--sigma", "0.2", "--T", "1", "--n", "10"], "spot must be finite, got inf"),
+    (["price", "--model", "jr", "--s0", "1e308", "--strike", "100", "--r", "0.05",
+      "--sigma", "0.2", "--T", "1", "--n", "10"], "top node s0*u^n overflows: "),
+], ids=["converge-exp", "price-exp", "price-infinite-spot", "price-top-node"])
+def test_a_tree_whose_numbers_overflow_exits_1(recwarn, capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert not recwarn.list
+
+
 # ---------------------------------------------------------------------------
 # converge, estimate-p, demo-discontinuity, moments
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from scipy.stats import binom
 from mptree.convergence import (DiscreteCdf, kolmogorov_distance,
                                 lognormal_cdf, rate_constant, rate_experiment,
                                 terminal_distribution)
-from mptree.convergence import _LognormalCdf
 from mptree.errors import DomainError
 from mptree.model import ModelParams, step_factors_exact
 from mptree.pricing import risk_neutral_prob
@@ -23,6 +22,20 @@ from mptree.special import normal_cdf
 
 def mp(gamma=0.05, delta=0.05, g=0.5, v=0.0, sigma=0.2):
     return ModelParams(gamma=gamma, delta=delta, g=g, v=v, sigma=sigma)
+
+
+def reference_lognormal_cdf(x, s0, b, sigma, t):
+    """The lognormal CDF at one float x, with math.log and math.erfc."""
+    ratio = x / s0
+    if not ratio > 0.0:
+        return 0.0
+    z = (math.log(ratio) - (b - sigma * sigma / 2.0) * t) / (sigma * math.sqrt(t))
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def per_point(f):
+    """An array-valued F that calls the scalar f once per point."""
+    return lambda x: np.array([f(v) for v in x.tolist()], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +110,15 @@ def test_terminal_risk_neutral_measure():
 def test_terminal_rejects_a_nan_spot():
     with pytest.raises(DomainError, match="spot must be positive, got nan"):
         terminal_distribution(float("nan"), mp(), 2, 0.01)
+
+
+@pytest.mark.parametrize("s0, message", [
+    (math.inf, "spot must be finite, got inf"),
+    (1e308, "top node s0*u^n overflows: ln(s0) = 709.19"),
+], ids=["infinite-spot", "overflowing-top-node"])
+def test_terminal_rejects_a_node_that_is_not_finite(s0, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        terminal_distribution(s0, mp(), 10, 0.1)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -218,12 +240,23 @@ def test_lognormal_array_evaluation_equals_one_call_per_point():
     # x <= 0, x/s0 underflowing to 0, and x = inf take the edge branches.
     s0, b, sigma, t = 1e300, 0.05, 0.3, 0.7
     x = np.array([-INF, -1.0, 0.0, 1e-30, 1e299, 1e300, 3e300, INF])
-    limit = _LognormalCdf(s0, b, sigma, t)
     expected = [lognormal_cdf(float(v), s0, b, sigma, t) for v in x]
-    assert limit.on(x).tolist() == expected
+    assert lognormal_cdf(x, s0, b, sigma, t).tolist() == expected
     assert expected[:4] == [0.0] * 4 and expected[-1] == 1.0
     with pytest.raises(DomainError, match="argument must not be NaN"):
-        limit.on(np.array([1.0, NAN]))
+        lognormal_cdf(np.array([1.0, NAN]), s0, b, sigma, t)
+
+
+@settings(deadline=None, max_examples=200)
+@given(s0=st.floats(1e-300, 1e300), b=st.floats(-1.0, 1.0), sigma=st.floats(1e-3, 3.0),
+       t=st.floats(1e-3, 30.0),
+       x=st.lists(st.one_of(st.floats(-1e308, 1e308), st.just(0.0), st.just(INF),
+                            st.just(-INF)), max_size=40))
+def test_lognormal_on_arrays_equals_the_per_point_reference(s0, b, sigma, t, x):
+    expected = [reference_lognormal_cdf(v, s0, b, sigma, t) for v in x]
+    values = lognormal_cdf(np.array(x, dtype=float), s0, b, sigma, t)
+    assert values.shape == (len(x),) and values.tolist() == expected
+    assert [lognormal_cdf(v, s0, b, sigma, t) for v in x] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -232,21 +265,21 @@ def test_lognormal_array_evaluation_equals_one_call_per_point():
 
 def full_scan(empirical, continuous):
     """Reference: both one-sided gaps at every support point."""
-    f_vals = np.array([continuous(float(x)) for x in empirical.support])
+    f_vals = continuous(empirical.support)
     right = np.abs(empirical.cum - f_vals)
     left = np.abs(np.concatenate(([0.0], empirical.cum[:-1])) - f_vals)
     return float(max(right.max(), left.max()))
 
 
 class CountingCdf:
-    """A continuous CDF that records every point it is evaluated at."""
+    """An array-valued CDF that records every point it is evaluated at."""
 
     def __init__(self, fn):
         self.fn = fn
         self.points = []
 
     def __call__(self, x):
-        self.points.append(x)
+        self.points.extend(x.tolist())
         return self.fn(x)
 
 
@@ -269,11 +302,11 @@ def test_kolmogorov_matches_dense_grid_scan():
     lo, hi = cdf.support[0] * 0.5, cdf.support[-1] * 1.5
     grid = np.concatenate([np.linspace(lo, hi, 1_000_000),
                            cdf.support, cdf.support - 1e-9])
-    f_cont = np.array([continuous(float(x)) for x in cdf.support])
+    f_cont = continuous(cdf.support)
     scan = 0.0
     step_vals = np.concatenate(([0.0], cdf.cum))
     idx = np.searchsorted(cdf.support, grid, side="right")
-    f_grid_cont = np.array([continuous(float(x)) for x in grid])
+    f_grid_cont = continuous(grid)
     scan = np.max(np.abs(step_vals[idx] - f_grid_cont))
     assert kolmogorov_distance(cdf, continuous) == pytest.approx(scan, abs=1e-9)
     assert f_cont.shape == cdf.support.shape
@@ -299,7 +332,7 @@ def test_kolmogorov_invariant_under_monotone_rescaling():
     z_support = (np.log(cdf.support / s0) - (b - params.sigma ** 2 / 2) * t) \
         / (params.sigma * math.sqrt(t))
     z_cdf = DiscreteCdf(support=z_support, cum=cdf.cum)
-    d_z = kolmogorov_distance(z_cdf, normal_cdf)
+    d_z = kolmogorov_distance(z_cdf, per_point(normal_cdf))
     assert d_z == pytest.approx(d_price, abs=1e-13)
 
 
@@ -326,7 +359,7 @@ def test_kolmogorov_falls_back_when_a_tail_bound_fails(level):
     # F = 0 leaves a gap of 1 at the right end, F = 1 one at the left end;
     # the body (cum = 0.5) alone sees 0.5 and 1 - 1e-8.
     cdf = DiscreteCdf(support=[1.0, 2.0, 3.0, 4.0], cum=[1e-8, 0.5, 1.0 - 1e-8, 1.0])
-    continuous = CountingCdf(lambda x: level)
+    continuous = CountingCdf(lambda x: np.full(x.shape, level))
     assert kolmogorov_distance(cdf, continuous) == full_scan(cdf, continuous) == 1.0
     assert set(cdf.support) <= set(continuous.points)
 
@@ -346,14 +379,29 @@ def test_kolmogorov_evaluates_f_on_the_body_only():
 def test_kolmogorov_rejects_f_values_that_are_not_probabilities(level):
     cdf = DiscreteCdf(support=[1.0, 2.0, 3.0], cum=[0.25, 0.5, 1.0])
     with pytest.raises(DomainError, match=re.escape("must lie in [0, 1], got")):
-        kolmogorov_distance(cdf, lambda x: level)
+        kolmogorov_distance(cdf, lambda x: np.full(x.shape, level))
+
+
+@pytest.mark.parametrize("continuous", [
+    lambda x: 0.5,
+    lambda x: np.float64(0.5),
+    lambda x: [0.5] * x.size,
+    lambda x: np.full(x.size + 1, 0.5),
+    lambda x: np.full((x.size, 1), 0.5),
+], ids=["float", "numpy-scalar", "list", "one-too-many", "column"])
+def test_kolmogorov_rejects_f_that_does_not_return_an_array_of_the_points_shape(
+        continuous):
+    # F is first called on the body, the two points whose cum is below 1.
+    cdf = DiscreteCdf(support=[1.0, 2.0, 3.0], cum=[0.25, 0.5, 1.0])
+    with pytest.raises(DomainError, match=re.escape("must return an array of shape (2,)")):
+        kolmogorov_distance(cdf, continuous)
 
 
 def test_kolmogorov_rejects_a_bad_f_value_in_the_full_scan():
     # The body alone is fine, but the bound at the right end fails, so the
     # tail point at 4.0, where F is NaN, is scanned too.
     cdf = DiscreteCdf(support=[1.0, 2.0, 3.0, 4.0], cum=[1e-8, 0.5, 1.0 - 1e-8, 1.0])
-    continuous = lambda x: NAN if x == 4.0 else 0.0
+    continuous = lambda x: np.where(x == 4.0, NAN, 0.0)
     with pytest.raises(DomainError, match=re.escape("must lie in [0, 1], got nan")):
         kolmogorov_distance(cdf, continuous)
 
@@ -433,13 +481,13 @@ def test_rate_experiment_csv_round_trip():
 def test_rate_experiment_distances_equal_the_scalar_lognormal_scan(sigma, g, v, gamma,
                                                                    delta, t, ns):
     # rate_experiment evaluates the lognormal on whole slices of the
-    # support; a public caller's scalar F must give the same bits.
+    # support; the per-point reference must give the same bits.
     ns = sorted(ns)
     t = min(t, ns[0] / 16.0)  # dt <= 1/16 keeps the exact factors' d below u
     params = ModelParams(gamma=gamma, delta=delta, g=g, v=v, sigma=sigma)
     experiment = rate_experiment(params, t, ns)
     for point in experiment.points:
         cdf = terminal_distribution(1.0, params, point.n, t / point.n)
-        scalar = kolmogorov_distance(
-            cdf, lambda x: lognormal_cdf(x, 1.0, params.mean_drift, sigma, t))
+        scalar = kolmogorov_distance(cdf, per_point(
+            lambda x: reference_lognormal_cdf(x, 1.0, params.mean_drift, sigma, t)))
         assert point.distance == scalar

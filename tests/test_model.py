@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -87,6 +88,20 @@ def test_validate_rejects_nonpositive_dt(dt):
         validate_params(mp(), dt)
     with pytest.raises(DomainError, match="time step must be positive"):
         step_moment(mp(), dt, 2)
+
+
+@pytest.mark.parametrize("gamma, delta, name", [
+    (1e300, 0.05, "log u = 1e+299"),
+    (0.05, 1e300, "log d = 1e+299"),
+], ids=["up", "down"])
+def test_exact_factors_reject_an_exponent_too_large_for_exp(gamma, delta, name):
+    with pytest.raises(DomainError, match=re.escape(f"{name} is too large for exp")):
+        step_factors_exact(mp(gamma=gamma, delta=delta), 0.1)
+
+
+def test_exact_factors_accept_a_large_finite_exponent():
+    factors = step_factors_exact(mp(gamma=700.0, delta=0.0), 1.0)
+    assert math.isfinite(factors.u) and factors.u > math.exp(700.0)
 
 
 @pytest.mark.parametrize("u, d, p, message", [

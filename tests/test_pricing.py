@@ -243,6 +243,25 @@ def test_lattice_recombines():
         assert np.all(np.diff(values) > 0.0)
 
 
+@pytest.mark.parametrize("s0, sigma, n, message", [
+    (math.inf, 0.2, 10, "spot must be finite, got inf"),
+    (1e308, 0.2, 10, "top node s0*u^n overflows: ln(s0) = 709.19"),
+    # s0*u^n would be about exp(260), but u^n alone overflows first.
+    (1e-300, 10.0, 10_000, "top node s0*u^n overflows: ln(s0) = -690.77"),
+], ids=["infinite-spot", "overflowing-top-node", "overflowing-growth"])
+def test_lattice_rejects_a_node_that_is_not_finite(s0, sigma, n, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        Lattice.build(s0, jarrow_rudd_params(0.05, sigma), n, 1.0 / n, 0.05)
+
+
+def test_lattice_accepts_a_large_spot_when_no_node_rises_above_it():
+    # With sigma = 10 and dt = 0.1, ln u = (0.05 - 50)*0.1 + 10*sqrt(0.1) < 0.
+    params = jarrow_rudd_params(0.05, 10.0)
+    lattice = Lattice.build(1e308, params, 10, 0.1, 0.05)
+    assert lattice.factors.u < 1.0
+    assert math.isfinite(price_european(lattice, params, Payoff.call(100.0)))
+
+
 def test_lattice_validation():
     f = step_factors_asymptotic(mp(), DAILY)
     with pytest.raises(DomainError):
