@@ -7,15 +7,29 @@ n = days to maturity):
   tree parameters come from the classical-reduction constructors.
 * ``mpbin1`` - free (sigma, g) with gamma = delta = r and v = 0, so the
   up probability is g itself.
-* ``mpbin2`` - free (sigma, g, p_dt, gamma) with v = (p_dt - g)/sqrt(dt)
-  and delta = (r - g*gamma)/(1 - g), which pins the physical mean drift
-  at r.
+* ``mpbin2`` - free (sigma, g, gamma) with v = 0 and
+  delta = (r - g*gamma)/(1 - g): the trees whose mean drift under the up
+  probability g is r.
+
+The slope v is visible only across step sizes, as in
+:func:`~mptree.convergence.rate_experiment` where dt = t/n; it is never
+visible in a calibration at one dt. There a lattice's prices depend on
+(u, d, Q) alone, three numbers, so a fourth free coordinate would only
+move the reported parameters along a curve of equal prices. Measured on
+random trees with v != 0 and delta = (r - g*gamma)/(1 - g), at the daily
+dt with sigma in [0.05, 1] and r in [0, 0.08]: all 400 drawn with g and
+p(dt) in [0.3, 0.7] and gamma in [0.01, 0.5] have a v = 0 twin in mpbin2,
+with the same (log u, log d, Q) to 1.1e-16. With g and p(dt) in
+[0.02, 0.98] and gamma in [-0.9, 4], every one of 1,500 has a twin, but
+167 of those twins have a gamma outside ``GAMMA_BOUNDS``.
 
 Each family is one entry of a private table: the names of its free
 parameters, ``build(x, r, dt)`` mapping them to the tree parameters, and
-optionally ``embed(params, dt)`` mapping a poorer optimum into them. A
-parameter's box and transform follow from its name, so a new family is
-one entry; :data:`MODELS` is the table's order.
+whether it is nested. A nested family starts from every poorer optimum
+mapped to (sigma, p(dt), gamma) and cut to its own length, its free
+vector being a prefix of that one. A parameter's box and transform follow
+from its name, so a new family is one entry; :data:`MODELS` is the
+table's order.
 
 The objective is the sum of squared price differences (SSE); reported
 fit quality is AAE, APE, ARPE and RMSE. Each family's search ranks its
@@ -162,48 +176,46 @@ class CalibrationResult:
     converged: bool
 
 
-def _embed_mpbin1(params: ModelParams, dt: float) -> tuple[float, ...]:
-    # At a fixed dt every classical family has gamma = delta = r, so folding
-    # v into the probability (g' = g + v*sqrt(dt)) reproduces its tree.
-    # calibrate clips every start into the box.
-    return (params.sigma, params.g + params.v * math.sqrt(dt))
-
-
-def _embed_mpbin2(params: ModelParams, dt: float) -> tuple[float, ...]:
-    # g = p_dt makes v = 0 and gamma = r makes delta = r.
-    sigma, p = _embed_mpbin1(params, dt)
-    return (sigma, p, p, params.gamma)
+def _seed(params: ModelParams, dt: float) -> tuple[float, float, float]:
+    # Every poorer family has gamma = delta = r, so at a fixed dt folding v
+    # into the probability (p = g + v*sqrt(dt)) reproduces its tree in
+    # mpbin1 and mpbin2. calibrate clips every start into the box.
+    return (params.sigma, params.g + params.v * math.sqrt(dt), params.gamma)
 
 
 def _build_mpbin2(x: Sequence[float], r: float, dt: float) -> ModelParams:
-    sigma, g, p_dt, gamma = x
-    return ModelParams(gamma=gamma, delta=(r - g * gamma) / (1.0 - g), g=g,
-                       v=(p_dt - g) / math.sqrt(dt), sigma=sigma)
+    sigma, g, gamma = x
+    # delta divides by 1 - g, so g = 1 from the command line must not reach it.
+    if not 0.0 < g < 1.0:
+        raise DomainError(
+            f"base up probability g must lie strictly inside (0, 1), got {g}")
+    return ModelParams(gamma=gamma, delta=(r - g * gamma) / (1.0 - g), g=g, v=0.0,
+                       sigma=sigma)
 
 
 @dataclass(frozen=True)
 class _Family:
     params: tuple[str, ...]
     build: Callable[[Sequence[float], float, float], ModelParams]
-    embed: Callable[[ModelParams, float], tuple[float, ...]] | None = None
+    nested: bool = False
 
 
-# In nesting order: each family with an ``embed`` is seeded from the optima
-# of every family before it.
+# In nesting order: each nested family is seeded from the optima of every
+# family before it.
 _FAMILIES = {
     "crr": _Family(("sigma",), lambda x, r, dt: crr_params(r, x[0])),
     "jr": _Family(("sigma",), lambda x, r, dt: jarrow_rudd_params(r, x[0])),
     "tian": _Family(("sigma",), lambda x, r, dt: tian_params(r, x[0])),
     "mpbin1": _Family(("sigma", "g"), lambda x, r, dt: ModelParams(
-        gamma=r, delta=r, g=x[1], v=0.0, sigma=x[0]), _embed_mpbin1),
-    "mpbin2": _Family(("sigma", "g", "p_dt", "gamma"), _build_mpbin2, _embed_mpbin2),
+        gamma=r, delta=r, g=x[1], v=0.0, sigma=x[0]), nested=True),
+    "mpbin2": _Family(("sigma", "g", "gamma"), _build_mpbin2, nested=True),
 }
 
 MODELS = tuple(_FAMILIES)
 
 # Box and optimizer transform of each free parameter.
 _PARAMETER_BOXES = {"sigma": (SIGMA_BOUNDS, "log"), "g": (PROB_BOUNDS, "logit"),
-                    "p_dt": (PROB_BOUNDS, "logit"), "gamma": (GAMMA_BOUNDS, "logit")}
+                    "gamma": (GAMMA_BOUNDS, "logit")}
 
 
 def _family(model: str) -> _Family:
@@ -321,7 +333,7 @@ def _default_start(model: str, sigma0: float, r: float,
     sigma0 = min(max(sigma0, SIGMA_BOUNDS[0] * 2), SIGMA_BOUNDS[1] / 2)
 
     def start(sigma: float) -> tuple[float, ...]:
-        neutral = {"sigma": sigma, "g": 0.5, "p_dt": 0.5, "gamma": r}
+        neutral = {"sigma": sigma, "g": 0.5, "gamma": r}
         return tuple(neutral[name] for name in family.params)
 
     # Keep the start admissible: the CRR slope diverges as sigma -> 0.
@@ -436,13 +448,14 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
     if "mpbin2" in models and not GAMMA_BOUNDS[0] < r < GAMMA_BOUNDS[1]:
         raise DomainError(f"mpbin2 embeds poorer optima at gamma = r, so the "
                           f"rate must lie inside {GAMMA_BOUNDS}, got {r}")
-    last_nested = max((MODELS.index(m) for m in models if _FAMILIES[m].embed), default=-1)
+    last_nested = max((MODELS.index(m) for m in models if _FAMILIES[m].nested), default=-1)
     sigma0 = implied_atm_sigma(quotes, s0, r, cfg.dt)
     results: list[CalibrationResult] = []
     for i, model in enumerate(MODELS):
         if i < last_nested or model in models:
-            embed = _FAMILIES[model].embed
-            seeds = [embed(res.params, cfg.dt) for res in results] if embed else []
+            family = _FAMILIES[model]
+            seeds = ([_seed(res.params, cfg.dt)[:len(family.params)] for res in results]
+                     if family.nested else [])
             starts = [_default_start(model, sigma0, r, cfg.dt), *seeds]
             results.append(_fit(model, starts, quotes, s0, r, cfg))
     return [res for res in results if res.model in models]

@@ -24,9 +24,9 @@ def _fmt(value: float, full: bool) -> str:
     return repr(float(value)) if full else format(float(value), ".6g")
 
 
-# "mp" sets the five tree parameters directly; every other --model is a
-# calibration family whose free parameters come from the flags of the same
-# name.
+# "mp" sets the five tree parameters directly, reading an absent --v as 0;
+# every other --model is a calibration family whose free parameters come from
+# the flags of the same name. A tree flag the model does not read is an error.
 _TREE_PARAMETERS = ("gamma", "delta", "g", "v", "sigma")
 
 
@@ -42,13 +42,19 @@ def _parse_list(text: str, flag: str, convert: type) -> list:
 def _model_params_from_args(args: argparse.Namespace, dt: float) -> model.ModelParams:
     direct = args.model == "mp"
     names = _TREE_PARAMETERS if direct else calibration.free_parameter_names(args.model)
-    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    unread = [f"--{name}" for name in _TREE_PARAMETERS
+              if name not in names and getattr(args, name) is not None]
+    if unread:
+        raise DomainError(f"model {args.model} does not read {', '.join(unread)}")
+    values = {name: getattr(args, name) for name in names}
+    if direct and values["v"] is None:
+        values["v"] = 0.0
+    missing = [f"--{name}" for name, value in values.items() if value is None]
     if missing:
         raise DomainError(f"model {args.model} requires {', '.join(missing)}")
-    values = [getattr(args, name) for name in names]
     if direct:
-        return model.ModelParams(**dict(zip(names, values)))
-    return calibration.build_params(args.model, values, args.r, dt)
+        return model.ModelParams(**values)
+    return calibration.build_params(args.model, list(values.values()), args.r, dt)
 
 
 def _cmd_price(args: argparse.Namespace) -> int:
@@ -188,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_price = sub.add_parser("price", help="price a European call on the lattice")
-    p_price.add_argument("--model", choices=("crr", "jr", "tian", "mpbin1", "mp"),
-                         required=True)
+    p_price.add_argument("--model", choices=(*calibration.MODELS, "mp"), required=True)
     p_price.add_argument("--s0", type=float, required=True)
     p_price.add_argument("--strike", type=float, required=True)
     p_price.add_argument("--r", type=float, required=True)
@@ -199,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_price.add_argument("--gamma", type=float, default=None)
     p_price.add_argument("--delta", type=float, default=None)
     p_price.add_argument("--g", type=float, default=None)
-    p_price.add_argument("--v", type=float, default=0.0)
+    p_price.add_argument("--v", type=float, default=None)
     p_price.add_argument("--factors", choices=("exact", "asymptotic"),
                          default="exact")
     p_price.set_defaults(func=_cmd_price)

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mptree import calibration
@@ -17,7 +17,8 @@ from mptree.calibration import (MODELS, CalibrationConfig, OptionQuote,
 from mptree.calibration import free_parameter_names
 from mptree.errors import ArbitrageError, DomainError
 from mptree.optimize import least_squares, minimize
-from mptree.model import crr_params, jarrow_rudd_params, validate_params
+from mptree.model import (ModelParams, crr_params, jarrow_rudd_params,
+                          validate_params)
 from mptree.pricing import (Lattice, Payoff, black_scholes_call,
                             price_european, risk_neutral_prob)
 
@@ -27,12 +28,29 @@ STRIKES = [85.0, 92.5, 100.0, 107.5, 115.0]
 DAYS = [21, 42]
 
 
-def synthetic_chain(model, x):
+def four_coordinate_tree(sigma, g, p_dt, gamma, r):
+    """The tree with up probability p_dt at one day and mean drift r under g.
+
+    Where p_dt != g its slope v is not 0, so it lies outside mpbin2 as
+    parameterized, though at the daily dt it has a v = 0 twin there.
+    """
+    return ModelParams(gamma=gamma, delta=(r - g * gamma) / (1.0 - g), g=g,
+                       v=(p_dt - g) / math.sqrt(DAILY), sigma=sigma)
+
+
+def priced_chain(model, params):
     protos = [OptionQuote(k, d, 1.0) for d in DAYS for k in STRIKES]
-    params = build_params(model, x, RATE, DAILY)
     prices = model_prices(model, params, protos, S0, RATE)
     return [OptionQuote(q.strike, q.days_to_maturity, p)
             for q, p in zip(protos, prices)]
+
+
+def synthetic_chain(model, x):
+    return priced_chain(model, build_params(model, x, RATE, DAILY))
+
+
+# A chain whose generating tree has v != 0 and gamma != delta.
+SLOPED_CHAIN = priced_chain("mpbin2", four_coordinate_tree(0.21, 0.45, 0.52, 0.09, RATE))
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +195,24 @@ def test_model_prices_input_guards():
 
 
 def test_build_params_mpbin2_derived_quantities():
-    sigma, g, p_dt, gamma = 0.21, 0.45, 0.52, 0.09
-    params = build_params("mpbin2", (sigma, g, p_dt, gamma), RATE, DAILY)
-    assert params.v == pytest.approx((p_dt - g) / math.sqrt(DAILY), rel=1e-14)
+    sigma, g, gamma = 0.21, 0.45, 0.09
+    params = build_params("mpbin2", (sigma, g, gamma), RATE, DAILY)
+    assert (params.sigma, params.g, params.v, params.gamma) == (sigma, g, 0.0, gamma)
     assert params.delta == pytest.approx((RATE - g * gamma) / (1 - g), rel=1e-14)
-    # the construction pins the physical mean drift at r
+    # the construction pins the mean drift under the up probability g at r
     assert params.mean_drift == pytest.approx(RATE, rel=1e-12)
+
+
+@pytest.mark.parametrize("g", [1.0, 0.0, float("nan")])
+def test_build_params_mpbin2_rejects_g_outside_the_unit_interval(g):
+    with pytest.raises(DomainError, match="g must lie strictly inside"):
+        build_params("mpbin2", (0.21, g, 0.09), RATE, DAILY)
 
 
 def test_free_parameter_spec_shapes():
     assert len(free_parameter_spec("crr")[0]) == 1
     assert len(free_parameter_spec("mpbin1")[0]) == 2
-    assert len(free_parameter_spec("mpbin2")[0]) == 4
+    assert len(free_parameter_spec("mpbin2")[0]) == 3
     with pytest.raises(DomainError):
         free_parameter_spec("black-scholes")
 
@@ -276,9 +300,8 @@ def test_black_scholes_chain_recovers_sigma_with_crr():
 
 
 def test_calibrate_respects_bounds():
-    chain = synthetic_chain("mpbin2", (0.21, 0.45, 0.52, 0.09))
     for model in MODELS:
-        result = calibrate(model, chain, S0, RATE)
+        result = calibrate(model, SLOPED_CHAIN, S0, RATE)
         p = result.params
         assert 1e-4 <= p.sigma <= 5.0
         assert 1e-4 <= p.g <= 1 - 1e-4
@@ -439,11 +462,18 @@ def test_suite_inverts_the_atm_sigma_once(monkeypatch):
 def test_calibrate_is_the_suite_result_of_one_model():
     # A nested family requested alone or in a subset is still fit after
     # every family before it, from all their optima.
-    chain = synthetic_chain("mpbin2", (0.21, 0.45, 0.52, 0.09))
-    suite = calibrate_suite(MODELS, chain, S0, RATE)
+    suite = calibrate_suite(MODELS, SLOPED_CHAIN, S0, RATE)
     for model, expected in zip(MODELS, suite):
-        assert calibrate(model, chain, S0, RATE) == expected
-    assert calibrate_suite(["jr", "mpbin1"], chain, S0, RATE) == [suite[1], suite[3]]
+        assert calibrate(model, SLOPED_CHAIN, S0, RATE) == expected
+    assert calibrate_suite(["jr", "mpbin1"], SLOPED_CHAIN, S0, RATE) == [suite[1], suite[3]]
+
+
+def test_mpbin2_fits_a_chain_of_nonzero_slope_with_v_zero():
+    # At one dt the prices see (u, d, Q) only, and the generating tree has
+    # a v = 0 twin in mpbin2.
+    result = calibrate("mpbin2", SLOPED_CHAIN, S0, RATE)
+    assert result.metrics.rmse < 1e-10
+    assert result.params.v == 0.0
 
 
 def test_standalone_mpbin2_fits_a_chain_of_its_nested_family():
@@ -481,24 +511,34 @@ def test_richer_family_reprices_an_embedded_poorer_tree(sigma, g):
         x = (sigma, g)[:len(free_parameter_spec(poorer)[0])]
         params = build_params(poorer, x, RATE, DAILY)
         family = calibration._FAMILIES[richer]
-        embedded = family.build(family.embed(params, DAILY), RATE, DAILY)
+        seed = calibration._seed(params, DAILY)[:len(family.params)]
+        embedded = family.build(seed, RATE, DAILY)
         assert model_prices(richer, embedded, EMBED_CHAIN, S0, RATE) == pytest.approx(
             model_prices(poorer, params, EMBED_CHAIN, S0, RATE), rel=1e-12), (poorer, richer)
 
 
-FREE_PARAMETER_RANGES = {"sigma": (0.05, 1.0), "g": (0.3, 0.7), "p_dt": (0.3, 0.7),
-                         "gamma": (0.01, 0.5)}
+FREE_PARAMETER_RANGES = {"sigma": (0.05, 1.0), "g": (0.3, 0.7), "gamma": (0.01, 0.5)}
 MATURITIES = [1, 5, 21, 42, 63, 126]
 
 
 @st.composite
 def family_params(draw, min_rate=0.0):
-    """(model, rate, params) for any family, free parameters inside their ranges."""
+    """(model, rate, params) for any family, free parameters inside their ranges.
+
+    An mpbin2 draw also takes a one-day up probability p_dt != g in the
+    range of g, and gamma != r, so that its tree has v != 0 and
+    gamma != delta.
+    """
     model = draw(st.sampled_from(MODELS))
     x = [draw(st.floats(*FREE_PARAMETER_RANGES[name]))
          for name in free_parameter_names(model)]
     r = draw(st.floats(min_rate, 0.08))
-    return model, r, build_params(model, x, r, DAILY)
+    if model != "mpbin2":
+        return model, r, build_params(model, x, r, DAILY)
+    sigma, g, gamma = x
+    assume(gamma != r)
+    p_dt = draw(st.floats(*FREE_PARAMETER_RANGES["g"]).filter(lambda p: p != g))
+    return model, r, four_coordinate_tree(sigma, g, p_dt, gamma, r)
 
 
 SHORT_RUN = CalibrationConfig(restarts=0, tolerance=1e-8)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from mptree.calibration import OptionQuote, model_prices
+from mptree import calibration
+from mptree.calibration import OptionQuote, build_params, model_prices
 from mptree.calibration import CalibrationConfig, calibrate_suite, calibration_report_csv
-from mptree.cli import main
+from mptree.cli import build_parser, main
 from mptree.market_io import ChainFile, write_chain
 from mptree.market_io import load_chain
 from mptree.model import jarrow_rudd_params
@@ -43,6 +44,8 @@ PRICE_MODELS = [
     ("jr", [], jarrow_rudd_params(0.03, 0.25)),
     ("tian", [], tian_params(0.03, 0.25)),
     ("mpbin1", ["--g", "0.45"], ModelParams(0.03, 0.03, 0.45, 0.0, 0.25)),
+    ("mpbin2", ["--g", "0.45", "--gamma", "0.08"],
+     build_params("mpbin2", (0.25, 0.45, 0.08), 0.03, 0.5 / 60)),
     ("mp", ["--gamma", "0.08", "--delta", "0.01", "--g", "0.48", "--v", "0.1"],
      ModelParams(0.08, 0.01, 0.48, 0.1, 0.25)),
 ]
@@ -89,11 +92,63 @@ def test_a_negative_or_nan_strike_exits_1(capsys, argv):
     assert captured.err.startswith("error: strike must be finite and >= 0, got ")
 
 
-@pytest.mark.parametrize("name", ["heston", "mpbin2"])
+def test_price_mp_reads_an_absent_v_as_zero(capsys):
+    extra = ["--gamma", "0.08", "--delta", "0.01", "--g", "0.48"]
+    assert main(["--full-precision", "price", "--model", "mp"] + PRICE_ARGS + extra) == 0
+    params = ModelParams(0.08, 0.01, 0.48, 0.0, 0.25)
+    value = price_european(Lattice.build(100.0, params, 60, 0.5 / 60, 0.03), params,
+                           Payoff.call(95.0))
+    assert capsys.readouterr().out == repr(value) + "\n"
+
+
+UNREAD_FLAGS = [
+    ("crr", ["--g", "0.9"], "--g"),
+    ("crr", ["--gamma", "0.08"], "--gamma"),
+    ("jr", ["--delta", "0.01"], "--delta"),
+    ("tian", ["--v", "0.1"], "--v"),
+    ("crr", ["--v", "0"], "--v"),
+    ("mpbin1", ["--g", "0.45", "--v", "5"], "--v"),
+    ("mpbin1", ["--g", "0.45", "--gamma", "0.08"], "--gamma"),
+    ("mpbin2", ["--g", "0.45", "--gamma", "0.08", "--delta", "0.01"], "--delta"),
+    ("mpbin2", ["--g", "0.45", "--gamma", "0.08", "--v", "0.1"], "--v"),
+]
+
+
+@pytest.mark.parametrize("name,extra,flag", UNREAD_FLAGS,
+                         ids=[f"{name}{flag}" for name, _, flag in UNREAD_FLAGS])
+def test_price_rejects_a_tree_flag_the_model_does_not_read(capsys, name, extra, flag):
+    assert main(["price", "--model", name] + PRICE_ARGS + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: model {name} does not read {flag}\n"
+
+
+def test_price_mpbin2_at_g_one_exits_1(capsys):
+    extra = ["--g", "1", "--gamma", "0.08"]
+    assert main(["price", "--model", "mpbin2"] + PRICE_ARGS + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: base up probability g must lie strictly "
+                            "inside (0, 1), got 1.0\n")
+
+
+@pytest.mark.parametrize("name", ["heston"])
 def test_price_unknown_model_is_a_usage_error(capsys, name):
     with pytest.raises(SystemExit) as exc:
         main(["price", "--model", name] + PRICE_ARGS)
     assert exc.value.code == 2
+
+
+def test_price_flags_cover_every_calibration_family():
+    # Every family of the registry prices from flags named after its free
+    # parameters, so the CLI cannot drift from the family table.
+    sub = next(a for a in build_parser()._actions if a.choices and "price" in a.choices)
+    price = sub.choices["price"]
+    flags = {opt for action in price._actions for opt in action.option_strings}
+    model = next(a for a in price._actions if "--model" in a.option_strings)
+    assert tuple(model.choices) == (*calibration.MODELS, "mp")
+    for name in calibration.MODELS:
+        assert {f"--{p}" for p in calibration.free_parameter_names(name)} <= flags, name
 
 
 # ---------------------------------------------------------------------------
