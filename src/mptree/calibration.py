@@ -24,10 +24,8 @@ with the same (log u, log d, Q) to 1.1e-16. With g and p(dt) in
 167 of those twins have a gamma outside ``GAMMA_BOUNDS``.
 
 Each family is one entry of a private table: the names of its free
-parameters, ``build(x, r, dt)`` mapping them to the tree parameters, and
-whether it is nested. A nested family starts from every poorer optimum
-mapped to (sigma, p(dt), gamma) and cut to its own length, its free
-vector being a prefix of that one. A parameter's box and transform follow
+parameters, ``build(x, r)`` mapping them to the tree parameters, and
+whether it is nested. A parameter's box and transform follow
 from its name, so a new family is one entry; :data:`MODELS` is the
 table's order.
 
@@ -38,13 +36,19 @@ polishes that result by Levenberg-Marquardt on the price residuals; the
 polish reaches an exact fit to rounding where the family contains the
 chain's tree, which Nelder-Mead alone stops short of.
 
+Every fit starts from one rule. A bisection first finds the CRR sigma of
+the most at-the-money quote (:func:`implied_atm_sigma`), and crr, jr and
+tian start from that sigma. Every classical family is, at a fixed dt, an
+exact slice of mpbin1 (gamma = delta = r with v folded into the
+probability) and mpbin1 an exact slice of mpbin2 (gamma = r). So a
+nested family (mpbin1, mpbin2) starts only from the optima of every
+family before it, each mapped to (sigma, p(dt), gamma) and cut to the
+nested family's length, its free vector being a prefix of that one;
+this makes the optimal errors nest monotonically.
+
 :func:`calibrate_suite` is the one fit loop, and :func:`calibrate` is its
-result for one model. Families are fit in :data:`MODELS` order. Every
-classical family is, at a fixed dt, an exact slice of mpbin1 (gamma =
-delta = r with v folded into the probability) and mpbin1 an exact slice
-of mpbin2 (gamma = r), so a requested nested family (mpbin1, mpbin2) is
-fit after every family before it and starts from all their optima as
-well, which makes the optimal errors nest monotonically. Without a
+result for one model. Families are fit in :data:`MODELS` order, and a
+requested nested family is fit after every family before it. Without a
 nested family only the requested families are fit.
 """
 
@@ -183,7 +187,7 @@ def _seed(params: ModelParams, dt: float) -> tuple[float, float, float]:
     return (params.sigma, params.g + params.v * math.sqrt(dt), params.gamma)
 
 
-def _build_mpbin2(x: Sequence[float], r: float, dt: float) -> ModelParams:
+def _build_mpbin2(x: Sequence[float], r: float) -> ModelParams:
     sigma, g, gamma = x
     # delta divides by 1 - g, so g = 1 from the command line must not reach it.
     if not 0.0 < g < 1.0:
@@ -196,17 +200,17 @@ def _build_mpbin2(x: Sequence[float], r: float, dt: float) -> ModelParams:
 @dataclass(frozen=True)
 class _Family:
     params: tuple[str, ...]
-    build: Callable[[Sequence[float], float, float], ModelParams]
+    build: Callable[[Sequence[float], float], ModelParams]
     nested: bool = False
 
 
 # In nesting order: each nested family is seeded from the optima of every
 # family before it.
 _FAMILIES = {
-    "crr": _Family(("sigma",), lambda x, r, dt: crr_params(r, x[0])),
-    "jr": _Family(("sigma",), lambda x, r, dt: jarrow_rudd_params(r, x[0])),
-    "tian": _Family(("sigma",), lambda x, r, dt: tian_params(r, x[0])),
-    "mpbin1": _Family(("sigma", "g"), lambda x, r, dt: ModelParams(
+    "crr": _Family(("sigma",), lambda x, r: crr_params(r, x[0])),
+    "jr": _Family(("sigma",), lambda x, r: jarrow_rudd_params(r, x[0])),
+    "tian": _Family(("sigma",), lambda x, r: tian_params(r, x[0])),
+    "mpbin1": _Family(("sigma", "g"), lambda x, r: ModelParams(
         gamma=r, delta=r, g=x[1], v=0.0, sigma=x[0]), nested=True),
     "mpbin2": _Family(("sigma", "g", "gamma"), _build_mpbin2, nested=True),
 }
@@ -229,10 +233,9 @@ def free_parameter_names(model: str) -> tuple[str, ...]:
     return _family(model).params
 
 
-def build_params(model: str, x: Sequence[float], r: float,
-                 dt: float) -> ModelParams:
+def build_params(model: str, x: Sequence[float], r: float) -> ModelParams:
     """Map a free-parameter vector to the full five-tuple for ``model``."""
-    return _family(model).build(x, r, dt)
+    return _family(model).build(x, r)
 
 
 def free_parameter_spec(model: str) -> tuple[tuple[tuple[float, float], ...],
@@ -284,66 +287,73 @@ def model_prices(model: str, params: ModelParams, quotes: Sequence[OptionQuote],
     return prices.tolist()
 
 
+def _residuals(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
+               dt: float) -> Callable[[Sequence[float]], np.ndarray]:
+    """Model minus market prices of ``quotes`` as a function of the free
+    vector of ``model``; NaN wherever the pricing raises."""
+    market = np.array([q.market_price for q in quotes])
+
+    def residuals(x: Sequence[float]) -> np.ndarray:
+        try:
+            prices = model_prices(model, build_params(model, x, r), quotes, s0, r, dt)
+        except (DomainError, ArbitrageError):
+            return np.full(market.size, np.nan)
+        return np.asarray(prices) - market
+    return residuals
+
+
+def _chain_order(quote: OptionQuote) -> tuple[int, float, float]:
+    return (quote.days_to_maturity, quote.strike, quote.market_price)
+
+
 def implied_atm_sigma(quotes: Sequence[OptionQuote], s0: float, r: float,
                       dt: float = 1.0 / TRADING_DAYS_PER_YEAR) -> float:
-    """Bisect the CRR model's sigma through the most at-the-money quote.
+    """The CRR sigma that prices the most at-the-money quote.
 
-    Tiny sigma makes the CRR probability slope blow up, so the lower
-    bracket edge is walked inward to the first admissible sigma. Falls
-    back to 0.2 if the quote price cannot be bracketed.
+    The quote is the one nearest ``s0``, ties broken by the chain order of
+    :func:`calibrate_suite` (maturity, strike, price), so the input order
+    does not matter. Its CRR sigma is bisected between the lowest
+    admissible sigma of ``_default_start`` and the top of the sigma box,
+    down to adjacent floats, which reprices the quote to rounding whenever
+    the prices at those two ends fall on both sides of it, even where the
+    price is flat in sigma over part of the range. Otherwise
+    ``_default_start("crr", 0.2, r, dt)`` is returned, which is 0.2
+    wherever that tree is valid. The price rises with sigma except where
+    every node at maturity is in the money: there it falls slightly, by
+    the martingale residual of the hedge probability, so a quote on that
+    plateau can have a repricing sigma that the two ends do not bracket.
     """
-    quote = min(quotes, key=lambda q: abs(q.strike - s0))
-    lo, hi = SIGMA_BOUNDS[0] * 1.01, SIGMA_BOUNDS[1] * 0.99
-
-    def priced(sig: float) -> float | None:
-        try:
-            return model_prices("crr", crr_params(r, sig), [quote], s0, r, dt)[0]
-        except (DomainError, ArbitrageError):
-            return None
-
-    p_lo = priced(lo)
-    while p_lo is None and lo < hi:
-        lo *= 2.0
-        p_lo = priced(lo)
-    p_hi = priced(hi)
-    if p_lo is None or p_hi is None:
-        return 0.2
-    f_lo = p_lo - quote.market_price
-    f_hi = p_hi - quote.market_price
-    if f_lo * f_hi > 0.0:
-        return 0.2
-    for _ in range(80):
+    quote = min(sorted(quotes, key=_chain_order), key=lambda q: abs(q.strike - s0))
+    residual = _residuals("crr", [quote], s0, r, dt)
+    lo, hi = _default_start("crr", SIGMA_BOUNDS[0], r, dt)[0], SIGMA_BOUNDS[1]
+    if not residual((lo,))[0] <= 0.0 <= residual((hi,))[0]:
+        return _default_start("crr", 0.2, r, dt)[0]
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:  # until lo and hi are adjacent floats
+        lo, hi = (mid, hi) if residual((mid,))[0] < 0.0 else (lo, mid)
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            # lo and hi are adjacent floats: no later step moves the result.
-            break
-        p_mid = priced(mid)
-        f_mid = (p_mid - quote.market_price) if p_mid is not None else math.inf
-        if f_lo * f_mid <= 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
-def _default_start(model: str, sigma0: float, r: float,
-                   dt: float) -> tuple[float, ...]:
-    """``sigma0`` with neutral probabilities and gamma = r, made admissible."""
+def _default_start(model: str, sigma0: float, r: float, dt: float) -> tuple[float]:
+    """``(sigma0,)`` for a one-parameter family, made admissible.
+
+    sigma0 is clipped into the sigma box and walked up by factors of 1.5
+    until ``model``'s tree is valid, since the CRR slope diverges as
+    sigma -> 0. This is the only sigma walk: the at-the-money inversion
+    takes from it the low end of its bracket and its answer for a quote
+    that no sigma reprices, and crr, jr and tian start from it at that
+    inversion's sigma. Nested families start from poorer optima only.
+    """
     family = _FAMILIES[model]
     sigma0 = min(max(sigma0, SIGMA_BOUNDS[0] * 2), SIGMA_BOUNDS[1] / 2)
-
-    def start(sigma: float) -> tuple[float, ...]:
-        neutral = {"sigma": sigma, "g": 0.5, "gamma": r}
-        return tuple(neutral[name] for name in family.params)
-
-    # Keep the start admissible: the CRR slope diverges as sigma -> 0.
     while sigma0 < SIGMA_BOUNDS[1] / 2:
         try:
-            validate_params(family.build(start(sigma0), r, dt), dt)
+            validate_params(family.build((sigma0,), r), dt)
             break
         except DomainError:
             sigma0 *= 1.5
-    return start(sigma0)
+    return (sigma0,)
 
 
 def _inside(value: float, bounds: tuple[float, float]) -> float:
@@ -372,15 +382,7 @@ def _fit(model: str, starts: Sequence[Sequence[float]],
     flag, never raised.
     """
     bounds, transforms = free_parameter_spec(model)
-    market = np.array([q.market_price for q in quotes])
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        try:
-            prices = model_prices(model, build_params(model, x, r, cfg.dt),
-                                  quotes, s0, r, cfg.dt)
-        except (DomainError, ArbitrageError):
-            return np.full(market.size, np.nan)
-        return np.asarray(prices) - market
+    residuals = _residuals(model, quotes, s0, r, cfg.dt)
 
     def objective(x: np.ndarray) -> float:
         diff = residuals(x)
@@ -398,9 +400,9 @@ def _fit(model: str, starts: Sequence[Sequence[float]],
         converged = polished.converged
         if polished.value < best.value:
             best = polished
-    params = build_params(model, best.x, r, cfg.dt)
+    params = build_params(model, best.x, r)
     metrics = error_metrics(model_prices(model, params, quotes, s0, r, cfg.dt),
-                            market)
+                            [q.market_price for q in quotes])
     return CalibrationResult(model=model, params=params, metrics=metrics,
                              objective_evaluations=evaluations,
                              converged=converged)
@@ -423,13 +425,15 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
                     ) -> list[CalibrationResult]:
     """Calibrate several models, seeding richer ones from poorer optima.
 
-    Families are fit in :data:`MODELS` order, each from an at-the-money
+    The quotes are sorted once by (maturity, strike, price), so the
+    result does not depend on their order. Families are fit in
+    :data:`MODELS` order. crr, jr and tian start from an at-the-money
     sigma inversion made once per chain. If a nested family (mpbin1,
     mpbin2) is requested, every family before it is fit too, and the
-    nested family starts from all their optima as well, which enforces
-    the nesting of optimal errors numerically. Without a nested family
-    only the requested families are fit. The result holds the requested
-    models only, in :data:`MODELS` order.
+    nested family starts from all their optima, which enforces the
+    nesting of optimal errors numerically. Without a nested family only
+    the requested families are fit. The result holds the requested models
+    only, in :data:`MODELS` order.
 
     Raises
     ------
@@ -448,15 +452,15 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
     if "mpbin2" in models and not GAMMA_BOUNDS[0] < r < GAMMA_BOUNDS[1]:
         raise DomainError(f"mpbin2 embeds poorer optima at gamma = r, so the "
                           f"rate must lie inside {GAMMA_BOUNDS}, got {r}")
+    quotes = sorted(quotes, key=_chain_order)
     last_nested = max((MODELS.index(m) for m in models if _FAMILIES[m].nested), default=-1)
     sigma0 = implied_atm_sigma(quotes, s0, r, cfg.dt)
     results: list[CalibrationResult] = []
     for i, model in enumerate(MODELS):
         if i < last_nested or model in models:
             family = _FAMILIES[model]
-            seeds = ([_seed(res.params, cfg.dt)[:len(family.params)] for res in results]
-                     if family.nested else [])
-            starts = [_default_start(model, sigma0, r, cfg.dt), *seeds]
+            starts = ([_seed(res.params, cfg.dt)[:len(family.params)] for res in results]
+                      if family.nested else [_default_start(model, sigma0, r, cfg.dt)])
             results.append(_fit(model, starts, quotes, s0, r, cfg))
     return [res for res in results if res.model in models]
 

@@ -39,7 +39,7 @@ def _parse_list(text: str, flag: str, convert: type) -> list:
                           f"{convert.__name__} values, got {text!r}") from None
 
 
-def _model_params_from_args(args: argparse.Namespace, dt: float) -> model.ModelParams:
+def _model_params_from_args(args: argparse.Namespace) -> model.ModelParams:
     direct = args.model == "mp"
     names = _TREE_PARAMETERS if direct else calibration.free_parameter_names(args.model)
     unread = [f"--{name}" for name in _TREE_PARAMETERS
@@ -54,14 +54,14 @@ def _model_params_from_args(args: argparse.Namespace, dt: float) -> model.ModelP
         raise DomainError(f"model {args.model} requires {', '.join(missing)}")
     if direct:
         return model.ModelParams(**values)
-    return calibration.build_params(args.model, list(values.values()), args.r, dt)
+    return calibration.build_params(args.model, list(values.values()), args.r)
 
 
 def _cmd_price(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise DomainError(f"step count must be >= 1, got {args.n}")
     dt = args.T / args.n
-    params = _model_params_from_args(args, dt)
+    params = _model_params_from_args(args)
     lattice = pricing.Lattice.build(args.s0, params, args.n, dt, args.r,
                                     method=args.factors)
     value = pricing.price_european(lattice, params, pricing.Payoff.call(args.strike))

@@ -46,7 +46,7 @@ def priced_chain(model, params):
 
 
 def synthetic_chain(model, x):
-    return priced_chain(model, build_params(model, x, RATE, DAILY))
+    return priced_chain(model, build_params(model, x, RATE))
 
 
 # A chain whose generating tree has v != 0 and gamma != delta.
@@ -156,13 +156,13 @@ def test_model_prices_one_step_matches_hand_induction():
 
 def test_model_prices_monotone_in_strike():
     quotes = [OptionQuote(k, 42, 1.0) for k in STRIKES]
-    prices = model_prices("crr", build_params("crr", (0.25,), RATE, DAILY),
+    prices = model_prices("crr", build_params("crr", (0.25,), RATE),
                           quotes, S0, RATE)
     assert all(a >= b for a, b in zip(prices, prices[1:]))
 
 
 def test_model_prices_grouping_matches_individual_pricing():
-    params = build_params("mpbin1", (0.3, 0.45), RATE, DAILY)
+    params = build_params("mpbin1", (0.3, 0.45), RATE)
     quotes = [OptionQuote(k, d, 1.0) for d in (7, 21, 42) for k in STRIKES]
     grouped = model_prices("mpbin1", params, quotes, S0, RATE)
     single = [model_prices("mpbin1", params, [q], S0, RATE)[0] for q in quotes]
@@ -170,7 +170,7 @@ def test_model_prices_grouping_matches_individual_pricing():
 
 
 def test_model_prices_equals_price_european():
-    params = build_params("mpbin1", (0.22, 0.55), RATE, DAILY)
+    params = build_params("mpbin1", (0.22, 0.55), RATE)
     quote = OptionQuote(strike=101.0, days_to_maturity=35, market_price=1.0)
     batch = model_prices("mpbin1", params, [quote], S0, RATE)[0]
     lattice = Lattice.build(S0, params, n=35, dt=DAILY, rate=RATE)
@@ -196,7 +196,7 @@ def test_model_prices_input_guards():
 
 def test_build_params_mpbin2_derived_quantities():
     sigma, g, gamma = 0.21, 0.45, 0.09
-    params = build_params("mpbin2", (sigma, g, gamma), RATE, DAILY)
+    params = build_params("mpbin2", (sigma, g, gamma), RATE)
     assert (params.sigma, params.g, params.v, params.gamma) == (sigma, g, 0.0, gamma)
     assert params.delta == pytest.approx((RATE - g * gamma) / (1 - g), rel=1e-14)
     # the construction pins the mean drift under the up probability g at r
@@ -206,7 +206,7 @@ def test_build_params_mpbin2_derived_quantities():
 @pytest.mark.parametrize("g", [1.0, 0.0, float("nan")])
 def test_build_params_mpbin2_rejects_g_outside_the_unit_interval(g):
     with pytest.raises(DomainError, match="g must lie strictly inside"):
-        build_params("mpbin2", (0.21, g, 0.09), RATE, DAILY)
+        build_params("mpbin2", (0.21, g, 0.09), RATE)
 
 
 def test_free_parameter_spec_shapes():
@@ -217,10 +217,25 @@ def test_free_parameter_spec_shapes():
         free_parameter_spec("black-scholes")
 
 
-def test_implied_atm_sigma_falls_back_to_0_2_when_no_bracket_prices():
+def test_implied_atm_sigma_returns_the_start_when_no_tree_prices():
     # At r = 100 the CRR up probability of a daily step exceeds 1 for every
-    # sigma in the bracket, so neither end of it prices.
-    assert implied_atm_sigma([OptionQuote(100.0, 21, 1.0)], 100.0, 100.0) == 0.2
+    # sigma in the box, so no tree prices the quote.
+    start = calibration._default_start("crr", 0.2, 100.0, DAILY)[0]
+    assert implied_atm_sigma([OptionQuote(100.0, 21, 1.0)], 100.0, 100.0) == start
+
+
+@pytest.mark.parametrize("strike, days, r, price", [(110.0, 1, RATE, 0.5),
+                                                     (97.22, 55, 0.053, 34.93)])
+def test_implied_atm_sigma_reprices_a_quote_far_from_0_2(strike, days, r, price):
+    # At sigma 0.2 the first quote's one-step tree has no node above the
+    # strike, so its price is 0 and flat in sigma there; the second needs
+    # a sigma near 1.9, where the price is nearly flat in sigma.
+    assert S0 * math.exp(0.2 * math.sqrt(DAILY)) < 110.0
+    quote = OptionQuote(strike, days, price)
+    found = implied_atm_sigma([quote], S0, r)
+    assert found > 1.0
+    assert model_prices("crr", crr_params(r, found), [quote], S0, r)[0] == pytest.approx(
+        price, abs=1e-10 * S0)
 
 
 def test_implied_atm_sigma_recovers_generator_vol():
@@ -228,50 +243,39 @@ def test_implied_atm_sigma_recovers_generator_vol():
     assert implied_atm_sigma(chain, S0, RATE) == pytest.approx(0.2, abs=2e-3)
 
 
-def bisect_80_steps(quotes, s0, r):
-    """implied_atm_sigma with its bisection run a fixed 80 steps."""
-    quote = min(quotes, key=lambda q: abs(q.strike - s0))
-    lo, hi = calibration.SIGMA_BOUNDS[0] * 1.01, calibration.SIGMA_BOUNDS[1] * 0.99
-
-    def priced(sig):
-        try:
-            return model_prices("crr", crr_params(r, sig), [quote], s0, r)[0]
-        except (DomainError, ArbitrageError):
-            return None
-
-    p_lo = priced(lo)
-    while p_lo is None and lo < hi:
-        lo *= 2.0
-        p_lo = priced(lo)
-    p_hi = priced(hi)
-    if p_lo is None or p_hi is None:
-        return 0.2
-    f_lo, f_hi = p_lo - quote.market_price, p_hi - quote.market_price
-    if f_lo * f_hi > 0.0:
-        return 0.2
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        p_mid = priced(mid)
-        f_mid = (p_mid - quote.market_price) if p_mid is not None else math.inf
-        if f_lo * f_mid <= 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=100)
 @given(sigma=st.floats(0.02, 1.5), r=st.floats(-0.02, 0.08),
        days=st.integers(1, 60), moneyness=st.floats(0.8, 1.2),
        noise=st.floats(-0.3, 0.3))
-def test_implied_atm_sigma_equals_a_fixed_80_step_bisection(sigma, r, days,
-                                                             moneyness, noise):
-    # The bisection stops once its bracket holds no float between its ends;
-    # no later step could have moved the result.
-    quote = OptionQuote(moneyness * S0, days, 1.0)
-    price = model_prices("crr", crr_params(r, sigma), [quote], S0, r)[0]
-    chain = [OptionQuote(quote.strike, days, max(price * (1.0 + noise), 1e-3))]
-    assert implied_atm_sigma(chain, S0, r) == bisect_80_steps(chain, S0, r)
+def test_implied_atm_sigma_reprices_the_quote_when_the_range_brackets_it(
+        sigma, r, days, moneyness, noise):
+    # When the prices at the ends of the range fall on both sides of the
+    # market price, some sigma between them reprices the quote, and the
+    # inversion finds one to rounding; otherwise it returns the start of
+    # the fits, which is 0.2 made admissible.
+    proto = OptionQuote(moneyness * S0, days, 1.0)
+    price = model_prices("crr", crr_params(r, sigma), [proto], S0, r)[0]
+    quote = OptionQuote(proto.strike, days, max(price * (1.0 + noise), 1e-3))
+
+    def miss(sig):
+        return model_prices("crr", crr_params(r, sig), [quote], S0, r)[0] - quote.market_price
+
+    lo = calibration._default_start("crr", calibration.SIGMA_BOUNDS[0], r, DAILY)[0]
+    found = implied_atm_sigma([quote], S0, r)
+    if miss(lo) <= 0.0 <= miss(calibration.SIGMA_BOUNDS[1]):
+        assert abs(miss(found)) <= 1e-10 * S0
+    else:
+        assert found == calibration._default_start("crr", 0.2, r, DAILY)[0]
+
+
+def test_implied_atm_sigma_ignores_the_order_of_the_quotes():
+    # 92.5 and 107.5 are equally near the money: the shorter maturity, then
+    # the lower strike, is the at-the-money quote whatever the input order.
+    chain = [q for q in synthetic_chain("mpbin1", (0.25, 0.47)) if q.strike != 100.0]
+    expected = implied_atm_sigma([q for q in chain if q.strike == 92.5 and
+                                  q.days_to_maturity == 21], S0, RATE)
+    for quotes in (chain, chain[::-1], random.Random(3).sample(chain, len(chain))):
+        assert implied_atm_sigma(quotes, S0, RATE) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +390,7 @@ def test_default_start_walks_sigma_up_to_an_admissible_tree():
         validate_params(crr_params(3.5, 0.2), DAILY)
     start = calibration._default_start("crr", 0.2, 3.5, DAILY)
     assert start == (0.2 * 1.5,)
-    validate_params(build_params("crr", start, 3.5, DAILY), DAILY)
+    validate_params(build_params("crr", start, 3.5), DAILY)
 
 
 def test_calibrate_requires_quotes():
@@ -468,6 +472,15 @@ def test_calibrate_is_the_suite_result_of_one_model():
     assert calibrate_suite(["jr", "mpbin1"], SLOPED_CHAIN, S0, RATE) == [suite[1], suite[3]]
 
 
+def test_suite_results_do_not_depend_on_the_order_of_the_quotes():
+    # The suite sorts the quotes once, so the at-the-money quote and the
+    # order of the SSE's sum are the same for any permutation.
+    expected = calibrate_suite(MODELS, SLOPED_CHAIN, S0, RATE)
+    for quotes in (SLOPED_CHAIN[::-1],
+                   random.Random(7).sample(SLOPED_CHAIN, len(SLOPED_CHAIN))):
+        assert calibrate_suite(MODELS, quotes, S0, RATE) == expected
+
+
 def test_mpbin2_fits_a_chain_of_nonzero_slope_with_v_zero():
     # At one dt the prices see (u, d, Q) only, and the generating tree has
     # a v = 0 twin in mpbin2.
@@ -509,10 +522,10 @@ NESTING = [(poorer, "mpbin1") for poorer in ("crr", "jr", "tian")] + \
 def test_richer_family_reprices_an_embedded_poorer_tree(sigma, g):
     for poorer, richer in NESTING:
         x = (sigma, g)[:len(free_parameter_spec(poorer)[0])]
-        params = build_params(poorer, x, RATE, DAILY)
+        params = build_params(poorer, x, RATE)
         family = calibration._FAMILIES[richer]
         seed = calibration._seed(params, DAILY)[:len(family.params)]
-        embedded = family.build(seed, RATE, DAILY)
+        embedded = family.build(seed, RATE)
         assert model_prices(richer, embedded, EMBED_CHAIN, S0, RATE) == pytest.approx(
             model_prices(poorer, params, EMBED_CHAIN, S0, RATE), rel=1e-12), (poorer, richer)
 
@@ -534,7 +547,7 @@ def family_params(draw, min_rate=0.0):
          for name in free_parameter_names(model)]
     r = draw(st.floats(min_rate, 0.08))
     if model != "mpbin2":
-        return model, r, build_params(model, x, r, DAILY)
+        return model, r, build_params(model, x, r)
     sigma, g, gamma = x
     assume(gamma != r)
     p_dt = draw(st.floats(*FREE_PARAMETER_RANGES["g"]).filter(lambda p: p != g))

@@ -45,7 +45,7 @@ PRICE_MODELS = [
     ("tian", [], tian_params(0.03, 0.25)),
     ("mpbin1", ["--g", "0.45"], ModelParams(0.03, 0.03, 0.45, 0.0, 0.25)),
     ("mpbin2", ["--g", "0.45", "--gamma", "0.08"],
-     build_params("mpbin2", (0.25, 0.45, 0.08), 0.03, 0.5 / 60)),
+     build_params("mpbin2", (0.25, 0.45, 0.08), 0.03)),
     ("mp", ["--gamma", "0.08", "--delta", "0.01", "--g", "0.48", "--v", "0.1"],
      ModelParams(0.08, 0.01, 0.48, 0.1, 0.25)),
 ]

@@ -444,6 +444,26 @@ def test_rate_experiment_cross_p_proportionality():
     assert ns  # documents the fixed large n used above
 
 
+# Shevtsova (2011): sup |F_n - Phi| <= 0.4748 * E|X - p|^3 / (s^3 sqrt(n))
+# for n i.i.d. steps; for a Bernoulli(p) step that ratio is rate_constant(p).
+BERRY_ESSEEN_CONSTANT = 0.4748
+BERRY_ESSEEN_NS = [64, 256, 1024, 4096]
+
+
+@settings(deadline=None, max_examples=30)
+@given(g=st.floats(0.05, 0.95), v=st.floats(-0.3, 0.3), b=st.floats(-0.05, 0.1),
+       sigma=st.floats(0.1, 0.5))
+def test_rate_experiment_stays_within_the_berry_esseen_bound(g, v, b, sigma):
+    # With v != 0 the up probability p = g + v*sqrt(t/n) moves with n, so
+    # each n is scaled by its own rate constant.
+    t = 1.0
+    experiment = rate_experiment(mp(gamma=b, delta=b, g=g, v=v, sigma=sigma), t,
+                                 BERRY_ESSEEN_NS)
+    for point in experiment.points:
+        p = g + v * math.sqrt(t / point.n)
+        assert point.scaled / rate_constant(p) <= BERRY_ESSEEN_CONSTANT, point
+
+
 def test_rate_experiment_validates_input():
     with pytest.raises(DomainError):
         rate_experiment(mp(), 1.0, [64])

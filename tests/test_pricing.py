@@ -356,6 +356,60 @@ def test_discontinuity_rejects_bad_probability():
         discontinuity_report(100.0, 0.0, 0.2, 1.0, Payoff.call(100.0), 1.5)
 
 
+def hedge_one_step_call(s0, strike, r, sigma, t, p):
+    """The paper's resolution: one asymptotic step priced under the hedge Q.
+
+    With gamma = delta = r and v = 0 the hedge Q equals p, which moves
+    with p, where the replication q of discontinuity_report does not.
+    """
+    params = mp(gamma=r, delta=r, g=p, v=0.0, sigma=sigma)
+    lattice = Lattice.build(s0, params, n=1, dt=t, rate=r, method="asymptotic")
+    return lattice, price_european(lattice, params, Payoff.call(strike))
+
+
+@pytest.mark.parametrize("p", [10.0 ** -k for k in range(2, 13)])
+def test_hedge_price_tends_to_the_single_branch_value_as_p_goes_to_0(p):
+    # s0*d >= K here, so both branches pay and the price is the discounted
+    # forward less the strike, whatever p; the report's gap at 0 remains.
+    lattice, price = hedge_one_step_call(100.0, 100.0, 0.05, 0.2, 1.0, p)
+    assert lattice.s0 * lattice.factors.d >= 100.0
+    assert price == pytest.approx(4.756147122503571, rel=1e-12)
+    assert price == pytest.approx(math.exp(-0.05) * (100.0 * 1.05 - 100.0), rel=1e-12)
+    assert discontinuity_report(100.0, 0.05, 0.2, 1.0, Payoff.call(100.0),
+                                p).gap_at_0 != 0.0
+
+
+@settings(deadline=None, max_examples=100)
+@given(s0=st.floats(50.0, 150.0), r=st.floats(0.0, 0.1), sigma=st.floats(0.1, 0.5),
+       t=st.floats(0.25, 2.0), p=st.floats(1e-12, 0.5), moneyness=st.floats(0.5, 1.0))
+def test_hedge_price_is_the_single_branch_value_whenever_s0_d_reaches_the_strike(
+        s0, r, sigma, t, p, moneyness):
+    lattice, _ = hedge_one_step_call(s0, 100.0, r, sigma, t, p)
+    strike = moneyness * s0 * lattice.factors.d
+    _, price = hedge_one_step_call(s0, strike, r, sigma, t, p)
+    assert price == pytest.approx(math.exp(-r * t) * (s0 * (1.0 + r * t) - strike),
+                                  rel=1e-12, abs=1e-12 * s0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(s0=st.floats(50.0, 150.0), strike=st.floats(50.0, 150.0), r=st.floats(0.0, 0.1),
+       sigma=st.floats(0.1, 0.5), t=st.floats(0.25, 2.0), p=st.floats(1e-12, 0.5),
+       step=st.floats(-1e-6, 1e-6))
+def test_hedge_price_is_continuous_in_p_on_the_valid_range(s0, strike, r, sigma, t, p,
+                                                           step):
+    # On p <= 1/2 with sigma*sqrt(t) <= 0.71 the asymptotic d stays positive.
+    # p*u and (1 - p)*d are affine in p and sqrt(p(1 - p)), which is
+    # 1/2-Hoelder with constant 1, so each branch moves by at most
+    # (s0(1 + rt) + K)|dp| + s0*sigma*sqrt(t*|dp|).
+    other = min(max(p + step, 1e-12), 0.5)
+    moved = abs(other - p)
+    _, price = hedge_one_step_call(s0, strike, r, sigma, t, p)
+    _, near = hedge_one_step_call(s0, strike, r, sigma, t, other)
+    bound = 2.0 * ((s0 * (1.0 + r * t) + strike) * moved
+                   + s0 * sigma * math.sqrt(t * moved))
+    assert abs(near - price) <= bound + 1e-12 * s0
+
+
 # ---------------------------------------------------------------------------
 # Black-Scholes reference
 # ---------------------------------------------------------------------------

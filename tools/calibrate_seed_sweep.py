@@ -1,0 +1,65 @@
+"""Run the benchmark's calibrate job and its check over a range of seeds.
+
+Each seed generates the benchmark's calibrate chains
+(``mptree_bench.inputs.make_jobs``); each chain is fit by
+``mptree_bench.workloads.run_calibrate`` and checked by
+``check_calibrate``, exactly as a benchmark pass does. A change to how
+fits start or search can fail that check on one seed in many, so a
+single benchmark run does not show it.
+
+usage: python tools/calibrate_seed_sweep.py FIRST LAST
+
+Seeds FIRST..LAST are run, both included. Every failing seed and chain is
+printed with the check's message, then one line with the number of
+chains, failures and objective evaluations. The exit code is 1 if any
+check failed, 2 for a bad argument.
+"""
+
+from __future__ import annotations
+
+import sys
+import tempfile
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(_ROOT / "src"), str(_ROOT)]
+
+from mptree_bench import inputs, workloads  # noqa: E402
+
+_USAGE = "usage: python tools/calibrate_seed_sweep.py FIRST LAST"
+
+
+def sweep(first: int, last: int) -> tuple[list[str], int, int]:
+    """(failure lines, chains, objective evaluations) over seeds first..last."""
+    failures: list[str] = []
+    chains = evaluations = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in range(first, last + 1):
+            for job in inputs.make_jobs("calibrate", seed, Path(tmp) / str(seed)):
+                out = workloads.run_calibrate(job)
+                chains += 1
+                evaluations += sum(r.objective_evaluations for r in out[1])
+                failures += [f"seed {seed} {job.shape}: {problem}"
+                             for problem in workloads.check_calibrate(job, out)]
+    return failures, chains, evaluations
+
+
+def main(argv: list[str]) -> int:
+    try:
+        first, last = (int(arg) for arg in argv)
+    except ValueError:
+        print(_USAGE, file=sys.stderr)
+        return 2
+    if last < first:
+        print(_USAGE, file=sys.stderr)
+        return 2
+    failures, chains, evaluations = sweep(first, last)
+    for line in failures:
+        print(line)
+    print(f"seeds {first}-{last}: {chains} chains, {len(failures)} failures, "
+          f"{evaluations} evaluations")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
