@@ -30,21 +30,24 @@ from its name, so a new family is one entry; :data:`MODELS` is the
 table's order.
 
 The objective is the sum of squared price differences (SSE); reported
-fit quality is AAE, APE, ARPE and RMSE. Each family's search ranks its
-starts by SSE, runs one restarted Nelder-Mead from the best of them and
-polishes that result by Levenberg-Marquardt on the price residuals; the
-polish reaches an exact fit to rounding where the family contains the
-chain's tree, which Nelder-Mead alone stops short of.
+fit quality is AAE, APE, ARPE and RMSE. Each fit has one start and one
+search: a restarted Nelder-Mead from the start, then a
+Levenberg-Marquardt polish on the price residuals. The polish reaches an
+exact fit to rounding where the family contains the chain's tree, which
+Nelder-Mead alone stops short of. The restarts matter in one coordinate
+too: at short maturities the SSE is kinked in sigma, with local minima
+a few percent of sigma apart, and a single run can stop in the poorer.
 
-Every fit starts from one rule. A bisection first finds the CRR sigma of
+Every start follows one rule. A bisection first finds the CRR sigma of
 the most at-the-money quote (:func:`implied_atm_sigma`), and crr, jr and
 tian start from that sigma. Every classical family is, at a fixed dt, an
 exact slice of mpbin1 (gamma = delta = r with v folded into the
 probability) and mpbin1 an exact slice of mpbin2 (gamma = r). So a
-nested family (mpbin1, mpbin2) starts only from the optima of every
-family before it, each mapped to (sigma, p(dt), gamma) and cut to the
-nested family's length, its free vector being a prefix of that one;
-this makes the optimal errors nest monotonically.
+nested family (mpbin1, mpbin2) starts from the best optimum (lowest
+RMSE) of the families before it, mapped to (sigma, p(dt), gamma) and cut
+to the nested family's length, its free vector being a prefix of that
+one. The start reprices that tree and no phase accepts a worse point,
+so the optimal errors nest monotonically.
 
 :func:`calibrate_suite` is the one fit loop, and :func:`calibrate` is its
 result for one model. Families are fit in :data:`MODELS` order, and a
@@ -204,8 +207,8 @@ class _Family:
     nested: bool = False
 
 
-# In nesting order: each nested family is seeded from the optima of every
-# family before it.
+# In nesting order: each nested family is seeded from the best optimum of
+# the families before it.
 _FAMILIES = {
     "crr": _Family(("sigma",), lambda x, r: crr_params(r, x[0])),
     "jr": _Family(("sigma",), lambda x, r: jarrow_rudd_params(r, x[0])),
@@ -263,11 +266,8 @@ def model_prices(model: str, params: ModelParams, quotes: Sequence[OptionQuote],
     _family(model)  # rejects an unknown model
     if len(quotes) == 0:
         raise DomainError("quote list must be non-empty")
-    try:
-        factors = step_factors_exact(params, dt)
-        q = risk_neutral_prob(params, r, dt)
-    except (DomainError, ArbitrageError) as exc:
-        raise type(exc)(f"{exc} (while pricing quote 0)") from exc
+    factors = step_factors_exact(params, dt)
+    q = risk_neutral_prob(params, r, dt)
     by_maturity: dict[int, list[int]] = {}
     for idx, quote in enumerate(quotes):
         by_maturity.setdefault(quote.days_to_maturity, []).append(idx)
@@ -343,7 +343,7 @@ def _default_start(model: str, sigma0: float, r: float, dt: float) -> tuple[floa
     sigma -> 0. This is the only sigma walk: the at-the-money inversion
     takes from it the low end of its bracket and its answer for a quote
     that no sigma reprices, and crr, jr and tian start from it at that
-    inversion's sigma. Nested families start from poorer optima only.
+    inversion's sigma. Nested families start from the best poorer optimum.
     """
     family = _FAMILIES[model]
     sigma0 = min(max(sigma0, SIGMA_BOUNDS[0] * 2), SIGMA_BOUNDS[1] / 2)
@@ -366,20 +366,20 @@ def _inside(value: float, bounds: tuple[float, float]) -> float:
 _PENALTY = 1e15
 
 
-def _fit(model: str, starts: Sequence[Sequence[float]],
+def _fit(model: str, start: Sequence[float],
          quotes: Sequence[OptionQuote], s0: float, r: float,
          cfg: CalibrationConfig) -> CalibrationResult:
     """Fit ``model`` to the chain by least squares on prices.
 
-    ``starts`` (free-parameter vectors of this model) are clipped into the
-    box and ranked by one objective evaluation each; a restarted
-    Nelder-Mead with the optimizer settings of ``cfg`` runs from the best,
-    and a Levenberg-Marquardt polish on the price residuals follows, whose
-    point is kept only if it lowers the SSE. ``objective_evaluations``
-    counts all three phases. ``converged`` is the polish's flag: False if
-    its iteration cap stopped it, or if the search never left the region
-    where the pricing raises. Non-convergence is reported through the
-    flag, never raised.
+    ``start`` (a free-parameter vector of this model) is clipped into the
+    box; a restarted Nelder-Mead with the optimizer settings of ``cfg``
+    runs from it, and a Levenberg-Marquardt polish on the price residuals
+    follows, whose point is kept only if it lowers the SSE.
+    ``objective_evaluations`` counts both phases. ``converged`` is the
+    polish's flag: False if its iteration cap stopped it or its box
+    transform saturated, or if the search never left the region where
+    the pricing raises. Non-convergence is reported through the flag,
+    never raised.
     """
     bounds, transforms = free_parameter_spec(model)
     residuals = _residuals(model, quotes, s0, r, cfg.dt)
@@ -389,10 +389,9 @@ def _fit(model: str, starts: Sequence[Sequence[float]],
         sse = float(np.dot(diff, diff))
         return sse if math.isfinite(sse) else _PENALTY
 
-    start = min((tuple(_inside(float(value), box) for value, box in zip(x, bounds))
-                 for x in starts), key=objective)
+    start = [_inside(float(value), box) for value, box in zip(start, bounds)]
     best = minimize(objective, bounds, start, transforms, cfg)
-    evaluations = len(starts) + best.evaluations
+    evaluations = best.evaluations
     converged = False
     if best.value < _PENALTY:
         polished = least_squares(residuals, bounds, best.x, transforms, cfg)
@@ -413,8 +412,8 @@ def calibrate(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
     """Fit ``model`` to the chain: ``calibrate_suite([model], ...)[0]``.
 
     A nested family (mpbin1, mpbin2) is therefore fit after every family
-    before it in :data:`MODELS` and starts from their optima as well, so
-    its result equals the suite's.
+    before it in :data:`MODELS` and starts from the best of their optima
+    as well, so its result equals the suite's.
     """
     return calibrate_suite([model], quotes, s0, r, config)[0]
 
@@ -427,20 +426,22 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
 
     The quotes are sorted once by (maturity, strike, price), so the
     result does not depend on their order. Families are fit in
-    :data:`MODELS` order. crr, jr and tian start from an at-the-money
-    sigma inversion made once per chain. If a nested family (mpbin1,
-    mpbin2) is requested, every family before it is fit too, and the
-    nested family starts from all their optima, which enforces the
-    nesting of optimal errors numerically. Without a nested family only
-    the requested families are fit. The result holds the requested models
-    only, in :data:`MODELS` order.
+    :data:`MODELS` order, each by one search from one start. crr, jr and
+    tian start from an at-the-money sigma inversion made once per chain.
+    If a nested family (mpbin1, mpbin2) is requested, every family before
+    it is fit too, and the nested family starts from the optimum of lowest
+    RMSE among them, which enforces the nesting of optimal errors
+    numerically. Without a nested family only the requested families are
+    fit. The result holds the requested models only, in :data:`MODELS`
+    order.
 
     Raises
     ------
     DomainError
-        For an empty or unknown model list, an empty quote list, or mpbin2
-        at a rate outside ``GAMMA_BOUNDS``: it embeds a poorer optimum at
-        gamma = r.
+        For an empty or unknown model list, an empty quote list, a quote
+        priced above ``s0`` (no call is worth more than the stock), or
+        mpbin2 at a rate outside ``GAMMA_BOUNDS``: it embeds a poorer
+        optimum at gamma = r.
     """
     cfg = config or CalibrationConfig()
     if len(models) == 0:
@@ -449,6 +450,9 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
         _family(model)  # rejects an unknown model
     if len(quotes) == 0:
         raise DomainError("quote list must be non-empty")
+    above = next((quote for quote in quotes if quote.market_price > s0), None)
+    if above is not None:
+        raise DomainError(f"no call is worth more than the spot {s0!r}: {above}")
     if "mpbin2" in models and not GAMMA_BOUNDS[0] < r < GAMMA_BOUNDS[1]:
         raise DomainError(f"mpbin2 embeds poorer optima at gamma = r, so the "
                           f"rate must lie inside {GAMMA_BOUNDS}, got {r}")
@@ -459,9 +463,10 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
     for i, model in enumerate(MODELS):
         if i < last_nested or model in models:
             family = _FAMILIES[model]
-            starts = ([_seed(res.params, cfg.dt)[:len(family.params)] for res in results]
-                      if family.nested else [_default_start(model, sigma0, r, cfg.dt)])
-            results.append(_fit(model, starts, quotes, s0, r, cfg))
+            best = min(results, key=lambda res: res.metrics.rmse, default=None)
+            start = (_seed(best.params, cfg.dt)[:len(family.params)] if family.nested
+                     else _default_start(model, sigma0, r, cfg.dt))
+            results.append(_fit(model, start, quotes, s0, r, cfg))
     return [res for res in results if res.model in models]
 
 

@@ -9,7 +9,9 @@ coordinates and share one check of the start, box and transforms.
 :func:`minimize` is the standard reflect/expand/contract/shrink
 Nelder-Mead scheme for any scalar objective; restarts re-seed the
 simplex around the best point found so far using a seeded generator, so
-results are bit-identical across runs with the same inputs.
+results are bit-identical across runs with the same inputs. They run in
+one coordinate too: there a simplex cannot collapse, but on a kinked
+objective a single run can stop in the poorer of two local minima.
 
 :func:`least_squares` is Levenberg-Marquardt (Levenberg 1944; Marquardt
 1963) for an objective that is a sum of squared residuals. It takes
@@ -189,7 +191,7 @@ def minimize(objective: Callable[[np.ndarray], float],
             simplex = _initial_simplex(
                 best_y + rng.normal(0.0, 0.1 * spread, size=dims), spread)
             simplex[0] = best_y.copy()
-        y_run, f_run, hit_tol = _nelder_mead(f, simplex, tol, cfg.max_iterations)
+        y_run, f_run, hit_tol = _nelder_mead(f, simplex, best_f, tol, cfg.max_iterations)
         if f_run < best_f:
             best_y, best_f = y_run, f_run
             converged = hit_tol
@@ -215,10 +217,13 @@ def least_squares(residuals: Callable[[np.ndarray], np.ndarray],
     never worse than the start. Of ``config`` only ``tolerance`` is read.
 
     ``converged`` is True when the search stops because the SSE falls
-    below 1e-24, because no damping up to 1e12 lowers it, or because an
-    accepted step lowers it by less than tolerance * scale * 1e-6, where
-    scale is the larger of 1 and the start's SSE. It is False when the
-    private cap of 20 iterations stops the search.
+    below 1e-24, because no damping up to 1e12 lowers it, because the
+    Jacobian is zero, or because an accepted step lowers it by less than
+    tolerance * scale * 1e-6, where scale is the larger of 1 and the
+    start's SSE. It is False when the private cap of 20 iterations stops
+    the search, and at a zero Jacobian where a difference step decodes to
+    the coordinate it left: there the box transform has saturated, so the
+    zero says nothing of the residuals.
 
     Raises
     ------
@@ -246,18 +251,19 @@ def least_squares(residuals: Callable[[np.ndarray], np.ndarray],
         if converged:
             break
         jac = np.zeros((res.size, y.size))
-        for i in range(y.size):
-            step = np.zeros_like(y)
-            step[i] = _LM_DIFF_STEP * max(1.0, abs(y[i]))
+        steps = _LM_DIFF_STEP * np.maximum(1.0, np.abs(y))
+        for i, step in enumerate(np.diag(steps)):
             for sign in (1.0, -1.0):  # forward, else backward
                 moved, moved_sse = sse_at(y + sign * step)
                 if math.isfinite(moved_sse):
-                    jac[:, i] = sign * (moved - res) / step[i]
+                    jac[:, i] = sign * (moved - res) / steps[i]
                     break
         normal, grad = jac.T @ jac, jac.T @ res
         if not np.any(grad):
-            # A stationary point: no damping can lower the SSE.
-            converged = True
+            # No damping can lower the SSE. It is a stationary point only if
+            # every difference step moved its coordinate; where the
+            # transform saturates, the step decodes to the same value.
+            converged = bool(np.all(decode(y + steps) != decode(y)))
             break
         floor = 1e-12 * np.trace(normal) * np.eye(y.size)
         while damping <= _LM_DAMPING_MAX:
@@ -286,11 +292,12 @@ def _initial_simplex(y0: np.ndarray, step: float) -> np.ndarray:
     return simplex
 
 
-def _nelder_mead(f: Callable[[np.ndarray], float], simplex: np.ndarray,
+def _nelder_mead(f: Callable[[np.ndarray], float], simplex: np.ndarray, f_first: float,
                  tol: float, max_iterations: int) -> tuple[np.ndarray, float, bool]:
-    """One simplex descent; returns (best point, best value, hit tolerance)."""
+    """One simplex descent from a simplex whose first vertex has the value
+    ``f_first``; returns (best point, best value, hit tolerance)."""
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    values = np.array([f(v) for v in simplex])
+    values = np.array([f_first] + [f(v) for v in simplex[1:]])
     hit_tol = False
     for _ in range(max_iterations):
         order = np.argsort(values, kind="stable")

@@ -178,10 +178,12 @@ def test_model_prices_equals_price_european():
     assert batch == pytest.approx(direct, rel=1e-14)
 
 
-def test_model_prices_error_names_offending_quote():
-    quotes = [OptionQuote(100.0, 21, 1.0)]
-    with pytest.raises(ArbitrageError, match="quote 0"):
+def test_model_prices_error_names_the_cause_not_a_quote():
+    # The tree is checked once for the whole chain, so no quote is to blame.
+    quotes = [OptionQuote(100.0, 21, 1.0), OptionQuote(110.0, 42, 1.0)]
+    with pytest.raises(ArbitrageError, match="risk-neutral probability") as info:
         model_prices("jr", jarrow_rudd_params(RATE, 0.2), quotes, S0, r=4.0)
+    assert "quote" not in str(info.value)
 
 
 def test_model_prices_input_guards():
@@ -356,6 +358,112 @@ def test_calibrate_counts_every_evaluation(monkeypatch):
     # families' fits (as "crr", "jr" and "tian") and once for the reported
     # metrics.
     assert result.objective_evaluations == calls.count("mpbin1") - 1
+
+
+def test_fit_makes_no_ranking_evaluation(monkeypatch):
+    # Every evaluation belongs to the search or the polish: each fit has one
+    # start, and nothing prices it before the search does.
+    counts = []
+
+    def spy(search):
+        def call(*args):
+            result = search(*args)
+            counts.append(result.evaluations)
+            return result
+        return call
+
+    monkeypatch.setattr(calibration, "minimize", spy(minimize))
+    monkeypatch.setattr(calibration, "least_squares", spy(least_squares))
+    results = calibrate_suite(MODELS, SLOPED_CHAIN, S0, RATE)
+    assert len(counts) == 2 * len(MODELS)
+    assert [res.objective_evaluations for res in results] == [
+        counts[i] + counts[i + 1] for i in range(0, len(counts), 2)]
+
+
+def test_nested_family_starts_from_the_best_poorer_optimum(monkeypatch):
+    starts = []
+
+    def recording(objective, bounds, start, *rest):
+        starts.append(list(start))
+        return minimize(objective, bounds, start, *rest)
+
+    monkeypatch.setattr(calibration, "minimize", recording)
+    results = calibrate_suite(MODELS, SLOPED_CHAIN, S0, RATE)
+    for i in (3, 4):  # mpbin1, mpbin2
+        best = min(results[:i], key=lambda res: res.metrics.rmse)
+        bounds = free_parameter_spec(MODELS[i])[0]
+        seed = calibration._seed(best.params, DAILY)[:len(bounds)]
+        assert starts[i] == [calibration._inside(x, box) for x, box in zip(seed, bounds)]
+
+
+def test_polish_reports_no_convergence_where_the_sigma_transform_saturated():
+    # The Gauss-Newton step from sigma 0.2 lands at the top of the sigma box,
+    # where the forward-difference point decodes to the same sigma and the
+    # Jacobian is exactly 0. sigma near 1.9 reprices the quote.
+    bounds, transforms = free_parameter_spec("crr")
+    residuals = calibration._residuals("crr", [OptionQuote(97.22, 55, 34.93)],
+                                       S0, 0.053, DAILY)
+    result = least_squares(residuals, bounds,
+                           calibration._default_start("crr", 0.2, 0.053, DAILY),
+                           transforms)
+    assert result.x[0] == pytest.approx(5.0)
+    assert result.value > 400.0
+    assert not result.converged
+
+
+def test_suite_rejects_a_call_priced_above_the_spot():
+    # No call is worth more than the stock; crr used to fit this chain at
+    # the top of the sigma box with converged = True.
+    quotes = [OptionQuote(90.0, 21, 10.6), OptionQuote(100.0, 21, 150.0),
+              OptionQuote(110.0, 21, 0.4)]
+    with pytest.raises(DomainError, match=r"spot 100\.0.*strike=100\.0.*market_price=150\.0"):
+        calibrate("crr", quotes, S0, RATE)
+
+
+def test_suite_names_the_first_call_priced_above_the_spot():
+    # The first in the order given, not in the (maturity, strike) order.
+    quotes = [OptionQuote(100.0, 21, 3.0), OptionQuote(110.0, 21, 101.0),
+              OptionQuote(90.0, 21, 102.0)]
+    with pytest.raises(DomainError, match="strike=110.0"):
+        calibrate_suite(MODELS, quotes, S0, RATE)
+
+
+def _noisy_chains():
+    """60 noisy mpbin1 chains at S0 = 100 in three shapes, cycled."""
+    rng = np.random.default_rng(2024)
+    chains = []
+    for c in range(60):
+        r, sigma, g = rng.uniform(-0.01, 0.08), rng.uniform(0.05, 0.9), rng.uniform(0.3, 0.7)
+        if c % 3 == 0:
+            days, strikes = rng.integers(3, 30, size=3), [80.0, 88.0, 110.0, 120.0]
+        elif c % 3 == 1:
+            days, strikes = rng.integers(1, 5, size=2), np.linspace(90.0, 110.0, 7)
+        else:
+            days, strikes = rng.integers(5, 120, size=4), np.linspace(70.0, 130.0, 9)
+        protos = [OptionQuote(k, d, 1.0) for d in sorted(set(days.tolist())) for k in strikes]
+        prices = np.array(model_prices(
+            "mpbin1", build_params("mpbin1", (sigma, g), r), protos, S0, r))
+        noise = 1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=prices.size)
+        prices = np.where(prices > 1e-6, prices * noise, prices)
+        chains.append((r, [OptionQuote(q.strike, q.days_to_maturity, p)
+                           for q, p in zip(protos, prices) if p > 0.0]))
+    return chains
+
+
+def test_one_parameter_fits_are_no_worse_than_a_sigma_grid():
+    # Short-dated lattice prices are kinked in sigma, so the SSE has local
+    # minima a few percent of sigma apart. On chain 12 jr has two, near
+    # sigma 0.1245 and 0.1357; a single Nelder-Mead run from the
+    # at-the-money sigma stops in the poorer, and the restarts find the
+    # better.
+    chains = _noisy_chains()
+    grid = np.geomspace(1e-3, 4.9, 300)
+    for c in (6, 12, 14, 34, 57):
+        r, quotes = chains[c]
+        for result in calibrate_suite(["crr", "jr", "tian"], quotes, S0, r):
+            residuals = calibration._residuals(result.model, quotes, S0, r, DAILY)
+            grid_rmse = np.nanmin([np.sqrt(np.mean(residuals((s,)) ** 2)) for s in grid])
+            assert result.metrics.rmse <= (1.0 + 1e-9) * grid_rmse, (c, result.model)
 
 
 def test_calibrate_crosses_the_region_where_pricing_raises(monkeypatch):

@@ -193,6 +193,19 @@ def test_calibrate_rejects_an_empty_model_list(tmp_path, capsys):
     assert captured.err.startswith("error: model list must be non-empty")
 
 
+def test_calibrate_rejects_a_call_priced_above_the_spot(tmp_path, capsys):
+    quotes = (OptionQuote(90.0, 21, 10.6), OptionQuote(100.0, 21, 150.0),
+              OptionQuote(110.0, 21, 0.4))
+    path = tmp_path / "chain.csv"
+    write_chain(ChainFile(100.0, 0.04, quotes), path)
+    assert main(["calibrate", "--chain", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith("error: no call is worth more than the spot 100.0")
+    assert "market_price=150.0" in line
+
+
 @pytest.mark.parametrize("text", [
     "colour=blue\n",
     "ci_level=0.9\n",

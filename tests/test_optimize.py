@@ -143,6 +143,20 @@ def test_transform_round_trip_stays_inside_box(box, frac):
     assert abs(back - x) <= 1e-13 * x
 
 
+def test_restarts_evaluate_no_point_twice():
+    # Each run takes its first vertex's value from before it: the start's
+    # value for the first run, the incumbent's for a restart.
+    seen = []
+
+    def bowl(x):
+        seen.append(tuple(x))
+        return (x[0] - 0.3) ** 2 + (x[1] + 1.0) ** 2
+
+    result = minimize(bowl, [(-4.0, 4.0)] * 2, [1.0, 1.0],
+                      config=MinimizeConfig(tolerance=1e-8, restarts=3))
+    assert len(set(seen)) == len(seen) == result.evaluations
+
+
 @pytest.mark.parametrize("start", [1e-14, 1.0 - 1e-14])
 def test_first_evaluation_is_at_a_start_near_a_bound(start):
     # A result is never worse than its start only if the search begins at
@@ -186,6 +200,17 @@ def test_least_squares_reports_the_iteration_cap():
                            [(0.0, 1.0)], [0.9])
     assert not result.converged
     assert result.value < 0.6
+
+
+def test_least_squares_reports_no_convergence_where_its_transform_saturated():
+    # The residual's zero lies above the box, so the steps run to its top,
+    # where the difference point decodes to the same x and the Jacobian is 0.
+    result = least_squares(lambda x: np.array([x[0] - 2.0]), [(0.0, 1.0)], [0.5])
+    assert result.x[0] == math.nextafter(1.0, 0.0)
+    assert not result.converged
+    # A residual that is flat where the difference step does move x is a
+    # stationary point.
+    assert least_squares(lambda x: np.array([1.0]), [(0.0, 1.0)], [0.5]).converged
 
 
 def test_least_squares_rejects_steps_to_non_finite_residuals():
