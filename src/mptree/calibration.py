@@ -30,11 +30,12 @@ from its name, so a new family is one entry; :data:`MODELS` is the
 table's order.
 
 The objective is the sum of squared price differences (SSE); reported
-fit quality is AAE, APE, ARPE and RMSE. Each fit has one start and one
-search: a restarted Nelder-Mead from the start, then a
-Levenberg-Marquardt polish on the price residuals. The polish reaches an
-exact fit to rounding where the family contains the chain's tree, which
-Nelder-Mead alone stops short of. The restarts matter in one coordinate
+fit quality is AAE, APE, ARPE and RMSE. Each fit has one start and at
+most one search: a restarted Nelder-Mead from the start, then a
+Levenberg-Marquardt polish on the price residuals; a nested family whose
+start already fits the chain is polished alone (below). The polish
+reaches an exact fit to rounding where the family contains the chain's
+tree, which Nelder-Mead alone stops short of. The restarts matter in one coordinate
 too: at short maturities the SSE is kinked in sigma, with local minima
 a few percent of sigma apart, and a single run can stop in the poorer.
 
@@ -47,7 +48,13 @@ nested family (mpbin1, mpbin2) starts from the best optimum (lowest
 RMSE) of the families before it, mapped to (sigma, p(dt), gamma) and cut
 to the nested family's length, its free vector being a prefix of that
 one. The start reprices that tree and no phase accepts a worse point,
-so the optimal errors nest monotonically.
+so the optimal errors nest monotonically. Where that seed already fits
+the chain, its SSE below ``tolerance``, the nested family skips
+Nelder-Mead and runs the polish alone: :func:`~mptree.optimize.minimize`
+stops once its simplex spread falls below ``tolerance * max(1, f0)``,
+and an SSE is >= 0, so no search from such a seed can gain more than
+that spread. On a chain made by an mpbin1 tree this spares mpbin2's
+search, which would move its SSE by rounding only.
 
 :func:`calibrate_suite` is the one fit loop, and :func:`calibrate` is its
 result for one model. Families are fit in :data:`MODELS` order, and a
@@ -174,7 +181,13 @@ class CalibrationConfig(MinimizeConfig):
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Best parameters found for one model on one chain."""
+    """Best parameters found for one model on one chain.
+
+    ``objective_evaluations`` counts the Nelder-Mead search and the
+    Levenberg-Marquardt polish, or the polish alone for a nested family
+    whose seed already fit the chain (see :func:`calibrate_suite`).
+    ``converged`` is the polish's flag.
+    """
 
     model: str
     params: ModelParams
@@ -368,18 +381,18 @@ _PENALTY = 1e15
 
 def _fit(model: str, start: Sequence[float],
          quotes: Sequence[OptionQuote], s0: float, r: float,
-         cfg: CalibrationConfig) -> CalibrationResult:
+         cfg: CalibrationConfig, search: bool) -> CalibrationResult:
     """Fit ``model`` to the chain by least squares on prices.
 
     ``start`` (a free-parameter vector of this model) is clipped into the
     box; a restarted Nelder-Mead with the optimizer settings of ``cfg``
-    runs from it, and a Levenberg-Marquardt polish on the price residuals
-    follows, whose point is kept only if it lowers the SSE.
-    ``objective_evaluations`` counts both phases. ``converged`` is the
-    polish's flag: False if its iteration cap stopped it or its box
-    transform saturated, or if the search never left the region where
-    the pricing raises. Non-convergence is reported through the flag,
-    never raised.
+    runs from it unless ``search`` is False, and a Levenberg-Marquardt
+    polish on the price residuals follows, whose point is kept only if it
+    lowers the SSE. ``objective_evaluations`` counts both phases, or the
+    polish alone without the search. ``converged`` is the polish's flag:
+    False if its iteration cap stopped it or its box transform saturated,
+    or if the search never left the region where the pricing raises.
+    Non-convergence is reported through the flag, never raised.
     """
     bounds, transforms = free_parameter_spec(model)
     residuals = _residuals(model, quotes, s0, r, cfg.dt)
@@ -390,15 +403,18 @@ def _fit(model: str, start: Sequence[float],
         return sse if math.isfinite(sse) else _PENALTY
 
     start = [_inside(float(value), box) for value, box in zip(start, bounds)]
-    best = minimize(objective, bounds, start, transforms, cfg)
-    evaluations = best.evaluations
-    converged = False
-    if best.value < _PENALTY:
-        polished = least_squares(residuals, bounds, best.x, transforms, cfg)
-        evaluations += polished.evaluations
-        converged = polished.converged
-        if polished.value < best.value:
-            best = polished
+    if search:
+        best = minimize(objective, bounds, start, transforms, cfg)
+        evaluations, converged = best.evaluations, False
+        if best.value < _PENALTY:
+            polished = least_squares(residuals, bounds, best.x, transforms, cfg)
+            evaluations += polished.evaluations
+            converged = polished.converged
+            if polished.value < best.value:
+                best = polished
+    else:
+        best = least_squares(residuals, bounds, start, transforms, cfg)
+        evaluations, converged = best.evaluations, best.converged
     params = build_params(model, best.x, r)
     metrics = error_metrics(model_prices(model, params, quotes, s0, r, cfg.dt),
                             [q.market_price for q in quotes])
@@ -431,7 +447,10 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
     If a nested family (mpbin1, mpbin2) is requested, every family before
     it is fit too, and the nested family starts from the optimum of lowest
     RMSE among them, which enforces the nesting of optimal errors
-    numerically. Without a nested family only the requested families are
+    numerically. If that optimum's SSE, n * RMSE**2 over the n quotes, is
+    below ``tolerance``, the nested family skips Nelder-Mead and is
+    polished alone; its ``objective_evaluations`` then count the polish
+    only. Without a nested family only the requested families are
     fit. The result holds the requested models only, in :data:`MODELS`
     order.
 
@@ -463,10 +482,15 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
     for i, model in enumerate(MODELS):
         if i < last_nested or model in models:
             family = _FAMILIES[model]
-            best = min(results, key=lambda res: res.metrics.rmse, default=None)
-            start = (_seed(best.params, cfg.dt)[:len(family.params)] if family.nested
-                     else _default_start(model, sigma0, r, cfg.dt))
-            results.append(_fit(model, start, quotes, s0, r, cfg))
+            if family.nested:
+                best = min(results, key=lambda res: res.metrics.rmse)
+                start = _seed(best.params, cfg.dt)[:len(family.params)]
+                # No search from a seed of SSE below the tolerance can gain
+                # more than the simplex spread at which minimize stops.
+                search = len(quotes) * best.metrics.rmse ** 2 >= cfg.tolerance
+            else:
+                start, search = _default_start(model, sigma0, r, cfg.dt), True
+            results.append(_fit(model, start, quotes, s0, r, cfg, search))
     return [res for res in results if res.model in models]
 
 

@@ -214,7 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--models", default=",".join(calibration.MODELS),
                        help=f"comma-separated subset of {','.join(calibration.MODELS)}, fit "
                             "in that order; mpbin1 and mpbin2 also fit every family before them")
-    p_cal.add_argument("--config", default=None, help="key=value config path")
+    p_cal.add_argument("--config", default=None,
+                       help="path of a file of key=value lines; keys: "
+                            + ", ".join(market_io._CONFIG_KEYS))
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_conv = sub.add_parser("converge",

@@ -221,9 +221,9 @@ def least_squares(residuals: Callable[[np.ndarray], np.ndarray],
     Jacobian is zero, or because an accepted step lowers it by less than
     tolerance * scale * 1e-6, where scale is the larger of 1 and the
     start's SSE. It is False when the private cap of 20 iterations stops
-    the search, and at a zero Jacobian where a difference step decodes to
-    the coordinate it left: there the box transform has saturated, so the
-    zero says nothing of the residuals.
+    the search, and at any stop where a difference step decodes to the
+    coordinate it left: there the box transform has saturated, so neither
+    a zero Jacobian nor a small gain says anything of the residuals.
 
     Raises
     ------
@@ -260,10 +260,7 @@ def least_squares(residuals: Callable[[np.ndarray], np.ndarray],
                     break
         normal, grad = jac.T @ jac, jac.T @ res
         if not np.any(grad):
-            # No damping can lower the SSE. It is a stationary point only if
-            # every difference step moved its coordinate; where the
-            # transform saturates, the step decodes to the same value.
-            converged = bool(np.all(decode(y + steps) != decode(y)))
+            converged = True  # no damping can lower the SSE
             break
         floor = 1e-12 * np.trace(normal) * np.eye(y.size)
         while damping <= _LM_DAMPING_MAX:
@@ -280,6 +277,11 @@ def least_squares(residuals: Callable[[np.ndarray], np.ndarray],
         y, res, sse = trial, trial_res, trial_sse
         damping /= 10.0
         converged = sse < _LM_EXACT_SSE or gain < min_gain
+    # A stop is a stationary point only if every difference step moves its
+    # coordinate; where the transform saturates, the step decodes to the
+    # same value, so the stop says nothing of the residuals.
+    steps = _LM_DIFF_STEP * np.maximum(1.0, np.abs(y))
+    converged = converged and bool(np.all(decode(y + steps) != decode(y)))
     return MinimizeResult(x=decode(y), value=sse, evaluations=evaluations,
                           converged=converged)
 

@@ -360,21 +360,32 @@ def test_calibrate_counts_every_evaluation(monkeypatch):
     assert result.objective_evaluations == calls.count("mpbin1") - 1
 
 
-def test_fit_makes_no_ranking_evaluation(monkeypatch):
-    # Every evaluation belongs to the search or the polish: each fit has one
-    # start, and nothing prices it before the search does.
-    counts = []
+def record_searches(monkeypatch):
+    """(search name, dimensions, evaluations) of every search and polish.
+
+    The dimension names the family: 1 for crr, jr and tian, 2 for mpbin1,
+    3 for mpbin2.
+    """
+    calls = []
 
     def spy(search):
-        def call(*args):
-            result = search(*args)
-            counts.append(result.evaluations)
+        def call(objective, bounds, *rest):
+            result = search(objective, bounds, *rest)
+            calls.append((search.__name__, len(bounds), result.evaluations))
             return result
         return call
 
     monkeypatch.setattr(calibration, "minimize", spy(minimize))
     monkeypatch.setattr(calibration, "least_squares", spy(least_squares))
+    return calls
+
+
+def test_fit_makes_no_ranking_evaluation(monkeypatch):
+    # Every evaluation belongs to the search or the polish: each fit has one
+    # start, and nothing prices it before the search does.
+    calls = record_searches(monkeypatch)
     results = calibrate_suite(MODELS, SLOPED_CHAIN, S0, RATE)
+    counts = [evaluations for _, _, evaluations in calls]
     assert len(counts) == 2 * len(MODELS)
     assert [res.objective_evaluations for res in results] == [
         counts[i] + counts[i + 1] for i in range(0, len(counts), 2)]
@@ -602,6 +613,38 @@ def test_standalone_mpbin2_fits_a_chain_of_its_nested_family():
     assert calibrate("mpbin2", chain, S0, RATE).metrics.rmse < 1e-10
 
 
+def test_mpbin2_is_polished_alone_from_a_seed_that_fits_the_chain(monkeypatch):
+    # mpbin1 reprices its own chain, so mpbin2's seed already has an SSE
+    # below the tolerance and no Nelder-Mead search runs for it.
+    calls = record_searches(monkeypatch)
+    result = calibrate("mpbin2", synthetic_chain("mpbin1", (0.2, 0.55)), S0, RATE)
+    assert [(name, evaluations) for name, dims, evaluations in calls if dims == 3] == [
+        ("least_squares", result.objective_evaluations)]
+    assert result.metrics.rmse < 1e-10
+
+
+def test_both_nested_families_are_polished_alone_on_a_crr_chain(monkeypatch):
+    calls = record_searches(monkeypatch)
+    rmse = {res.model: res.metrics.rmse
+            for res in calibrate_suite(MODELS, synthetic_chain("crr", (0.25,)), S0, RATE)}
+    assert [(name, dims) for name, dims, _ in calls if dims > 1] == [
+        ("least_squares", 2), ("least_squares", 3)]
+    assert rmse["mpbin1"] <= rmse["crr"] + 1e-10
+    assert rmse["mpbin2"] <= rmse["crr"] + 1e-10
+
+
+def test_a_fit_stopped_at_its_box_edges_is_not_converged():
+    # On chain 37 mpbin2 stops on a small gain at the bottom of the sigma
+    # box and the top of the gamma box, where the polish's difference steps
+    # decode to the coordinates they left; on chain 58 at the sigma floor.
+    chains = _noisy_chains()
+    fits = {c: calibrate("mpbin2", chains[c][1], S0, chains[c][0]) for c in (37, 58)}
+    assert fits[37].params.gamma == pytest.approx(calibration.GAMMA_BOUNDS[1])
+    for fit in fits.values():
+        assert fit.params.sigma == pytest.approx(calibration.SIGMA_BOUNDS[0])
+        assert not fit.converged
+
+
 def test_report_csv_layout():
     chain = synthetic_chain("jr", (0.25,))
     results = calibrate_suite(["crr", "jr"], chain, S0, RATE)
@@ -643,14 +686,15 @@ MATURITIES = [1, 5, 21, 42, 63, 126]
 
 
 @st.composite
-def family_params(draw, min_rate=0.0):
-    """(model, rate, params) for any family, free parameters inside their ranges.
+def family_params(draw, min_rate=0.0, models=MODELS):
+    """(model, rate, params) for a family of ``models``, free parameters
+    inside their ranges.
 
     An mpbin2 draw also takes a one-day up probability p_dt != g in the
     range of g, and gamma != r, so that its tree has v != 0 and
     gamma != delta.
     """
-    model = draw(st.sampled_from(MODELS))
+    model = draw(st.sampled_from(models))
     x = [draw(st.floats(*FREE_PARAMETER_RANGES[name]))
          for name in free_parameter_names(model)]
     r = draw(st.floats(min_rate, 0.08))
@@ -676,6 +720,27 @@ def test_suite_errors_nest_on_random_chains(case, legs):
     prices = model_prices(model, params, protos, S0, r)
     chain = [OptionQuote(q.strike, q.days_to_maturity, max(p * (1.0 + noise), 1e-3))
              for q, p, (_, _, noise) in zip(protos, prices, legs)]
+    rmse = {res.model: res.metrics.rmse
+            for res in calibrate_suite(MODELS, chain, S0, r, SHORT_RUN)}
+    assert rmse["mpbin1"] <= min(rmse["crr"], rmse["jr"], rmse["tian"]) + 1e-10, rmse
+    assert rmse["mpbin2"] <= rmse["mpbin1"] + 1e-10, rmse
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=family_params(min_rate=-0.02, models=MODELS[:4]),
+       legs=st.lists(st.tuples(st.integers(1, 30), st.floats(0.9, 1.1)),
+                     min_size=1, max_size=4))
+def test_suite_errors_nest_on_chains_of_a_nested_family(case, legs):
+    # Exact prices of a tree that mpbin2, and mpbin1 too unless it is the
+    # truth, contains: most nested fits start from a seed that already
+    # fits the chain and are polished alone. None may raise or break the
+    # nesting.
+    model, r, params = case
+    protos = [OptionQuote(moneyness * S0, days, 1.0) for days, moneyness in legs]
+    prices = model_prices(model, params, protos, S0, r)
+    chain = [OptionQuote(q.strike, q.days_to_maturity, p)
+             for q, p in zip(protos, prices) if p > 0.0]
+    assume(chain)
     rmse = {res.model: res.metrics.rmse
             for res in calibrate_suite(MODELS, chain, S0, r, SHORT_RUN)}
     assert rmse["mpbin1"] <= min(rmse["crr"], rmse["jr"], rmse["tian"]) + 1e-10, rmse

@@ -155,6 +155,15 @@ def test_price_flags_cover_every_calibration_family():
 # calibrate --config
 # ---------------------------------------------------------------------------
 
+def test_calibrate_config_help_names_every_key(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["calibrate", "--help"])
+    assert stop.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert ("keys: dt, optimizer_tolerance, optimizer_restarts, "
+            "optimizer_max_iterations, seed, maturity_filter") in help_text
+
+
 def _two_maturity_chain(tmp_path):
     protos = [OptionQuote(k, d, 1.0) for d in (21, 150) for k in (90.0, 100.0, 110.0)]
     prices = model_prices("jr", jarrow_rudd_params(0.04, 0.25), protos, 100.0, 0.04)

@@ -464,6 +464,22 @@ def test_rate_experiment_stays_within_the_berry_esseen_bound(g, v, b, sigma):
         assert point.scaled / rate_constant(p) <= BERRY_ESSEEN_CONSTANT, point
 
 
+@pytest.mark.parametrize("g", [0.1, 0.2, 0.3, 0.45, 0.5, 0.6, 0.8, 0.9])
+def test_rate_experiment_approaches_the_esseen_lattice_limit(g):
+    # Esseen (1945): for a lattice sum the x = 0 term of the expansion gives
+    # sqrt(n) * D_n -> (1/2 + |1 - 2p|/6) / sqrt(2 pi p (1 - p)); 1/sqrt(2 pi)
+    # at p = 1/2. At n = 16,384 the largest gap is 0.68%, at g = 0.9. The
+    # gap does not shrink with n for every g: at g = 0.1 it is 0.02%, 0.30%
+    # and 0.42% at n = 1,024, 4,096 and 16,384.
+    n = 16384
+    point = rate_experiment(mp(gamma=0.05, delta=0.05, g=g, sigma=0.2), 1.0,
+                            [n // 4, n]).points[-1]
+    limit = (0.5 + abs(1.0 - 2.0 * g) / 6.0) / math.sqrt(2.0 * math.pi * g * (1.0 - g))
+    assert point.n == n
+    assert point.scaled / rate_constant(g) == pytest.approx(limit / rate_constant(g),
+                                                            rel=0.01)
+
+
 def test_rate_experiment_validates_input():
     with pytest.raises(DomainError):
         rate_experiment(mp(), 1.0, [64])

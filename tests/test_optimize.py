@@ -213,6 +213,16 @@ def test_least_squares_reports_no_convergence_where_its_transform_saturated():
     assert least_squares(lambda x: np.array([1.0]), [(0.0, 1.0)], [0.5]).converged
 
 
+def test_least_squares_reports_no_convergence_where_one_coordinate_saturated():
+    # x0 runs to the top of its box as above, but x1 keeps the gradient
+    # nonzero, so the search stops on a small gain, not a zero Jacobian.
+    result = least_squares(lambda x: np.array([x[0] - 2.0, x[1] - 0.3, x[1] - 0.4]),
+                           [(0.0, 1.0), (0.0, 1.0)], [0.5, 0.5])
+    assert result.x[0] == math.nextafter(1.0, 0.0)
+    assert result.x[1] == pytest.approx(0.35, abs=1e-9)
+    assert not result.converged
+
+
 def test_least_squares_rejects_steps_to_non_finite_residuals():
     # The residual's zero (0.8) lies where it is not finite, and the start
     # is so close to that region that its forward difference is too.
