@@ -293,6 +293,7 @@ def model_prices(model: str, params: ModelParams, quotes: Sequence[OptionQuote],
         idxs = by_maturity[n]
         strikes = np.array([quotes[idx].strike for idx in idxs])
         payoffs = np.maximum(lattice.node_values(n)[:, None] - strikes[None, :], 0.0)
+        # hstack builds a new float64 block, which the sweep overwrites.
         values = _sweep(q, disc, np.hstack([values, payoffs]), n - below)
         order += idxs
     prices = np.empty(len(quotes))

@@ -12,10 +12,14 @@ probability from (u, d, r) alone prices independently of p on (0, 1) and
 jumps at p = 0 and p = 1; :func:`discontinuity_report` exhibits those
 gaps for comparison.
 
-There is one backward-induction sweep. :meth:`Lattice.roll_back` runs it
-for :func:`price_european`; calibration's chain pricer
-(:func:`~mptree.calibration.model_prices`) runs it once for a whole chain,
-in which each maturity's strike columns join at their own step.
+There is one backward-induction sweep. It rolls back in place on one
+float64 array that its caller owns: :meth:`Lattice.roll_back` copies its
+``values`` once for :func:`price_european`, and calibration's chain pricer
+(:func:`~mptree.calibration.model_prices`) hands it the block it has just
+built for a whole chain, in which each maturity's strike columns join at
+their own step. Each step does the same IEEE operations in the same
+order for every column, so a chain price equals the
+:func:`price_european` price of its quote bit for bit.
 """
 
 from __future__ import annotations
@@ -120,8 +124,11 @@ class Lattice:
         ``values`` has one row per terminal node, in the order of
         :meth:`node_values`, and shape ``(n+1,)`` or ``(n+1, k)``; each of
         the n sweeps discounts by exp(-rate*dt) under the up probability
-        ``q``. The root value or row is returned; the arithmetic of each
-        column is that of rolling it back alone.
+        ``q``, which must lie in [0, 1]. The root value or row is returned;
+        the arithmetic of each column is that of rolling it back alone.
+        ``values`` is copied once to float64 and the sweep runs in place on
+        that copy, so the caller's array is never written and a float32
+        input is rolled back in float64.
 
         Q is the paper's hedge probability, derived from the asymptotic
         factors. On a lattice built with the exact factors the one-step
@@ -132,16 +139,42 @@ class Lattice:
         steps). A zero-strike call is thus worth S0 (1 + residual)^n, not
         exactly S0.
         """
+        if not 0.0 <= q <= 1.0:
+            raise DomainError(f"up probability q must be in [0, 1], got {q}")
         if np.shape(values)[:1] != (self.n + 1,):
             raise DomainError(f"need {self.n + 1} terminal rows, got {np.shape(values)}")
-        return _sweep(q, math.exp(-self.rate * self.dt), values, self.n)[0]
+        block = np.array(values, dtype=np.float64)
+        return _sweep(q, math.exp(-self.rate * self.dt), block, self.n)[0]
 
 
 def _sweep(q: float, disc: float, values: np.ndarray, steps: int) -> np.ndarray:
-    """Roll ``values`` back ``steps`` steps: each sweep drops one row."""
-    for _ in range(steps):
-        values = disc * (q * values[1:] + (1.0 - q) * values[:-1])
-    return values
+    """Roll ``values`` back ``steps`` steps in place; its first rows are returned.
+
+    ``values`` must be a writable float64 array that the caller owns: it
+    is overwritten, and the returned view of its first ``len - steps`` rows
+    holds the result. A step on the first m + 1 rows is four in-place
+    ufunc calls, ``tmp[:m] = v[1:m+1]*q; v[:m] *= 1 - q; v[:m] += tmp[:m];
+    v[:m] *= disc``, the same IEEE operations as
+    ``disc*(q*v[1:] + (1-q)*v[:-1])`` since addition and multiplication
+    commute bit for bit. That fixed order is what makes
+    :func:`~mptree.calibration.model_prices` equal :func:`price_european`
+    exactly. A reordering, such as folding ``disc`` into the weights,
+    changes the last bits of the prices, and with them where some fits
+    stop.
+    """
+    down = 1.0 - q
+    tmp = np.empty_like(values[1:])
+    rows = len(values)
+    # Positional outputs and local names cut the per-call overhead, which
+    # is a large share of a step of a few hundred nodes.
+    multiply, add = np.multiply, np.add
+    for m in range(rows - 1, rows - 1 - steps, -1):
+        head, scratch = values[:m], tmp[:m]
+        multiply(values[1:m + 1], q, scratch)
+        multiply(head, down, head)
+        add(head, scratch, head)
+        multiply(head, disc, head)
+    return values[:rows - steps]
 
 
 def risk_neutral_prob(params: ModelParams, r: float, dt: float) -> float:

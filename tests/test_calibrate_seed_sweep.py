@@ -35,3 +35,23 @@ def test_sweep_prints_its_usage_for_a_bad_argument(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "usage: python tools/calibrate_seed_sweep.py FIRST LAST\n"
+
+
+def digest_of(capsys, first, last):
+    calibrate_seed_sweep.main([str(first), str(last)])
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.split()[-4] == "digest"
+    return line.split()[-3].rstrip(",")
+
+
+def test_sweep_digest_repeats_and_follows_the_reports(monkeypatch, capsys):
+    digest = digest_of(capsys, 2, 2)
+    assert len(digest) == 64
+    assert digest_of(capsys, 2, 2) == digest
+    run = calibrate_seed_sweep.workloads.run_calibrate
+
+    def altered(job):
+        chain, results, report = run(job)
+        return chain, results, report + "\n"
+    monkeypatch.setattr(calibrate_seed_sweep.workloads, "run_calibrate", altered)
+    assert digest_of(capsys, 2, 2) != digest

@@ -275,6 +275,67 @@ def test_lattice_validation():
             Lattice.build(100.0, mp(), n=4, dt=dt, rate=0.02)
 
 
+def textbook_roll_back(q, disc, values, n):
+    for _ in range(n):
+        values = disc * (q * values[1:] + (1.0 - q) * values[:-1])
+    return values[0]
+
+
+@st.composite
+def terminal_values(draw, n):
+    """(n+1,) or (n+1, k) values with runs of exact zeros at either end."""
+    cols = draw(st.sampled_from([None, 1, 2, 5]))
+    shape = (n + 1,) if cols is None else (n + 1, cols)
+    values = np.array(draw(st.lists(st.floats(0.0, 1e3), min_size=math.prod(shape),
+                                    max_size=math.prod(shape)))).reshape(shape)
+    low = draw(st.integers(0, n + 1))
+    high = draw(st.integers(low, n + 1))
+    values[:low] = 0.0
+    values[high:] = 0.0
+    return values
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), n=st.integers(1, 64), rate=st.floats(-0.05, 0.2),
+       q=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+def test_roll_back_equals_the_textbook_step_applied_n_times(data, n, rate, q):
+    lattice = Lattice.build(100.0, jarrow_rudd_params(rate, 0.2), n, DAILY, rate)
+    values = data.draw(terminal_values(n))
+    values.setflags(write=False)
+    before = values.copy()
+    root = lattice.roll_back(q, values)
+    expected = textbook_roll_back(q, math.exp(-rate * DAILY), values, n)
+    assert np.array_equal(root, expected)
+    assert np.array_equal(values, before)
+    assert not np.shares_memory(root, values)
+
+
+def test_roll_back_sweeps_a_float32_payoff_in_float64():
+    lattice = Lattice.build(100.0, jarrow_rudd_params(0.05, 0.2), 64, DAILY, 0.05)
+    values = Payoff.call(100.0).evaluate(lattice.node_values(64)).astype(np.float32)
+    root = lattice.roll_back(0.5, values)
+    assert root.dtype == np.float64
+    assert root == lattice.roll_back(0.5, values.astype(np.float64))
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -0.2, 1.5])
+def test_roll_back_rejects_an_up_probability_outside_0_1(q):
+    lattice = Lattice.build(100.0, jarrow_rudd_params(0.05, 0.2), 4, DAILY, 0.05)
+    values = Payoff.call(100.0).evaluate(lattice.node_values(4))
+    with pytest.raises(DomainError, match=r"up probability q must be in \[0, 1\]"):
+        lattice.roll_back(q, values)
+
+
+@pytest.mark.parametrize("q, node", [(0.0, 0), (1.0, -1)])
+def test_roll_back_at_q_0_or_1_discounts_the_single_branch(q, node):
+    lattice = Lattice.build(100.0, jarrow_rudd_params(0.05, 0.2), 4, DAILY, 0.05)
+    values = lattice.node_values(4)
+    expected = values[node]
+    for _ in range(4):
+        expected = math.exp(-0.05 * DAILY) * expected
+    assert lattice.roll_back(q, values) == expected
+
+
 def test_replication_identity_at_every_node():
     # Backward induction with the asymptotic factors satisfies
     # Delta*S*u - f_u = Delta*S*d - f_d at every interior node.

@@ -11,12 +11,15 @@ usage: python tools/calibrate_seed_sweep.py FIRST LAST
 
 Seeds FIRST..LAST are run, both included. Every failing seed and chain is
 printed with the check's message, then one line with the number of
-chains, failures and objective evaluations. The exit code is 1 if any
-check failed, 2 for a bad argument.
+chains, failures, a SHA-256 digest of every chain's
+``calibration_report_csv`` in order, and objective evaluations. Two
+commits that print the same digest fit every chain to the same reported
+figures. The exit code is 1 if any check failed, 2 for a bad argument.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import tempfile
 from pathlib import Path
@@ -29,19 +32,22 @@ from mptree_bench import inputs, workloads  # noqa: E402
 _USAGE = "usage: python tools/calibrate_seed_sweep.py FIRST LAST"
 
 
-def sweep(first: int, last: int) -> tuple[list[str], int, int]:
-    """(failure lines, chains, objective evaluations) over seeds first..last."""
+def sweep(first: int, last: int) -> tuple[list[str], int, str, int]:
+    """(failure lines, chains, report digest, objective evaluations) over
+    seeds first..last."""
     failures: list[str] = []
     chains = evaluations = 0
+    digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for seed in range(first, last + 1):
             for job in inputs.make_jobs("calibrate", seed, Path(tmp) / str(seed)):
                 out = workloads.run_calibrate(job)
                 chains += 1
                 evaluations += sum(r.objective_evaluations for r in out[1])
+                digest.update(out[2].encode())
                 failures += [f"seed {seed} {job.shape}: {problem}"
                              for problem in workloads.check_calibrate(job, out)]
-    return failures, chains, evaluations
+    return failures, chains, digest.hexdigest(), evaluations
 
 
 def main(argv: list[str]) -> int:
@@ -53,11 +59,11 @@ def main(argv: list[str]) -> int:
     if last < first:
         print(_USAGE, file=sys.stderr)
         return 2
-    failures, chains, evaluations = sweep(first, last)
+    failures, chains, digest, evaluations = sweep(first, last)
     for line in failures:
         print(line)
     print(f"seeds {first}-{last}: {chains} chains, {len(failures)} failures, "
-          f"{evaluations} evaluations")
+          f"digest {digest}, {evaluations} evaluations")
     return 1 if failures else 0
 
 
