@@ -72,7 +72,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ArbitrageError, DomainError
-from .model import (ModelParams, crr_params, jarrow_rudd_params,
+from .model import (ModelParams, crr_params, jarrow_rudd_params, p_up,
                     step_factors_exact, tian_params, validate_params)
 from .optimize import MinimizeConfig, least_squares, minimize
 from .pricing import Lattice, _sweep, risk_neutral_prob
@@ -200,7 +200,7 @@ def _seed(params: ModelParams, dt: float) -> tuple[float, float, float]:
     # Every poorer family has gamma = delta = r, so at a fixed dt folding v
     # into the probability (p = g + v*sqrt(dt)) reproduces its tree in
     # mpbin1 and mpbin2. calibrate clips every start into the box.
-    return (params.sigma, params.g + params.v * math.sqrt(dt), params.gamma)
+    return (params.sigma, p_up(params, dt), params.gamma)
 
 
 def _build_mpbin2(x: Sequence[float], r: float) -> ModelParams:

@@ -127,8 +127,7 @@ def _cmd_estimate_p(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo_discontinuity(args: argparse.Namespace) -> int:
-    payoff = (pricing.Payoff.call(args.strike) if args.kind == "call"
-              else pricing.Payoff.put(args.strike))
+    payoff = pricing.Payoff(kind=args.kind, strike=args.strike)
     grid = _parse_list(args.p_grid, "--p-grid", float)
     if not grid:
         raise DomainError("--p-grid must list at least one probability")

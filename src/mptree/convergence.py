@@ -9,6 +9,10 @@ decay exponent and the stabilized sqrt(n)-scaled distances.
 :func:`kolmogorov_distance` evaluates F on arrays, one call per scanned
 slice of the support. :func:`lognormal_cdf` takes a float or an array, so
 :func:`rate_experiment` passes it with its parameters bound.
+
+:func:`terminal_distribution` checks its tree with the rules of
+:mod:`mptree.model` that a :class:`~mptree.pricing.Lattice` uses: p(dt)
+and the factors first, then the spot, the step count and the top node.
 """
 
 from __future__ import annotations
@@ -84,11 +88,17 @@ def terminal_distribution(s0: float, params: ModelParams, n: int, dt: float,
     n = 65,536. At Q = 0 or Q = 1, both of which
     :func:`~mptree.pricing.risk_neutral_prob` allows, the law is the point
     mass on the bottom or the top node.
+
+    Raises
+    ------
+    DomainError
+        For parameters :func:`~mptree.model.step_factors_exact` rejects,
+        then for a spot that is not positive, n below 1 or an overflowing
+        top node, as a :class:`~mptree.pricing.Lattice` would, or for an
+        unknown measure or a risk-neutral one without ``r``.
+    ArbitrageError
+        If ``r`` lies outside the one-step no-arbitrage band.
     """
-    if not s0 > 0.0:
-        raise DomainError(f"spot must be positive, got {s0}")
-    if n < 1:
-        raise DomainError(f"step count must be >= 1, got {n}")
     factors = step_factors_exact(params, dt)
     _require_finite_nodes(s0, factors, n)
     if measure == "physical":

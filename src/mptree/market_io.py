@@ -29,7 +29,10 @@ input, a repeated key included, produces a line-numbered diagnostic
 rather than a crash or a silent skip.
 
 All three readers drop a leading UTF-8 byte-order mark, which spreadsheet
-programs write at the start of "CSV UTF-8" files.
+programs write at the start of "CSV UTF-8" files. Their line syntax is
+written once: ``_numbered`` gives each non-blank line stripped and with
+its number from 1, and the chain, config and line-by-line returns parsers
+all read through it. Only the canonical returns path reads raw lines.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import operator
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -121,20 +124,22 @@ def _read_lines(path: str | Path) -> list[str]:
     return Path(path).read_text(encoding="utf-8-sig").splitlines()
 
 
+def _numbered(lines: list[str]) -> Iterator[tuple[int, str]]:
+    """(line number from 1, stripped line) for each line that is not blank."""
+    return ((line_no, line) for line_no, raw in enumerate(lines, start=1)
+            if (line := raw.strip()))
+
+
 # The chain file's metadata keys, in the order write_chain writes them.
 _CHAIN_KEYS = ("spot", "rate")
 
 
 def load_chain(path: str | Path, short_maturities_only: bool = False) -> ChainFile:
     """Parse a chain CSV; optionally drop quotes beyond 100 trading days."""
-    lines = _read_lines(path)
     meta: dict[str, float] = {}
     header_seen = False
     quotes: list[OptionQuote] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for line_no, line in _numbered(_read_lines(path)):
         if line.startswith("#"):
             key, eq, value = (part.strip() for part in line[1:].partition("="))
             if eq and key in _CHAIN_KEYS:
@@ -234,11 +239,8 @@ def _rows_line_by_line(lines: list[str], value_kind: str
                        ) -> tuple[tuple[_dt.date, float], ...]:
     """Parse any returns file; the source of every line-numbered diagnostic."""
     rows: list[tuple[_dt.date, float]] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.replace(" ", "") == "date,value":
+    for line_no, line in _numbered(lines):
+        if line.startswith("#") or line.replace(" ", "") == "date,value":
             continue
         fields = line.split(",")
         if len(fields) != 2:
@@ -281,9 +283,8 @@ def load_config(path: str | Path) -> CalibrationConfig:
     """Parse a config file; rejects unknown or repeated keys and bad values."""
     config = CalibrationConfig()
     seen: set[str] = set()
-    for line_no, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for line_no, line in _numbered(_read_lines(path)):
+        if line.startswith("#"):
             continue
         if "=" not in line:
             raise DataFormatError(f"line {line_no}: expected key=value, got {line!r}")

@@ -26,6 +26,15 @@ asymptotic tree reproduce the geometric Brownian motion moments
 exp(j*(b + (j-1)/2*sigma^2)*dt) up to o(dt) for every order j; the first
 two moments match to O(dt^2) for every g, higher ones to O(dt^2) at
 g = 1/2 and O(dt^(3/2)) otherwise.
+
+Each tree rule is written once, here. :func:`p_up` forms and checks
+p(dt) for every caller, :func:`validate_params` and both factor forms
+included. ``_require_finite_nodes`` checks the spot, the step count and
+the top node of an n-step tree, for :class:`~mptree.pricing.Lattice` and
+:func:`~mptree.convergence.terminal_distribution`. ``_exp`` is the one
+guard against an exponent too large for exp, for the exact factors,
+:func:`gbm_moment`, and the lattice discount and closed forms in
+:mod:`mptree.pricing`.
 """
 
 from __future__ import annotations
@@ -127,7 +136,7 @@ def node_values(s0: float, factors: StepFactors, k: int) -> np.ndarray:
 
 
 def _require_finite_nodes(s0: float, factors: StepFactors, n: int) -> None:
-    """Check that a positive s0 and every node up to n steps are finite.
+    """Check an n-step tree from s0: s0 > 0, n >= 1 and every node finite.
 
     The largest node is s0 * u^n, or s0 itself when u <= 1, and
     :func:`node_values` takes it as s0 * exp(n ln u), so both factors must
@@ -136,8 +145,13 @@ def _require_finite_nodes(s0: float, factors: StepFactors, n: int) -> None:
     Raises
     ------
     DomainError
-        If s0 is infinite, or u^n or s0 * u^n overflows.
+        If s0 is not positive, n is below 1, s0 is infinite, or u^n or
+        s0 * u^n overflows.
     """
+    if not s0 > 0.0:
+        raise DomainError(f"spot must be positive, got {s0}")
+    if n < 1:
+        raise DomainError(f"step count must be >= 1, got {n}")
     if s0 == math.inf:
         raise DomainError(f"spot must be finite, got {s0}")
     log_s0, growth = math.log(s0), n * max(math.log(factors.u), 0.0)
@@ -149,19 +163,27 @@ def _require_finite_nodes(s0: float, factors: StepFactors, n: int) -> None:
 def validate_params(params: ModelParams, dt: float) -> ModelParams:
     """Check the admissibility of ``params`` at time step ``dt``.
 
+    Returns ``params``; the checks are those of :func:`p_up`.
+    """
+    p_up(params, dt)
+    return params
+
+
+def p_up(params: ModelParams, dt: float) -> float:
+    """One-step up probability p = g + v*sqrt(dt), guaranteed in (0, 1).
+
     Raises
     ------
     DomainError
-        If g is not strictly inside (0, 1), sigma is not positive, the
-        mean drift is not finite, or dt is too coarse to keep
-        g + v*sqrt(dt) inside (0, 1).
+        If dt is not positive, g is not strictly inside (0, 1), sigma is
+        not positive, the mean drift is not finite, or dt is too coarse to
+        keep g + v*sqrt(dt) inside (0, 1).
     """
     _require_positive_dt(dt)
     if not 0.0 < params.g < 1.0:
         raise DomainError(
             f"base up probability g must lie strictly inside (0, 1), got {params.g}")
-    if not params.sigma > 0.0:
-        raise DomainError(f"volatility sigma must be positive, got {params.sigma}")
+    _require_positive_sigma(params.sigma)
     if not math.isfinite(params.mean_drift):
         raise DomainError("mean drift g*gamma + (1-g)*delta must be finite")
     p = params.g + params.v * math.sqrt(dt)
@@ -169,13 +191,27 @@ def validate_params(params: ModelParams, dt: float) -> ModelParams:
         raise DomainError(
             f"time step too coarse: up probability g + v*sqrt(dt) = {p} "
             f"falls outside (0, 1); shrink dt or adjust (g, v)")
-    return params
+    return p
 
 
-def p_up(params: ModelParams, dt: float) -> float:
-    """One-step up probability p = g + v*sqrt(dt), guaranteed in (0, 1)."""
-    validate_params(params, dt)
-    return params.g + params.v * math.sqrt(dt)
+def _exp(name: str, arg: float) -> float:
+    """math.exp(arg), the one guard against an exponent too large for exp.
+
+    Raises
+    ------
+    DomainError
+        If ``arg`` exceeds ``_LOG_FLOAT_MAX``; the message names it ``name``.
+    """
+    if arg > _LOG_FLOAT_MAX:
+        raise DomainError(f"{name} = {arg} is too large for exp")
+    return math.exp(arg)
+
+
+def _step_terms(params: ModelParams, dt: float) -> tuple[float, float, float, float]:
+    """p, sqrt(dt), h_u = sigma*sqrt((1-p)/p) and h_d = sigma*sqrt(p/(1-p))."""
+    p = p_up(params, dt)
+    return (p, math.sqrt(dt), params.sigma * math.sqrt((1.0 - p) / p),
+            params.sigma * math.sqrt(p / (1.0 - p)))
 
 
 def step_factors_exact(params: ModelParams, dt: float) -> StepFactors:
@@ -185,18 +221,12 @@ def step_factors_exact(params: ModelParams, dt: float) -> StepFactors:
     ------
     DomainError
         If log u or log d is too large for exp, besides the checks of
-        :func:`validate_params`.
+        :func:`p_up`.
     """
-    p = p_up(params, dt)
-    sqrt_dt = math.sqrt(dt)
-    h_u = params.sigma * math.sqrt((1.0 - p) / p)
-    h_d = params.sigma * math.sqrt(p / (1.0 - p))
+    p, sqrt_dt, h_u, h_d = _step_terms(params, dt)
     log_u = (params.gamma - h_u * h_u / 2.0) * dt + h_u * sqrt_dt
     log_d = (params.delta - h_d * h_d / 2.0) * dt - h_d * sqrt_dt
-    for name, arg in (("log u", log_u), ("log d", log_d)):
-        if arg > _LOG_FLOAT_MAX:
-            raise DomainError(f"{name} = {arg} is too large for exp")
-    return StepFactors(u=math.exp(log_u), d=math.exp(log_d), p=p)
+    return StepFactors(u=_exp("log u", log_u), d=_exp("log d", log_d), p=p)
 
 
 def step_factors_asymptotic(params: ModelParams, dt: float) -> StepFactors:
@@ -208,10 +238,9 @@ def step_factors_asymptotic(params: ModelParams, dt: float) -> StepFactors:
         If the down factor is not positive, which signals that dt is too
         coarse for this parameter set.
     """
-    p = p_up(params, dt)
-    sqrt_dt = math.sqrt(dt)
-    u = 1.0 + params.gamma * dt + math.sqrt((1.0 - p) / p) * params.sigma * sqrt_dt
-    d = 1.0 + params.delta * dt - math.sqrt(p / (1.0 - p)) * params.sigma * sqrt_dt
+    p, sqrt_dt, h_u, h_d = _step_terms(params, dt)
+    u = 1.0 + params.gamma * dt + h_u * sqrt_dt
+    d = 1.0 + params.delta * dt - h_d * sqrt_dt
     if d <= 0.0:
         raise DomainError(
             f"asymptotic down factor {d} is not positive: dt={dt} too coarse "
@@ -264,17 +293,32 @@ def step_moment(params: ModelParams, dt: float, j: int) -> float:
 
     Returns p*u^j + (1-p)*d^j with (u, d, p) from
     :func:`step_factors_asymptotic`.
+
+    Raises
+    ------
+    DomainError
+        If u^j overflows, besides the checks of the factors.
     """
     _require_moment_order(j)
     f = step_factors_asymptotic(params, dt)
-    return f.p * f.u ** j + (1.0 - f.p) * f.d ** j
+    try:
+        return f.p * f.u ** j + (1.0 - f.p) * f.d ** j
+    except OverflowError:
+        raise DomainError(f"u^{j} overflows: u = {f.u}") from None
 
 
 def gbm_moment(b: float, sigma: float, dt: float, j: int) -> float:
-    """j-th moment of the GBM gross return: exp(j*(b + (j-1)/2*sigma^2)*dt)."""
+    """j-th moment of the GBM gross return: exp(j*(b + (j-1)/2*sigma^2)*dt).
+
+    Raises
+    ------
+    DomainError
+        If dt is not positive, j is not a supported order, or the
+        exponent is too large for exp.
+    """
     _require_positive_dt(dt)
     _require_moment_order(j)
-    return math.exp(j * (b + (j - 1) / 2.0 * sigma * sigma) * dt)
+    return _exp("log moment", j * (b + (j - 1) / 2.0 * sigma * sigma) * dt)
 
 
 def _require_positive_sigma(sigma: float) -> None:

@@ -20,6 +20,13 @@ built for a whole chain, in which each maturity's strike columns join at
 their own step. Each step does the same IEEE operations in the same
 order for every column, so a chain price equals the
 :func:`price_european` price of its quote bit for bit.
+
+The tree rules live in :mod:`mptree.model`: p(dt) in
+:func:`~mptree.model.p_up`, the checks of a :class:`Lattice` in
+``_require_positive_dt`` and ``_require_finite_nodes`` (spot, step count,
+top node), and the guard against an exponent too large for exp, ``_exp``, which
+:meth:`Lattice.roll_back`'s discount, :func:`discontinuity_report` and
+:func:`black_scholes_call` share with the exact factors.
 """
 
 from __future__ import annotations
@@ -31,8 +38,9 @@ from typing import Literal
 import numpy as np
 
 from .errors import ArbitrageError, DomainError
-from .model import (_LOG_FLOAT_MAX, ModelParams, StepFactors, _require_finite_nodes,
-                    node_values, p_up, step_factors_asymptotic, step_factors_exact)
+from .model import (ModelParams, StepFactors, _exp, _require_finite_nodes,
+                    _require_positive_dt, node_values, p_up, step_factors_asymptotic,
+                    step_factors_exact)
 from .special import normal_cdf
 
 __all__ = [
@@ -91,12 +99,7 @@ class Lattice:
     rate: float
 
     def __post_init__(self) -> None:
-        if not self.s0 > 0.0:
-            raise DomainError(f"spot must be positive, got {self.s0}")
-        if self.n < 1:
-            raise DomainError(f"step count must be >= 1, got {self.n}")
-        if not self.dt > 0.0:
-            raise DomainError(f"time step must be positive, got {self.dt}")
+        _require_positive_dt(self.dt)
         _require_finite_nodes(self.s0, self.factors, self.n)
 
     @classmethod
@@ -124,7 +127,8 @@ class Lattice:
         ``values`` has one row per terminal node, in the order of
         :meth:`node_values`, and shape ``(n+1,)`` or ``(n+1, k)``; each of
         the n sweeps discounts by exp(-rate*dt) under the up probability
-        ``q``, which must lie in [0, 1]. The root value or row is returned;
+        ``q``, which must lie in [0, 1], and a discount too large for a
+        float raises DomainError. The root value or row is returned;
         the arithmetic of each column is that of rolling it back alone.
         ``values`` is copied once to float64 and the sweep runs in place on
         that copy, so the caller's array is never written and a float32
@@ -144,7 +148,7 @@ class Lattice:
         if np.shape(values)[:1] != (self.n + 1,):
             raise DomainError(f"need {self.n + 1} terminal rows, got {np.shape(values)}")
         block = np.array(values, dtype=np.float64)
-        return _sweep(q, math.exp(-self.rate * self.dt), block, self.n)[0]
+        return _sweep(q, _exp("-rate*dt", -self.rate * self.dt), block, self.n)[0]
 
 
 def _sweep(q: float, disc: float, values: np.ndarray, steps: int) -> np.ndarray:
@@ -211,6 +215,12 @@ def delta_hedge(s: float, f_u: float, f_d: float, params: ModelParams,
     Delta = (1/s) * (f_u - f_d) / ((gamma-delta)*dt + sigma*sqrt(dt)/sqrt(p(1-p))).
     The denominator equals u - d of the asymptotic factors, so
     Delta*s*u - f_u == Delta*s*d - f_d identically.
+
+    Raises
+    ------
+    DomainError
+        If s is not positive, u - d is zero, or s*(u - d) underflows to
+        zero, besides the checks of :func:`~mptree.model.p_up`.
     """
     if not s > 0.0:
         raise DomainError(f"spot must be positive, got {s}")
@@ -219,6 +229,8 @@ def delta_hedge(s: float, f_u: float, f_d: float, params: ModelParams,
         params.sigma * math.sqrt(dt) / math.sqrt(p * (1.0 - p))
     if denom == 0.0:
         raise DomainError("degenerate hedge: asymptotic factor spread u - d is zero")
+    if s * denom == 0.0:
+        raise DomainError(f"degenerate hedge: price spread s*(u - d) underflows, s = {s}")
     return (f_u - f_d) / (s * denom)
 
 
@@ -256,8 +268,9 @@ def discontinuity_report(s0: float, r: float, sigma: float, t: float,
     Raises
     ------
     DomainError
-        If s0*u or any field of the report is not finite, besides the
-        argument checks.
+        If sigma*sqrt(t) or r*t is too large for exp, s0*u or any field
+        of the report is not finite, or sigma*sqrt(t) is so small that u
+        rounds to d, besides the argument checks.
     """
     if not s0 > 0.0:
         raise DomainError(f"spot must be positive, got {s0}")
@@ -266,14 +279,13 @@ def discontinuity_report(s0: float, r: float, sigma: float, t: float,
     if not (0.0 < sigma < math.inf and 0.0 < t < math.inf):
         raise DomainError(f"sigma and t must be positive and finite, "
                           f"got sigma={sigma}, t={t}")
-    for name, arg in (("sigma*sqrt(t)", sigma * math.sqrt(t)), ("r*t", r * t)):
-        if arg > _LOG_FLOAT_MAX:
-            raise DomainError(f"{name} = {arg} is too large for exp")
-    u = math.exp(sigma * math.sqrt(t))
+    u = _exp("sigma*sqrt(t)", sigma * math.sqrt(t))
+    grow = _exp("r*t", r * t)
     if not math.isfinite(s0 * u):
         raise DomainError(f"s0*u = {s0 * u} is not finite")
     d = 1.0 / u
-    grow = math.exp(r * t)
+    if not d < u:
+        raise DomainError(f"sigma*sqrt(t) is too small: u = d = {u}")
     q = (grow - d) / (u - d)
     if not 0.0 < q < 1.0:
         raise ArbitrageError(
@@ -303,12 +315,22 @@ def discontinuity_report(s0: float, r: float, sigma: float, t: float,
 
 def black_scholes_call(s0: float, strike: float, r: float, sigma: float,
                        t: float) -> float:
-    """Closed-form European call value; the lattice convergence reference."""
+    """Closed-form European call value; the lattice convergence reference.
+
+    Raises
+    ------
+    DomainError
+        If the spot, strike, sigma or t is not positive, sigma*sqrt(t) or
+        s0/strike rounds to zero, or -r*t is too large for exp.
+    """
     if not (s0 > 0.0 and strike > 0.0):
         raise DomainError("spot and strike must be positive")
     if not (sigma > 0.0 and t > 0.0):
         raise DomainError("sigma and t must be positive")
-    srt = sigma * math.sqrt(t)
-    d1 = (math.log(s0 / strike) + (r + sigma * sigma / 2.0) * t) / srt
+    srt, moneyness = sigma * math.sqrt(t), s0 / strike
+    if srt == 0.0 or moneyness == 0.0:
+        raise DomainError(f"sigma*sqrt(t) = {srt}, s0/strike = {moneyness}: one is zero")
+    disc = _exp("-r*t", -r * t)
+    d1 = (math.log(moneyness) + (r + sigma * sigma / 2.0) * t) / srt
     d2 = d1 - srt
-    return s0 * normal_cdf(d1) - strike * math.exp(-r * t) * normal_cdf(d2)
+    return s0 * normal_cdf(d1) - strike * disc * normal_cdf(d2)

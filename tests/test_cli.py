@@ -572,3 +572,136 @@ def test_moments_rejects_a_bad_order_or_step_before_the_header(capsys, args, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--g", "1e-12", "--sigma", "1", "--dt-start", "0.01", "--j-max", "64"],
+     "u^62 overflows: u = 100001.00049995"),
+    (["--b", "0.05", "--sigma", "1", "--dt-start", "1", "--j-max", "64"],
+     "log moment = 742.95 is too large for exp"),
+])
+def test_moments_reports_an_overflowing_moment_as_one_error_line(capsys, args, message):
+    assert main(["moments"] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# --full-precision output, pinned byte for byte
+# ---------------------------------------------------------------------------
+
+# Captured before the tree checks and the exp guard each moved to one place
+# in mptree.model; every printed bit must stay as it was.
+PINNED_FULL_PRECISION = [
+    (["price", "--model", "mpbin1", "--s0", "100", "--strike", "95", "--r", "0.05",
+      "--sigma", "0.25", "--g", "0.45", "--T", "0.5", "--n", "60"],
+     "11.073729106269216\n"),
+    (["price", "--model", "tian", "--s0", "100", "--strike", "105", "--r", "0.03",
+      "--sigma", "0.3", "--T", "1", "--n", "80", "--factors", "asymptotic"],
+     "11.080564066743587\n"),
+    (["demo-discontinuity", "--s0", "100", "--strike", "100", "--r", "0.05",
+      "--sigma", "0.2", "--T", "1"],
+     "# gap_at_0=-12.162284964623943\n"
+     "# gap_at_1=8.898196858132968\n"
+     "p,f0\n"
+     "0.0,0.0\n"
+     "0.01,12.162284964623943\n"
+     "0.5,12.162284964623943\n"
+     "0.99,12.162284964623943\n"
+     "1.0,21.06048182275691\n"),
+    (["demo-discontinuity", "--s0", "100", "--strike", "105", "--r", "0.02",
+      "--sigma", "0.3", "--T", "0.5", "--kind", "put", "--p-grid", "0.25,0.5,1.0"],
+     "# gap_at_0=11.23706297578487\n"
+     "# gap_at_1=-12.637207270753041\n"
+     "p,f0\n"
+     "0.25,12.637207270753041\n"
+     "0.5,12.637207270753041\n"
+     "1.0,0.0\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_FULL_PRECISION)
+def test_full_precision_output_is_pinned(capsys, argv, expected):
+    assert main(["--full-precision"] + argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_estimate_p_by_year_full_precision_output_is_pinned(tmp_path, capsys):
+    path = tmp_path / "returns.csv"
+    path.write_text(RETURNS)
+    assert main(["--full-precision", "estimate-p", "--returns", str(path),
+                 "--by-year"]) == 0
+    assert capsys.readouterr().out == (
+        "# ups=4\n"
+        "# total=7\n"
+        "# p_hat=0.5714285714285714\n"
+        "# ci_low=0.25045836452765724\n"
+        "# ci_high=0.8417801447485302\n"
+        "# exact_test_p0=0.5\n"
+        "# exact_test_p_value=1.0\n"
+        "# homogeneity_statistic=1.2152777777777777\n"
+        "# homogeneity_df=1\n"
+        "# homogeneity_p_value=0.2702893848016987\n"
+        "year,ups,total,p_hat,ci_low,ci_high\n"
+        "2020,1,3,0.3333333333333333,0.06149194472039632,0.7923403991979523\n"
+        "2021,3,4,0.75,0.300641842582402,0.9544127391902995\n")
+
+
+MOMENTS_DEFAULT_FULL_PRECISION = (
+    'j,dt,step_moment,gbm_moment,abs_error,halving_ratio,status\n'
+    '1,0.003968253968253968,1.0001984126984127,1.000198432383514,1.9685101326771814e-08,nan,PASS\n'
+    '1,0.001984126984126984,1.0000992063492065,1.0000992112703189,4.92111240646409e-09,0.9999668936976936,PASS\n'
+    '1,0.000992063492063492,1.0000496031746031,1.000049604404861,1.2302578955569743e-09,0.9999835760231596,PASS\n'
+    '1,0.000496031746031746,1.0000248015873017,1.0000248018948634,3.0756175384283324e-10,0.9999911561749121,PASS\n'
+    '1,0.000248015873015873,1.0000124007936508,1.0000124008705409,7.689004988264969e-11,0.9999949463409704,PASS\n'
+    '1,0.0001240079365079365,1.0000062003968253,1.000006200416048,1.9222623492964885e-11,1.0000057756395078,PASS\n'
+    '2,0.003968253968253968,1.0005555949231546,1.0005557099051252,1.1498197061143856e-07,nan,PASS\n'
+    '2,0.001984126984126984,1.0002777876196778,1.0002778163615973,2.8741919511077185e-08,0.9998756973197293,PASS\n'
+    '2,0.000992063492063492,1.0001388913493636,1.000138898534397,7.1850334570910945e-09,0.9999378718351738,PASS\n'
+    '2,0.000496031746031746,1.0000694450595633,1.0000694468557656,1.79620229801003e-09,0.9999687871946159,PASS\n'
+    '2,0.000248015873015873,1.000034722376002,1.0000347228250455,4.490434690751499e-10,0.9999841767770469,PASS\n'
+    '2,0.0001240079365079365,1.0000173611495558,1.0000173612618162,1.1226042317957763e-10,0.9999960441316671,PASS\n'
+    '3,0.003968253968253968,1.0010716411642737,1.001072002756068,3.615917942845215e-07,nan,PASS\n'
+    '3,0.001984126984126984,1.0005357674329498,1.0005358578062398,9.037328996264193e-08,0.9997272215921025,PASS\n'
+    '3,0.000992063492063492,1.0002678704295436,1.0002678930197848,2.259024123318909e-08,0.999863620878573,PASS\n'
+    '3,0.000496031746031746,1.0001339318930853,1.00013393754026,5.64717472784082e-09,0.9999317261905312,PASS\n'
+    '3,0.000248015873015873,1.0000669651161267,1.000066966527872,1.4117453872586339e-09,0.9999657919551643,PASS\n'
+    '3,0.0001240079365079365,1.0000334823504595,1.0000334827033903,3.5293079569953534e-10,0.999984271625257,PASS\n'
+    '4,0.003968253968253968,1.0017466711445766,1.0017475569470147,8.858024380664631e-07,nan,PASS\n'
+    '4,0.001984126984126984,1.0008731757140603,1.0008733970622932,2.2134823285391292e-07,0.999537699792625,PASS\n'
+    '4,0.000992063492063492,1.0004365478956945,1.0004366032199608,5.532426627929965e-08,0.999768836027943,PASS\n'
+    '4,0.000496031746031746,1.0002182639579167,1.000218277787384,1.3829467349069091e-08,0.9998843747336659,PASS\n'
+    '4,0.000248015873015873,1.000109129481526,1.0001091329386929,3.4571667750782353e-09,0.9999421345207338,PASS\n'
+    '4,0.0001240079365079365,1.0000545641164105,1.0000545649806778,8.642673243741683e-10,0.9999718042004034,PASS\n'
+    '5,0.003968253968253968,1.0025808298446348,1.0025826945034562,1.8646588213488968e-06,nan,PASS\n'
+    '5,0.001984126984126984,1.0012900486946756,1.001290514537842,4.658431662640794e-07,0.9993102457790918,PASS\n'
+    '5,0.000992063492063492,1.0006449328040483,1.00064504922467,1.1642062158756517e-07,0.9996550772331655,PASS\n'
+    '5,0.000496031746031746,1.0003224435179054,1.0003224726180402,2.910013474632933e-08,0.9998274996132646,PASS\n'
+    '5,0.000248015873015873,1.000161216038136,1.0001612233125419,7.27440596648421e-09,0.9999137158499649,PASS\n'
+    '5,0.0001240079365079365,1.0000806065888894,1.0000806084074132,1.8185237760093287e-09,0.9999572662773665,PASS\n'
+    '6,0.003968253968253968,1.0035742875318068,1.0035778137215554,3.526189748637165e-06,nan,PASS\n'
+    '6,0.001984126984126984,1.0017864289167155,1.0017873096229335,8.80706217953886e-07,0.9990457470920499,PASS\n'
+    '6,0.000992063492063492,1.000893035786971,1.0008932558584525,2.200714814826199e-07,0.9995227784080112,PASS\n'
+    '6,0.000496031746031746,1.0004464732307534,1.0004465282354937,5.5004740318054246e-08,0.9997613493122821,PASS\n'
+    '6,0.000248015873015873,1.000223225450333,1.0002232391998767,1.3749543725793956e-08,0.9998806391078212,PASS\n'
+    '6,0.0001240079365079365,1.0001116099339842,1.000111613371166,3.437181872456563e-09,0.9999406354142375,PASS\n'
+    '7,0.003968253968253968,1.0047272397932812,1.0047333894847592,6.149691478052333e-06,nan,PASS\n'
+    '7,0.001984126984126984,1.0023623652364804,1.0023639007290512,1.535492570869934e-06,0.9987444582219852,PASS\n'
+    '7,0.000992063492063492,1.0011808690534774,1.0011812526855721,3.836320947581129e-07,0.9993720634956011,PASS\n'
+    '7,0.000496031746031746,1.0005903561480818,1.0005904520259885,9.587790672505037e-08,0.9996859807624089,PASS\n'
+    '7,0.000248015873015873,1.0002951584809434,1.000295182446656,2.396571252560875e-08,0.9998429604574228,PASS\n'
+    '7,0.0001240079365079365,1.0001475743423915,1.0001475803333506,5.990959062174284e-09,0.9999217099466744,PASS\n'
+    '8,0.003968253968253968,1.0060399075731417,1.0060499736415176,1.0066068375946813e-05,nan,PASS\n'
+    '8,0.001984126984126984,1.0030179128292809,1.0030204253361532,2.5125068723319544e-06,0.9984064397319885,PASS\n'
+    '8,0.000992063492063492,1.0015084463898094,1.0015090740158838,6.27626074445331e-07,0.9992029575828497,PASS\n'
+    '8,0.000496031746031746,1.0007540957155034,1.0007542525594801,1.568439766952423e-07,0.9996014065148856,PASS\n'
+    '8,0.000248015873015873,1.000377015991252,1.0003770551944302,3.9203178259228366e-08,0.999800670328644,PASS\n'
+    '8,0.0001240079365079365,1.0001885000294182,1.0001885098292373,9.799819178368807e-09,0.9999004788405843,PASS\n'
+    '# overall=PASS\n'
+)
+
+
+def test_moments_default_full_precision_output_is_pinned(capsys):
+    assert main(["--full-precision", "moments"]) == 0
+    assert capsys.readouterr().out == MOMENTS_DEFAULT_FULL_PRECISION

@@ -1,0 +1,63 @@
+"""Degenerate float inputs fail as DomainError or ArbitrageError and nothing else."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mptree.convergence import lognormal_cdf, terminal_distribution
+from mptree.errors import ArbitrageError, DomainError
+from mptree.model import (ModelParams, gbm_moment, step_factors_asymptotic,
+                          step_factors_exact, step_moment)
+from mptree.pricing import (Lattice, Payoff, black_scholes_call, delta_hedge,
+                            discontinuity_report, risk_neutral_prob)
+
+EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+         1e-300, 1e300, -1e300)
+# Ordinary values, so that edges also meet arguments that pass every check.
+ORDINARY = (0.5, 0.45, 0.2, 0.05, -0.05, 1.0 / 252.0, 1.0, 2.0, 100.0)
+reals = st.one_of(st.sampled_from(EDGES + ORDINARY), st.floats())
+orders = st.integers(-1, 66)
+steps = st.one_of(st.integers(-1, 66), st.sampled_from([400, 100_000]))
+params = st.builds(ModelParams, reals, reals, reals, reals, reals)
+kinds = st.sampled_from(["call", "put"])
+
+
+def _discontinuity_report(s0, r, sigma, t, kind, strike, p):
+    # The payoff is built inside the call, since a bad strike raises there too.
+    return discontinuity_report(s0, r, sigma, t, Payoff(kind=kind, strike=strike), p)
+
+
+# Each call: (function, strategies of its arguments).
+CALLS = {
+    "gbm_moment": (gbm_moment, (reals, reals, reals, orders)),
+    "step_moment": (step_moment, (params, reals, orders)),
+    "step_factors_exact": (step_factors_exact, (params, reals)),
+    "step_factors_asymptotic": (step_factors_asymptotic, (params, reals)),
+    "risk_neutral_prob": (risk_neutral_prob, (params, reals, reals)),
+    "delta_hedge": (delta_hedge, (reals, reals, reals, params, reals)),
+    "Lattice.build": (Lattice.build, (reals, params, steps, reals, reals,
+                                      st.sampled_from(["exact", "asymptotic"]))),
+    "terminal_distribution": (terminal_distribution,
+                              (reals, params, steps, reals,
+                               st.sampled_from(["physical", "risk_neutral"]),
+                               st.none() | reals)),
+    "lognormal_cdf": (lognormal_cdf, (reals | st.lists(reals, max_size=4).map(np.array),
+                                      reals, reals, reals, reals)),
+    "discontinuity_report": (_discontinuity_report,
+                             (reals, reals, reals, reals, kinds, reals, reals)),
+    "black_scholes_call": (black_scholes_call, (reals, reals, reals, reals, reals)),
+}
+
+
+@settings(deadline=None, max_examples=1500)
+@given(data=st.data(), name=st.sampled_from(sorted(CALLS)))
+def test_degenerate_inputs_raise_only_domain_or_arbitrage_errors(data, name):
+    # Warnings are errors in this suite, so a NumPy overflow warning fails too.
+    fn, strategies = CALLS[name]
+    args = [data.draw(strategy, label=f"arg {i}") for i, strategy in enumerate(strategies)]
+    try:
+        fn(*args)
+    except (DomainError, ArbitrageError):
+        pass

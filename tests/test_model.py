@@ -357,6 +357,22 @@ def test_gbm_moment_values():
     assert gbm_moment(0.05, 0.2, 0.01, 2) == pytest.approx(1.00140098, abs=1e-8)
 
 
+def test_step_moment_rejects_an_overflowing_power():
+    # g = 1e-12 makes h_u = sigma*sqrt((1-p)/p) = 1e6, so u = 1e5 at dt = 0.01:
+    # u^61 is about 1e305, u^62 beyond the largest float.
+    params = mp(g=1e-12, sigma=1.0)
+    assert math.isfinite(step_moment(params, 0.01, 61))
+    with pytest.raises(DomainError, match=re.escape("u^62 overflows")):
+        step_moment(params, 0.01, 62)
+
+
+def test_gbm_moment_rejects_an_exponent_too_large_for_exp():
+    # 64*(0.05 + 63/2) = 2019.2 at dt = 1; at dt = 0.35 it is 706.72.
+    assert math.isfinite(gbm_moment(0.05, 1.0, 0.35, 64))
+    with pytest.raises(DomainError, match=re.escape("log moment = 2019.2 is too large")):
+        gbm_moment(0.05, 1.0, 1.0, 64)
+
+
 @pytest.mark.parametrize("fn", [step_moment, None])
 def test_moment_order_guards(fn):
     params = mp()

@@ -538,6 +538,34 @@ def test_discontinuity_rejects_a_price_that_is_not_finite(s0, r, sigma, strike, 
         discontinuity_report(s0, r, sigma, 1.0, Payoff.call(strike), 0.5)
 
 
+def test_discontinuity_rejects_a_step_so_small_that_u_rounds_to_d():
+    with pytest.raises(DomainError, match=re.escape("sigma*sqrt(t) is too small: u = d")):
+        discontinuity_report(100.0, 0.0, 1e-300, 1e-300, Payoff.call(100.0), 0.5)
+
+
+@pytest.mark.parametrize("s0, strike, r, sigma, t, message", [
+    (100.0, 100.0, 0.0, 1e-300, 1e-300, "sigma*sqrt(t) = 0.0, s0/strike = 1.0"),
+    (5e-324, 1e300, 0.05, 0.2, 1.0, "sigma*sqrt(t) = 0.2, s0/strike = 0.0"),
+    (100.0, 100.0, -1.0, 1e-300, 1e300, "-r*t = 1e+300 is too large for exp"),
+], ids=["sigma-sqrt-t-underflows", "moneyness-underflows", "discount-overflows"])
+def test_black_scholes_rejects_a_zero_scale_or_an_overflowing_discount(
+        s0, strike, r, sigma, t, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        black_scholes_call(s0, strike, r, sigma, t)
+
+
+def test_roll_back_rejects_a_discount_too_large_for_exp():
+    lattice = Lattice.build(100.0, jarrow_rudd_params(0.05, 0.2), 4, 0.01, rate=-1e5)
+    with pytest.raises(DomainError, match=re.escape("-rate*dt = 1000.0 is too large")):
+        lattice.roll_back(0.5, np.ones(5))
+
+
+def test_delta_hedge_rejects_a_price_spread_that_underflows():
+    # u - d is about 0.025 at a daily step, so s*(u - d) rounds to 0.
+    with pytest.raises(DomainError, match=re.escape("s*(u - d) underflows")):
+        delta_hedge(5e-324, 1.0, 0.0, mp(), DAILY)
+
+
 def test_discontinuity_rejects_a_very_negative_rate_as_arbitrage():
     # exp(r*t) underflows to 0, so q = -d/(u - d) < 0.
     with pytest.raises(ArbitrageError, match="replication probability"):
