@@ -11,6 +11,10 @@ n = days to maturity):
   delta = (r - g*gamma)/(1 - g): the trees whose mean drift under the up
   probability g is r.
 
+:func:`model_prices` prices a whole chain in one call of the one backward
+induction of :mod:`mptree.pricing`, the induction that
+:func:`~mptree.pricing.price_european` runs on too.
+
 The slope v is visible only across step sizes, as in
 :func:`~mptree.convergence.rate_experiment` where dt = t/n; it is never
 visible in a calibration at one dt. There a lattice's prices depend on
@@ -67,6 +71,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,7 +80,7 @@ from .errors import ArbitrageError, DomainError
 from .model import (ModelParams, crr_params, jarrow_rudd_params, p_up,
                     step_factors_exact, tian_params, validate_params)
 from .optimize import MinimizeConfig, least_squares, minimize
-from .pricing import Lattice, _sweep, risk_neutral_prob
+from .pricing import Lattice, _induction, risk_neutral_prob
 
 __all__ = [
     "MODELS",
@@ -250,8 +255,14 @@ def free_parameter_names(model: str) -> tuple[str, ...]:
 
 
 def build_params(model: str, x: Sequence[float], r: float) -> ModelParams:
-    """Map a free-parameter vector to the full five-tuple for ``model``."""
-    return _family(model).build(x, r)
+    """Map a free-parameter vector to the full five-tuple for ``model``.
+
+    ``x`` must hold one value per free parameter, or DomainError is raised.
+    """
+    family = _family(model)
+    if len(x) != len(family.params):
+        raise DomainError(f"{model} takes free parameters {family.params}, got {len(x)} values")
+    return family.build(x, r)
 
 
 def free_parameter_spec(model: str) -> tuple[tuple[tuple[float, float], ...],
@@ -267,37 +278,31 @@ def model_prices(model: str, params: ModelParams, quotes: Sequence[OptionQuote],
     """Price every quote: n = days to maturity on a step of ``dt``.
 
     Every maturity shares one recombining lattice, so the whole chain is
-    priced in one backward induction with a strike column per quote: it
-    starts from the longest maturity's payoffs, and each shorter
-    maturity's payoff columns join at their own step. Each column goes
-    through the arithmetic of :meth:`~mptree.pricing.Lattice.roll_back`
-    alone, so each price is bit-identical to pricing its quote with
-    :func:`~mptree.pricing.price_european`. The lattice uses the exact
-    (exponential) factors and the paper's hedge probability Q, which
-    leaves the martingale residual documented on ``roll_back``.
+    priced in one call of pricing's backward induction, the one that
+    :meth:`~mptree.pricing.Lattice.roll_back` makes for
+    :func:`~mptree.pricing.price_european`: one block of strike columns
+    per maturity, longest first, each joining at its own step. Each
+    column goes through the arithmetic of rolling it back alone, so each
+    price is bit-identical to pricing its quote with ``price_european``.
+    The induction also checks Q and takes the discount, so a discount too
+    large for a float raises DomainError here as in ``roll_back``. The
+    lattice uses the exact (exponential) factors and the paper's hedge
+    probability Q, which leaves the martingale residual documented on
+    ``roll_back``.
     """
     _family(model)  # rejects an unknown model
     if len(quotes) == 0:
         raise DomainError("quote list must be non-empty")
     factors = step_factors_exact(params, dt)
     q = risk_neutral_prob(params, r, dt)
-    by_maturity: dict[int, list[int]] = {}
-    for idx, quote in enumerate(quotes):
-        by_maturity.setdefault(quote.days_to_maturity, []).append(idx)
-    steps = sorted(by_maturity, reverse=True)
-    lattice = Lattice(s0=s0, n=steps[0], dt=dt, factors=factors, rate=r)
-    disc = math.exp(-r * dt)
-    values = np.empty((steps[0] + 1, 0))
-    order: list[int] = []
-    for n, below in zip(steps, steps[1:] + [0]):
-        idxs = by_maturity[n]
+    order = sorted(range(len(quotes)), key=lambda idx: -quotes[idx].days_to_maturity)
+    lattice = Lattice(s0, quotes[order[0]].days_to_maturity, dt, factors, r)
+    blocks = []
+    for n, idxs in groupby(order, key=lambda idx: quotes[idx].days_to_maturity):
         strikes = np.array([quotes[idx].strike for idx in idxs])
-        payoffs = np.maximum(lattice.node_values(n)[:, None] - strikes[None, :], 0.0)
-        # hstack builds a new float64 block, which the sweep overwrites.
-        values = _sweep(q, disc, np.hstack([values, payoffs]), n - below)
-        order += idxs
+        blocks.append(np.maximum(lattice.node_values(n)[:, None] - strikes[None, :], 0.0))
     prices = np.empty(len(quotes))
-    prices[order] = values[0]
+    prices[order] = _induction(lattice, q, blocks)
     return prices.tolist()
 
 

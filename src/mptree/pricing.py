@@ -12,20 +12,23 @@ probability from (u, d, r) alone prices independently of p on (0, 1) and
 jumps at p = 0 and p = 1; :func:`discontinuity_report` exhibits those
 gaps for comparison.
 
-There is one backward-induction sweep. It rolls back in place on one
-float64 array that its caller owns: :meth:`Lattice.roll_back` copies its
-``values`` once for :func:`price_european`, and calibration's chain pricer
-(:func:`~mptree.calibration.model_prices`) hands it the block it has just
-built for a whole chain, in which each maturity's strike columns join at
-their own step. Each step does the same IEEE operations in the same
-order for every column, so a chain price equals the
-:func:`price_european` price of its quote bit for bit.
+There is one backward induction, ``_induction``, and both European
+pricers run on it. It takes blocks of terminal values in descending
+order of step count, and each block joins it at its own step.
+:meth:`Lattice.roll_back` hands it one block, its ``values``, for
+:func:`price_european`; calibration's chain pricer
+(:func:`~mptree.calibration.model_prices`) hands it one block of strike
+columns per maturity. Each step does the same IEEE operations in the
+same order for every column, so a chain price equals the
+:func:`price_european` price of its quote bit for bit. The induction
+checks q and takes its discount through ``_exp``, so neither pricer
+computes a discount of its own.
 
 The tree rules live in :mod:`mptree.model`: p(dt) in
 :func:`~mptree.model.p_up`, the checks of a :class:`Lattice` in
 ``_require_positive_dt`` and ``_require_finite_nodes`` (spot, step count,
 top node), and the guard against an exponent too large for exp, ``_exp``, which
-:meth:`Lattice.roll_back`'s discount, :func:`discontinuity_report` and
+the induction's discount, :func:`discontinuity_report` and
 :func:`black_scholes_call` share with the exact factors.
 """
 
@@ -125,14 +128,13 @@ class Lattice:
         """Discounted expectation at the root of values at the terminal nodes.
 
         ``values`` has one row per terminal node, in the order of
-        :meth:`node_values`, and shape ``(n+1,)`` or ``(n+1, k)``; each of
-        the n sweeps discounts by exp(-rate*dt) under the up probability
-        ``q``, which must lie in [0, 1], and a discount too large for a
-        float raises DomainError. The root value or row is returned;
-        the arithmetic of each column is that of rolling it back alone.
-        ``values`` is copied once to float64 and the sweep runs in place on
-        that copy, so the caller's array is never written and a float32
-        input is rolled back in float64.
+        :meth:`node_values`, shape ``(n+1,)`` or ``(n+1, k)``, and only
+        finite entries; each of the n steps discounts by exp(-rate*dt)
+        under the up probability ``q``, which must lie in [0, 1], and a
+        discount too large for a float raises DomainError. The root value
+        or row is returned; the arithmetic of each column is that of
+        rolling it back alone. ``values`` is rolled back in float64 on a
+        copy (see ``_induction``), so the caller's array is never written.
 
         Q is the paper's hedge probability, derived from the asymptotic
         factors. On a lattice built with the exact factors the one-step
@@ -143,21 +145,33 @@ class Lattice:
         steps). A zero-strike call is thus worth S0 (1 + residual)^n, not
         exactly S0.
         """
-        if not 0.0 <= q <= 1.0:
-            raise DomainError(f"up probability q must be in [0, 1], got {q}")
-        if np.shape(values)[:1] != (self.n + 1,):
-            raise DomainError(f"need {self.n + 1} terminal rows, got {np.shape(values)}")
-        block = np.array(values, dtype=np.float64)
-        return _sweep(q, _exp("-rate*dt", -self.rate * self.dt), block, self.n)[0]
+        shape = np.shape(values)
+        if shape[:1] != (self.n + 1,):
+            raise DomainError(f"need {self.n + 1} terminal rows, got {shape}")
+        if not np.isfinite(values).all():
+            raise DomainError("terminal values must be finite")
+        block = np.reshape(values, (self.n + 1, math.prod(shape[1:])))
+        # [()] makes the 0-d root of a 1-D ``values`` a scalar.
+        return _induction(self, q, [block]).reshape(shape[1:])[()]
 
 
-def _sweep(q: float, disc: float, values: np.ndarray, steps: int) -> np.ndarray:
-    """Roll ``values`` back ``steps`` steps in place; its first rows are returned.
+def _induction(lattice: Lattice, q: float, blocks: list[np.ndarray]) -> np.ndarray:
+    """Root row of one backward induction of ``blocks`` on ``lattice``.
 
-    ``values`` must be a writable float64 array that the caller owns: it
-    is overwritten, and the returned view of its first ``len - steps`` rows
-    holds the result. A step on the first m + 1 rows is four in-place
-    ufunc calls, ``tmp[:m] = v[1:m+1]*q; v[:m] *= 1 - q; v[:m] += tmp[:m];
+    Each block holds terminal values of one step count: len(block) rows,
+    one per node after len(block) - 1 steps, and a column per claim. The
+    blocks come in descending order of step count, the first with
+    ``lattice.n + 1`` rows. The induction starts from the first block, and
+    each later block joins it at its own step: its columns are appended to
+    the rows still live in a new contiguous float64 array. So the callers'
+    arrays are never written, a float32 block is rolled back in float64,
+    and the root row has one entry per column, block after block. One
+    array laid out once for all blocks would leave every step a strided
+    view of short runs, which costs far more than these copies. ``q`` must
+    lie in [0, 1], and exp(-rate*dt) must fit a float.
+
+    A step on the first m + 1 rows is four in-place ufunc calls,
+    ``tmp[:m] = v[1:m+1]*q; v[:m] *= 1 - q; v[:m] += tmp[:m];
     v[:m] *= disc``, the same IEEE operations as
     ``disc*(q*v[1:] + (1-q)*v[:-1])`` since addition and multiplication
     commute bit for bit. That fixed order is what makes
@@ -166,19 +180,24 @@ def _sweep(q: float, disc: float, values: np.ndarray, steps: int) -> np.ndarray:
     changes the last bits of the prices, and with them where some fits
     stop.
     """
-    down = 1.0 - q
-    tmp = np.empty_like(values[1:])
-    rows = len(values)
+    if not 0.0 <= q <= 1.0:
+        raise DomainError(f"up probability q must be in [0, 1], got {q}")
+    disc, down = _exp("-rate*dt", -lattice.rate * lattice.dt), 1.0 - q
     # Positional outputs and local names cut the per-call overhead, which
     # is a large share of a step of a few hundred nodes.
     multiply, add = np.multiply, np.add
-    for m in range(rows - 1, rows - 1 - steps, -1):
-        head, scratch = values[:m], tmp[:m]
-        multiply(values[1:m + 1], q, scratch)
-        multiply(head, down, head)
-        add(head, scratch, head)
-        multiply(head, disc, head)
-    return values[:rows - steps]
+    values = np.empty((len(blocks[0]), 0))
+    for block, below in zip(blocks, [len(block) - 1 for block in blocks[1:]] + [0]):
+        # A new contiguous float64 array: the rows still live, then the block.
+        values = np.hstack([values[:len(block)], block])
+        tmp = np.empty_like(values[1:])
+        for m in range(len(block) - 1, below, -1):
+            head, scratch = values[:m], tmp[:m]
+            multiply(values[1:m + 1], q, scratch)
+            multiply(head, down, head)
+            add(head, scratch, head)
+            multiply(head, disc, head)
+    return values[0]
 
 
 def risk_neutral_prob(params: ModelParams, r: float, dt: float) -> float:

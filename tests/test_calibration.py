@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,26 @@ def test_build_params_mpbin2_derived_quantities():
 def test_build_params_mpbin2_rejects_g_outside_the_unit_interval(g):
     with pytest.raises(DomainError, match="g must lie strictly inside"):
         build_params("mpbin2", (0.21, g, 0.09), RATE)
+
+
+@pytest.mark.parametrize("model, x", [
+    ("crr", [0.2, 0.9, 7.0]),
+    ("mpbin1", [0.2, 0.45, 3.0]),
+    ("crr", []),
+    ("mpbin2", [0.2]),
+], ids=["crr-too-long", "mpbin1-too-long", "crr-empty", "mpbin2-too-short"])
+def test_build_params_rejects_a_vector_of_the_wrong_length(model, x):
+    names = re.escape(str(free_parameter_names(model)))
+    with pytest.raises(DomainError, match=f"^{model} takes free parameters {names}, "
+                                          f"got {len(x)} values$"):
+        build_params(model, x, 0.05)
+
+
+def test_model_prices_rejects_a_discount_too_large_for_exp():
+    # Q is valid here, but exp(-r*dt) = exp(180000/252) overflows a float.
+    with pytest.raises(DomainError, match=re.escape("-rate*dt = 714.2857142857142 is too large")):
+        model_prices("jr", jarrow_rudd_params(-180000.0, 0.2),
+                     [OptionQuote(100.0, 21, 2.0)], 100.0, -180000.0)
 
 
 def test_free_parameter_spec_shapes():

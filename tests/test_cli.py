@@ -202,6 +202,16 @@ def test_calibrate_rejects_an_empty_model_list(tmp_path, capsys):
     assert captured.err.startswith("error: model list must be non-empty")
 
 
+def test_calibrate_reports_a_discount_too_large_for_exp_as_one_error_line(tmp_path, capsys):
+    path = tmp_path / "chain.csv"
+    path.write_text("# spot=100\n# rate=-180000\nstrike,days_to_maturity,market_price\n"
+                    "100,21,2.0\n")
+    assert main(["calibrate", "--chain", str(path), "--models", "jr"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: -rate*dt = 714.2857142857142 is too large for exp\n"
+
+
 def test_calibrate_rejects_a_call_priced_above_the_spot(tmp_path, capsys):
     quotes = (OptionQuote(90.0, 21, 10.6), OptionQuote(100.0, 21, 150.0),
               OptionQuote(110.0, 21, 0.4))

@@ -6,10 +6,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mptree.calibration import MODELS, OptionQuote, build_params, model_prices
 from mptree.convergence import lognormal_cdf, terminal_distribution
 from mptree.errors import ArbitrageError, DomainError
-from mptree.model import (ModelParams, gbm_moment, step_factors_asymptotic,
-                          step_factors_exact, step_moment)
+from mptree.model import (ModelParams, gbm_moment, jarrow_rudd_params,
+                          step_factors_asymptotic, step_factors_exact, step_moment)
 from mptree.pricing import (Lattice, Payoff, black_scholes_call, delta_hedge,
                             discontinuity_report, risk_neutral_prob)
 
@@ -22,11 +23,25 @@ orders = st.integers(-1, 66)
 steps = st.one_of(st.integers(-1, 66), st.sampled_from([400, 100_000]))
 params = st.builds(ModelParams, reals, reals, reals, reals, reals)
 kinds = st.sampled_from(["call", "put"])
+models = st.sampled_from(MODELS)
 
 
 def _discontinuity_report(s0, r, sigma, t, kind, strike, p):
     # The payoff is built inside the call, since a bad strike raises there too.
     return discontinuity_report(s0, r, sigma, t, Payoff(kind=kind, strike=strike), p)
+
+
+def _roll_back(q, values):
+    lattice = Lattice.build(100.0, jarrow_rudd_params(0.05, 0.2), 4, 1.0 / 252.0, 0.05)
+    return lattice.roll_back(q, np.array(values))
+
+
+def _model_prices(model, params, quotes, s0, r, dt):
+    # The quotes, and a Jarrow-Rudd tree given as (r, sigma), are built
+    # inside the call, since a bad field raises there too.
+    if isinstance(params, tuple):
+        params = jarrow_rudd_params(*params)
+    return model_prices(model, params, [OptionQuote(*quote) for quote in quotes], s0, r, dt)
 
 
 # Each call: (function, strategies of its arguments).
@@ -48,6 +63,12 @@ CALLS = {
     "discontinuity_report": (_discontinuity_report,
                              (reals, reals, reals, reals, kinds, reals, reals)),
     "black_scholes_call": (black_scholes_call, (reals, reals, reals, reals, reals)),
+    "Lattice.roll_back": (_roll_back, (reals, st.lists(reals, min_size=4, max_size=6))),
+    "model_prices": (_model_prices,
+                     (models, params | st.tuples(reals, reals),
+                      st.lists(st.tuples(reals, orders, reals), max_size=3),
+                      reals, reals, reals)),
+    "build_params": (build_params, (models, st.lists(reals, max_size=4), reals)),
 }
 
 

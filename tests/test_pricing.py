@@ -560,6 +560,16 @@ def test_roll_back_rejects_a_discount_too_large_for_exp():
         lattice.roll_back(0.5, np.ones(5))
 
 
+@pytest.mark.parametrize("q, values", [
+    (0.5, [math.nan, 1.0, 1.0, 1.0, 1.0]),
+    (1.0, [math.inf, 1.0, 1.0, 1.0, 1.0]),
+], ids=["nan", "inf-row-of-zero-weight"])
+def test_roll_back_rejects_non_finite_terminal_values(q, values):
+    lattice = Lattice.build(100.0, jarrow_rudd_params(0.05, 0.2), 4, 0.01, rate=0.05)
+    with pytest.raises(DomainError, match="terminal values must be finite"):
+        lattice.roll_back(q, np.array(values))
+
+
 def test_delta_hedge_rejects_a_price_spread_that_underflows():
     # u - d is about 0.025 at a daily step, so s*(u - d) rounds to 0.
     with pytest.raises(DomainError, match=re.escape("s*(u - d) underflows")):
