@@ -11,9 +11,14 @@ n = days to maturity):
   delta = (r - g*gamma)/(1 - g): the trees whose mean drift under the up
   probability g is r.
 
-:func:`model_prices` prices a whole chain in one call of the one backward
+:func:`model_prices` prices a whole chain in one run of the one backward
 induction of :mod:`mptree.pricing`, the induction that
-:func:`~mptree.pricing.price_european` runs on too.
+:func:`~mptree.pricing.price_european` runs on too. A fit prices one
+chain many times, so it lays the chain out once, as a private
+``_Chain``: the quotes with their order by maturity, each maturity's
+strike row and the induction's plan, whose work arrays and step views
+every evaluation then reuses. The prices are bit for bit those of
+pricing the quotes afresh.
 
 The slope v is visible only across step sizes, as in
 :func:`~mptree.convergence.rate_experiment` where dt = t/n; it is never
@@ -80,7 +85,7 @@ from .errors import ArbitrageError, DomainError
 from .model import (ModelParams, crr_params, jarrow_rudd_params, p_up,
                     step_factors_exact, tian_params, validate_params)
 from .optimize import MinimizeConfig, least_squares, minimize
-from .pricing import Lattice, _induction, risk_neutral_prob
+from .pricing import Lattice, _Plan, risk_neutral_prob
 
 __all__ = [
     "MODELS",
@@ -272,49 +277,78 @@ def free_parameter_spec(model: str) -> tuple[tuple[tuple[float, float], ...],
     return tuple(box for box, _ in boxes), tuple(kind for _, kind in boxes)
 
 
+class _Chain(tuple):
+    """The quotes of one fit, laid out once for the backward induction.
+
+    A tuple of the quotes in their given order, which also holds what
+    pricing them would otherwise redo at every evaluation: the order of
+    the quotes by descending maturity, the step count and strike row of
+    each maturity, and the induction's ``_Plan`` with one block per
+    maturity, longest first. Every pricing overwrites the plan's arrays,
+    so a chain belongs to one fit's closure and is never shared.
+    """
+
+    def __new__(cls, quotes: Sequence[OptionQuote]) -> "_Chain":
+        chain = super().__new__(cls, quotes)
+        if len(chain) == 0:
+            raise DomainError("quote list must be non-empty")
+        order = sorted(range(len(chain)), key=lambda idx: -chain[idx].days_to_maturity)
+        groups = [(n, [chain[idx].strike for idx in idxs]) for n, idxs in
+                  groupby(order, key=lambda idx: chain[idx].days_to_maturity)]
+        chain.order = np.array(order)
+        chain.steps = [n for n, _ in groups]
+        chain.strikes = [np.array(strikes) for _, strikes in groups]
+        chain.plan = _Plan([n + 1 for n in chain.steps], [len(k) for k in chain.strikes])
+        return chain
+
+
 def model_prices(model: str, params: ModelParams, quotes: Sequence[OptionQuote],
                  s0: float, r: float,
                  dt: float = 1.0 / TRADING_DAYS_PER_YEAR) -> list[float]:
     """Price every quote: n = days to maturity on a step of ``dt``.
 
     Every maturity shares one recombining lattice, so the whole chain is
-    priced in one call of pricing's backward induction, the one that
+    priced in one run of pricing's backward induction, the one that
     :meth:`~mptree.pricing.Lattice.roll_back` makes for
     :func:`~mptree.pricing.price_european`: one block of strike columns
     per maturity, longest first, each joining at its own step. Each
     column goes through the arithmetic of rolling it back alone, so each
     price is bit-identical to pricing its quote with ``price_european``.
-    The induction also checks Q and takes the discount, so a discount too
-    large for a float raises DomainError here as in ``roll_back``. The
-    lattice uses the exact (exponential) factors and the paper's hedge
-    probability Q, which leaves the martingale residual documented on
-    ``roll_back``.
+    The induction also checks Q, takes the discount and rejects a price
+    that overflows, so a discount too large for a float raises
+    DomainError here as in ``roll_back``. The lattice uses the exact
+    (exponential) factors and the paper's hedge probability Q, which
+    leaves the martingale residual documented on ``roll_back``.
+
+    ``quotes`` laid out by a fit (a private ``_Chain``) are priced
+    through the chain's plan; any other sequence is laid out for this
+    call alone. The prices are the same bits either way.
     """
     _family(model)  # rejects an unknown model
-    if len(quotes) == 0:
-        raise DomainError("quote list must be non-empty")
+    chain = quotes if isinstance(quotes, _Chain) else _Chain(quotes)
     factors = step_factors_exact(params, dt)
     q = risk_neutral_prob(params, r, dt)
-    order = sorted(range(len(quotes)), key=lambda idx: -quotes[idx].days_to_maturity)
-    lattice = Lattice(s0, quotes[order[0]].days_to_maturity, dt, factors, r)
-    blocks = []
-    for n, idxs in groupby(order, key=lambda idx: quotes[idx].days_to_maturity):
-        strikes = np.array([quotes[idx].strike for idx in idxs])
-        blocks.append(np.maximum(lattice.node_values(n)[:, None] - strikes[None, :], 0.0))
-    prices = np.empty(len(quotes))
-    prices[order] = _induction(lattice, q, blocks)
+    lattice = Lattice(s0, chain.steps[0], dt, factors, r)
+    for n, strikes, block in zip(chain.steps, chain.strikes, chain.plan.blocks):
+        np.subtract(lattice.node_values(n)[:, None], strikes, out=block)
+        np.maximum(block, 0.0, out=block)
+    prices = np.empty(len(chain))
+    prices[chain.order] = chain.plan.run(lattice, q)
     return prices.tolist()
 
 
 def _residuals(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
                dt: float) -> Callable[[Sequence[float]], np.ndarray]:
     """Model minus market prices of ``quotes`` as a function of the free
-    vector of ``model``; NaN wherever the pricing raises."""
-    market = np.array([q.market_price for q in quotes])
+    vector of ``model``; NaN wherever the pricing raises. The quotes are
+    laid out once, as a ``_Chain``, for every evaluation, and each
+    evaluation returns a new array."""
+    chain = _Chain(quotes)
+    market = np.array([q.market_price for q in chain])
 
     def residuals(x: Sequence[float]) -> np.ndarray:
         try:
-            prices = model_prices(model, build_params(model, x, r), quotes, s0, r, dt)
+            prices = model_prices(model, build_params(model, x, r), chain, s0, r, dt)
         except (DomainError, ArbitrageError):
             return np.full(market.size, np.nan)
         return np.asarray(prices) - market

@@ -12,17 +12,19 @@ probability from (u, d, r) alone prices independently of p on (0, 1) and
 jumps at p = 0 and p = 1; :func:`discontinuity_report` exhibits those
 gaps for comparison.
 
-There is one backward induction, ``_induction``, and both European
-pricers run on it. It takes blocks of terminal values in descending
-order of step count, and each block joins it at its own step.
-:meth:`Lattice.roll_back` hands it one block, its ``values``, for
+There is one backward induction, ``_Plan.run``, and both European
+pricers run on it. A ``_Plan`` lays out, once, the work arrays and step
+views of an induction over blocks of terminal values in descending
+order of step count, each block joining at its own step.
+:meth:`Lattice.roll_back` builds a one-block plan per call for
 :func:`price_european`; calibration's chain pricer
-(:func:`~mptree.calibration.model_prices`) hands it one block of strike
-columns per maturity. Each step does the same IEEE operations in the
-same order for every column, so a chain price equals the
-:func:`price_european` price of its quote bit for bit. The induction
-checks q and takes its discount through ``_exp``, so neither pricer
-computes a discount of its own.
+(:func:`~mptree.calibration.model_prices`) builds one per fit, with one
+block of strike columns per maturity, and runs it at every evaluation.
+Each step does the same IEEE operations in the same order for every
+column, so a chain price equals the :func:`price_european` price of its
+quote bit for bit. The run checks q, takes its discount through
+``_exp`` and rejects a root that overflows, so neither pricer computes a
+discount or checks an overflow of its own.
 
 The tree rules live in :mod:`mptree.model`: p(dt) in
 :func:`~mptree.model.p_up`, the checks of a :class:`Lattice` in
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -130,11 +132,13 @@ class Lattice:
         ``values`` has one row per terminal node, in the order of
         :meth:`node_values`, shape ``(n+1,)`` or ``(n+1, k)``, and only
         finite entries; each of the n steps discounts by exp(-rate*dt)
-        under the up probability ``q``, which must lie in [0, 1], and a
-        discount too large for a float raises DomainError. The root value
-        or row is returned; the arithmetic of each column is that of
-        rolling it back alone. ``values`` is rolled back in float64 on a
-        copy (see ``_induction``), so the caller's array is never written.
+        under the up probability ``q``, which must lie in [0, 1]. A
+        discount too large for a float, or a root that overflows one,
+        raises DomainError. The root value or row is returned; the
+        arithmetic of each column is that of rolling it back alone.
+        ``values`` is rolled back in float64 on a copy, the work array of
+        a one-block ``_Plan`` made for this call, so the caller's array
+        is never written and the result shares no memory with it.
 
         Q is the paper's hedge probability, derived from the asymptotic
         factors. On a lattice built with the exact factors the one-step
@@ -150,54 +154,107 @@ class Lattice:
             raise DomainError(f"need {self.n + 1} terminal rows, got {shape}")
         if not np.isfinite(values).all():
             raise DomainError("terminal values must be finite")
-        block = np.reshape(values, (self.n + 1, math.prod(shape[1:])))
+        plan = _Plan([self.n + 1], [math.prod(shape[1:])], keep_views=False)
+        block, = plan.blocks
+        block[...] = np.reshape(values, block.shape)
         # [()] makes the 0-d root of a 1-D ``values`` a scalar.
-        return _induction(self, q, [block]).reshape(shape[1:])[()]
+        return plan.run(self, q).reshape(shape[1:])[()]
 
 
-def _induction(lattice: Lattice, q: float, blocks: list[np.ndarray]) -> np.ndarray:
-    """Root row of one backward induction of ``blocks`` on ``lattice``.
+def _step_views(values: np.ndarray, tmp: np.ndarray, top: int,
+                bottom: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(values[1:m+1], values[:m], tmp[:m])`` for m from ``top`` down to
+    ``bottom``, the views of the steps that leave m live rows."""
+    return ((values[1:m + 1], values[:m], tmp[:m]) for m in range(top, bottom - 1, -1))
 
-    Each block holds terminal values of one step count: len(block) rows,
-    one per node after len(block) - 1 steps, and a column per claim. The
-    blocks come in descending order of step count, the first with
-    ``lattice.n + 1`` rows. The induction starts from the first block, and
-    each later block joins it at its own step: its columns are appended to
-    the rows still live in a new contiguous float64 array. So the callers'
-    arrays are never written, a float32 block is rolled back in float64,
-    and the root row has one entry per column, block after block. One
-    array laid out once for all blocks would leave every step a strided
-    view of short runs, which costs far more than these copies. ``q`` must
-    lie in [0, 1], and exp(-rate*dt) must fit a float.
 
-    A step on the first m + 1 rows is four in-place ufunc calls,
-    ``tmp[:m] = v[1:m+1]*q; v[:m] *= 1 - q; v[:m] += tmp[:m];
-    v[:m] *= disc``, the same IEEE operations as
-    ``disc*(q*v[1:] + (1-q)*v[:-1])`` since addition and multiplication
-    commute bit for bit. That fixed order is what makes
-    :func:`~mptree.calibration.model_prices` equal :func:`price_european`
-    exactly. A reordering, such as folding ``disc`` into the weights,
-    changes the last bits of the prices, and with them where some fits
-    stop.
+class _Plan:
+    """Work arrays and step views of one backward induction, laid out once.
+
+    The induction takes blocks of terminal values in descending order of
+    step count. Block i has ``rows[i]`` rows, one per node after
+    rows[i] - 1 steps, and ``cols[i]`` columns, one per claim; the first
+    block's rows are the lattice's n + 1 nodes. The induction starts from
+    the first block, and each later block joins it at its own step: its
+    columns are appended to the rows still live. Each block gets, once, a
+    contiguous float64 work array of the live columns and then its own,
+    and a scratch array, the arrays ``np.hstack`` and ``np.empty_like``
+    would make on every run. The caller writes terminal values into
+    :attr:`blocks`, each block's own columns of its work array, and
+    :meth:`run` copies the live rows in beside them. One array laid out
+    once for all blocks would leave every step a strided view of short
+    runs, which costs far more than these copies.
+
+    Each step runs on three views, ``(values[1:m+1], values[:m], tmp[:m])``.
+    A plan run at every evaluation of a fit (a calibration chain) keeps
+    them, made once, since slicing them anew is a large share of a step
+    of a few dozen nodes. A plan run once (``keep_views=False``, as in
+    :meth:`Lattice.roll_back`) generates them step by step instead: kept,
+    the views of 4,096 steps would hold 1.9 MB for nothing.
+
+    Every run overwrites the work arrays, and the root row it returns is
+    a view of them, so a plan belongs to the one caller that made it,
+    a fit's closure or a roll-back, and is never shared.
     """
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"up probability q must be in [0, 1], got {q}")
-    disc, down = _exp("-rate*dt", -lattice.rate * lattice.dt), 1.0 - q
-    # Positional outputs and local names cut the per-call overhead, which
-    # is a large share of a step of a few hundred nodes.
-    multiply, add = np.multiply, np.add
-    values = np.empty((len(blocks[0]), 0))
-    for block, below in zip(blocks, [len(block) - 1 for block in blocks[1:]] + [0]):
-        # A new contiguous float64 array: the rows still live, then the block.
-        values = np.hstack([values[:len(block)], block])
-        tmp = np.empty_like(values[1:])
-        for m in range(len(block) - 1, below, -1):
-            head, scratch = values[:m], tmp[:m]
-            multiply(values[1:m + 1], q, scratch)
-            multiply(head, down, head)
-            add(head, scratch, head)
-            multiply(head, disc, head)
-    return values[0]
+
+    def __init__(self, rows: Sequence[int], cols: Sequence[int],
+                 keep_views: bool = True) -> None:
+        self.blocks: list[np.ndarray] = []
+        self._layout = []
+        live = 0
+        # A block's steps end where the next block joins, or at the root.
+        for here, joins, width in zip(rows, [*rows[1:], 1], cols):
+            live += width
+            values, tmp = np.empty((here, live)), np.empty((here - 1, live))
+            self.blocks.append(values[:, live - width:])
+            steps = (values, tmp, here - 1, joins)
+            self._layout.append((values, steps, list(_step_views(*steps)) if keep_views else None))
+
+    def run(self, lattice: Lattice, q: float) -> np.ndarray:
+        """Root row of the induction on ``lattice``: one entry per column,
+        block after block; a view of the plan's work array.
+
+        ``q`` must lie in [0, 1], exp(-rate*dt) must fit a float, and a
+        root that overflows raises DomainError; overflow and 0*inf are let
+        through the steps and caught once, at the root, where every
+        non-finite node ends up. A step on the first m + 1 rows is four
+        in-place ufunc calls, ``tmp[:m] = v[1:m+1]*q; v[:m] *= 1 - q;
+        v[:m] += tmp[:m]; v[:m] *= disc``, the same IEEE operations as
+        ``disc*(q*v[1:] + (1-q)*v[:-1])`` since addition and
+        multiplication commute bit for bit. That fixed order is what makes
+        :func:`~mptree.calibration.model_prices` equal
+        :func:`price_european` exactly. A reordering, such as folding
+        ``disc`` into the weights, changes the last bits of the prices,
+        and with them where some fits stop.
+
+        The three scalars reach the ufuncs as 0-d float64 arrays: NumPy
+        takes those as they are, where it converts a Python float and
+        resolves its type on every call, a large share of a call on a few
+        dozen nodes. The products are the same IEEE values.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise DomainError(f"up probability q must be in [0, 1], got {q}")
+        disc = _exp("-rate*dt", -lattice.rate * lattice.dt)
+        up, down, discount = np.array(q), np.array(1.0 - q), np.array(disc)
+        # Positional outputs and local names cut the per-call overhead, which
+        # is a large share of a step of a few hundred nodes.
+        multiply, add = np.multiply, np.add
+        live = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for values, steps, views in self._layout:
+                if live is not None:
+                    values[:, :live.shape[1]] = live[:len(values)]
+                for upper, head, scratch in views if views is not None else _step_views(*steps):
+                    multiply(upper, up, scratch)
+                    multiply(head, down, head)
+                    add(head, scratch, head)
+                    multiply(head, discount, head)
+                live = values
+        root = values[0]
+        if not np.isfinite(root).all():
+            raise DomainError(f"the rolled-back value overflows a float at discount "
+                              f"exp(-rate*dt) = {disc}")
+        return root
 
 
 def risk_neutral_prob(params: ModelParams, r: float, dt: float) -> float:

@@ -232,6 +232,15 @@ def test_model_prices_rejects_a_discount_too_large_for_exp():
                      [OptionQuote(100.0, 21, 2.0)], 100.0, -180000.0)
 
 
+def test_model_prices_rejects_a_price_that_overflows_at_a_negative_rate():
+    # Q = g = 0.9 leaves a martingale residual of about +0.5% a step, and
+    # u < 1 keeps every node at or below the spot, so the call's value
+    # outgrows the largest float before it reaches the root.
+    params = ModelParams(gamma=-20.0, delta=-20.0, g=0.9, v=0.0, sigma=3.0)
+    with pytest.raises(DomainError, match="overflows a float"):
+        model_prices("mpbin1", params, [OptionQuote(1.0, 21, 1.0)], 1.7e308, -20.0)
+
+
 def test_free_parameter_spec_shapes():
     assert len(free_parameter_spec("crr")[0]) == 1
     assert len(free_parameter_spec("mpbin1")[0]) == 2
@@ -825,6 +834,45 @@ def test_model_prices_do_not_depend_on_the_order_of_the_quotes(case, data):
             model_prices(model, params, permuted, S0, r)
         return
     assert model_prices(model, params, permuted, S0, r) == [prices[i] for i in perm]
+
+
+@st.composite
+def shuffled_chain(draw):
+    """1 to 4 maturities struck 1 to 6 times each, in a drawn order."""
+    days = draw(st.lists(st.integers(1, 63), min_size=1, max_size=4, unique=True))
+    quotes = [OptionQuote(draw(st.floats(0.5, 1.5)) * S0, n, draw(st.floats(0.01, 30.0)))
+              for n in days for _ in range(draw(st.integers(1, 6)))]
+    return draw(st.permutations(quotes))
+
+
+@settings(deadline=None, max_examples=50)
+@given(model=st.sampled_from(MODELS), quotes=shuffled_chain(), data=st.data())
+def test_a_fit_prices_its_laid_out_chain_as_a_fresh_quote_list(model, quotes, data):
+    # A fit lays its chain out once and prices it at every point, so each
+    # point must see none of the points before it, those that raise
+    # included: a negative sigma is no tree in any family.
+    point = st.tuples(*(st.floats(*FREE_PARAMETER_RANGES[name])
+                        for name in free_parameter_names(model)))
+    points = data.draw(st.lists(point, min_size=1, max_size=5))
+    sigma, *rest = data.draw(point)
+    points.insert(data.draw(st.integers(0, len(points))), (-sigma, *rest))
+    market = np.array([q.market_price for q in quotes])
+    residuals = calibration._residuals(model, quotes, S0, RATE, DAILY)
+
+    def fresh(x):
+        try:
+            prices = model_prices(model, build_params(model, x, RATE), list(quotes), S0, RATE)
+        except (DomainError, ArbitrageError):
+            return np.full(len(quotes), np.nan)
+        return np.asarray(prices) - market
+
+    returned = []
+    for x in points:
+        res = residuals(x)
+        assert res.tobytes() == fresh(x).tobytes(), x
+        returned.append((res, res.tobytes()))
+    # Levenberg-Marquardt keeps a residual array across its trials.
+    assert all(res.tobytes() == kept for res, kept in returned)
 
 
 @settings(deadline=None)

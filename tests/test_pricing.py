@@ -560,6 +560,26 @@ def test_roll_back_rejects_a_discount_too_large_for_exp():
         lattice.roll_back(0.5, np.ones(5))
 
 
+def test_roll_back_rejects_a_root_that_overflows_at_a_negative_rate():
+    # exp(-rate*dt) > 1 lifts the largest float past itself at the first step.
+    lattice = Lattice.build(100.0, jarrow_rudd_params(-0.05, 0.2), 4, 1 / 252, -0.05)
+    with pytest.raises(DomainError, match="overflows a float"):
+        lattice.roll_back(0.5, np.full(5, 1.7976931348623157e308))
+
+
+def test_roll_back_leaves_a_two_dimensional_payoff_unwritten_and_repeats_bit_for_bit():
+    lattice = Lattice.build(100.0, jarrow_rudd_params(0.05, 0.2), 64, DAILY, 0.05)
+    values = np.maximum(lattice.node_values(64)[:, None]
+                        - np.array([90.0, 100.0, 110.0])[None, :], 0.0)
+    before = values.tobytes()
+    first = lattice.roll_back(0.5, values)
+    kept = first.tobytes()
+    second = lattice.roll_back(0.5, values)
+    assert values.tobytes() == before
+    assert second.tobytes() == first.tobytes() == kept
+    assert not np.shares_memory(first, second)
+
+
 @pytest.mark.parametrize("q, values", [
     (0.5, [math.nan, 1.0, 1.0, 1.0, 1.0]),
     (1.0, [math.inf, 1.0, 1.0, 1.0, 1.0]),
