@@ -106,6 +106,10 @@ GAMMA_BOUNDS = (-1.0, 5.0)
 
 TRADING_DAYS_PER_YEAR = 252
 
+# With ``maturity_filter`` set, calibrate_suite fits only the quotes of at
+# most this many trading days to maturity.
+MAX_CALIBRATION_DAYS = 100
+
 
 @dataclass(frozen=True)
 class OptionQuote:
@@ -175,9 +179,9 @@ class CalibrationConfig(MinimizeConfig):
     The optimizer's settings (``tolerance``, ``max_iterations``,
     ``restarts``, ``seed``) are inherited from
     :class:`~mptree.optimize.MinimizeConfig` and reach :func:`minimize`
-    unchanged. ``dt`` is the lattice step, and ``maturity_filter`` is read
-    where the chain is loaded: it keeps only the short-dated quotes
-    (:func:`~mptree.market_io.load_chain`).
+    unchanged. ``dt`` is the lattice step. ``maturity_filter`` is read by
+    :func:`calibrate_suite`, which then fits only the quotes of at most
+    ``MAX_CALIBRATION_DAYS`` = 100 trading days to maturity.
     """
 
     dt: float = 1.0 / TRADING_DAYS_PER_YEAR
@@ -467,9 +471,10 @@ def calibrate(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
               config: CalibrationConfig | None = None) -> CalibrationResult:
     """Fit ``model`` to the chain: ``calibrate_suite([model], ...)[0]``.
 
-    A nested family (mpbin1, mpbin2) is therefore fit after every family
-    before it in :data:`MODELS` and starts from the best of their optima
-    as well, so its result equals the suite's.
+    The suite applies ``maturity_filter`` here too. A nested family
+    (mpbin1, mpbin2) is fit after every family before it in
+    :data:`MODELS` and starts from the best of their optima as well, so
+    its result equals the suite's.
     """
     return calibrate_suite([model], quotes, s0, r, config)[0]
 
@@ -480,7 +485,10 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
                     ) -> list[CalibrationResult]:
     """Calibrate several models, seeding richer ones from poorer optima.
 
-    The quotes are sorted once by (maturity, strike, price), so the
+    With ``maturity_filter`` set in ``config``, the quotes of more than
+    ``MAX_CALIBRATION_DAYS`` = 100 trading days to maturity are dropped
+    before the quotes are checked; this is the one place the setting
+    acts. The quotes are sorted once by (maturity, strike, price), so the
     result does not depend on their order. Families are fit in
     :data:`MODELS` order, each by one search from one start. crr, jr and
     tian start from an at-the-money sigma inversion made once per chain.
@@ -497,16 +505,20 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
     Raises
     ------
     DomainError
-        For an empty or unknown model list, an empty quote list, a quote
-        priced above ``s0`` (no call is worth more than the stock), or
-        mpbin2 at a rate outside ``GAMMA_BOUNDS``: it embeds a poorer
-        optimum at gamma = r.
+        For an empty or unknown model list, an empty quote list or one
+        that the maturity filter empties, a quote priced above ``s0`` (no
+        call is worth more than the stock), or mpbin2 at a rate outside
+        ``GAMMA_BOUNDS``: it embeds a poorer optimum at gamma = r.
     """
     cfg = config or CalibrationConfig()
     if len(models) == 0:
         raise DomainError(f"model list must be non-empty; expected some of {MODELS}")
     for model in models:
         _family(model)  # rejects an unknown model
+    if cfg.maturity_filter:
+        quotes = [quote for quote in quotes if quote.days_to_maturity <= MAX_CALIBRATION_DAYS]
+        if len(quotes) == 0:
+            raise DomainError(f"maturity_filter left no quote within {MAX_CALIBRATION_DAYS} days")
     if len(quotes) == 0:
         raise DomainError("quote list must be non-empty")
     above = next((quote for quote in quotes if quote.market_price > s0), None)

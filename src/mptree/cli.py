@@ -72,8 +72,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = (market_io.load_config(args.config) if args.config
            else calibration.CalibrationConfig())
-    chain = market_io.load_chain(args.chain,
-                                 short_maturities_only=cfg.maturity_filter)
+    chain = market_io.load_chain(args.chain)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     results = calibration.calibrate_suite(models, chain.quotes, chain.spot,
                                           chain.rate, cfg)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Literal, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,10 +59,12 @@ class DiscreteCdf:
         object.__setattr__(self, "cum", cum)
         if support.ndim != 1 or support.shape != cum.shape or support.size == 0:
             raise DomainError("support and cum must be equal-length 1-d arrays")
-        if not np.all(np.diff(support) > 0.0):
+        # Comparisons rather than differences: inf - inf would warn, and a
+        # NaN fails every comparison.
+        if not np.all(support[1:] > support[:-1]):
             raise DomainError("support must be strictly ascending")
-        if np.any(np.diff(cum) < 0.0) or cum[0] < 0.0:
-            raise DomainError("cumulative probabilities must be non-decreasing")
+        if not (cum[0] >= 0.0 and np.all(cum[1:] >= cum[:-1])):
+            raise DomainError("cumulative probabilities must be non-NaN, >= 0 and non-decreasing")
         if abs(cum[-1] - 1.0) > _CUM_TOL:
             raise DomainError(
                 f"cumulative probabilities must end at 1 within {_CUM_TOL}, "
@@ -74,41 +76,33 @@ class DiscreteCdf:
 
 
 def terminal_distribution(s0: float, params: ModelParams, n: int, dt: float,
-                          measure: Literal["physical", "risk_neutral"] = "physical",
-                          r: Optional[float] = None) -> DiscreteCdf:
-    """Distribution of the n-step tree price under either measure.
+                          r: float | None = None) -> DiscreteCdf:
+    """Distribution of the n-step tree price: physical, or risk-neutral at ``r``.
 
     Support is :func:`~mptree.model.node_values` with exact factors; node
-    weights are Binomial(n, q) with q = p(dt) (physical) or the
-    risk-neutral Q (requires ``r``), from one
-    :func:`~mptree.special.binomial_weights` call. They are summed out from
-    the mode over the window Hoeffding's (1963) bound leaves nonzero, so
-    large n neither underflows nor accumulates rounding from the far tail:
-    the cumulative weights stay within 1e-13 of the exact binomial CDF at
-    n = 65,536. At Q = 0 or Q = 1, both of which
-    :func:`~mptree.pricing.risk_neutral_prob` allows, the law is the point
-    mass on the bottom or the top node.
+    weights are Binomial(n, q), from one
+    :func:`~mptree.special.binomial_weights` call. Without ``r``, q is
+    p(dt) and the law is the physical one; with ``r``, q is the
+    risk-neutral Q of :func:`~mptree.pricing.risk_neutral_prob`. The
+    weights are summed out from the mode over the window Hoeffding's
+    (1963) bound leaves nonzero, so large n neither underflows nor
+    accumulates rounding from the far tail: the cumulative weights stay
+    within 1e-13 of the exact binomial CDF at n = 65,536. At Q = 0 or
+    Q = 1, both of which ``risk_neutral_prob`` allows, the law is the
+    point mass on the bottom or the top node.
 
     Raises
     ------
     DomainError
         For parameters :func:`~mptree.model.step_factors_exact` rejects,
         then for a spot that is not positive, n below 1 or an overflowing
-        top node, as a :class:`~mptree.pricing.Lattice` would, or for an
-        unknown measure or a risk-neutral one without ``r``.
+        top node, as a :class:`~mptree.pricing.Lattice` would.
     ArbitrageError
         If ``r`` lies outside the one-step no-arbitrage band.
     """
     factors = step_factors_exact(params, dt)
     _require_finite_nodes(s0, factors, n)
-    if measure == "physical":
-        q = factors.p
-    elif measure == "risk_neutral":
-        if r is None:
-            raise DomainError("risk-neutral terminal distribution requires r")
-        q = risk_neutral_prob(params, r, dt)
-    else:
-        raise DomainError(f"unknown measure {measure!r}")
+    q = factors.p if r is None else risk_neutral_prob(params, r, dt)
     return DiscreteCdf(support=node_values(s0, factors, n),
                        cum=np.cumsum(binomial_weights(n, q)))
 
@@ -273,7 +267,7 @@ def rate_experiment(params: ModelParams, t: float,
                     sigma=params.sigma, t=t)
     points = []
     for n in ns:
-        cdf = terminal_distribution(s0, params, n, t / n, measure="physical")
+        cdf = terminal_distribution(s0, params, n, t / n)
         dist = kolmogorov_distance(cdf, limit)
         points.append(RatePoint(n=n, distance=dist, scaled=dist * math.sqrt(n)))
     log_n = np.log([pt.n for pt in points])

@@ -24,9 +24,11 @@ config: ``key=value`` lines with ``#`` comments, read into a
 and sets one field, and an absent key keeps its default: ``dt``,
 ``optimizer_tolerance`` (field ``tolerance``), ``optimizer_restarts``
 (``restarts``), ``optimizer_max_iterations`` (``max_iterations``),
-``seed`` and ``maturity_filter`` (``true`` or ``false``). Every malformed
-input, a repeated key included, produces a line-numbered diagnostic
-rather than a crash or a silent skip.
+``seed`` and ``maturity_filter`` (``true`` or ``false``; it acts in
+:func:`~mptree.calibration.calibrate_suite`, not in :func:`load_chain`,
+which reads every quote). Every malformed input, a repeated key
+included, produces a line-numbered diagnostic rather than a crash or a
+silent skip.
 
 All three readers drop a leading UTF-8 byte-order mark, which spreadsheet
 programs write at the start of "CSV UTF-8" files. Their line syntax is
@@ -58,10 +60,6 @@ __all__ = [
     "load_returns",
     "load_config",
 ]
-
-# Chains used for calibration can be restricted to short-dated quotes.
-MAX_CALIBRATION_DAYS = 100
-
 
 @dataclass(frozen=True)
 class ChainFile:
@@ -134,8 +132,12 @@ def _numbered(lines: list[str]) -> Iterator[tuple[int, str]]:
 _CHAIN_KEYS = ("spot", "rate")
 
 
-def load_chain(path: str | Path, short_maturities_only: bool = False) -> ChainFile:
-    """Parse a chain CSV; optionally drop quotes beyond 100 trading days."""
+def load_chain(path: str | Path) -> ChainFile:
+    """Parse a chain CSV into all of its quotes.
+
+    No quote is dropped: ``maturity_filter`` acts where the chain is fit,
+    in :func:`~mptree.calibration.calibrate_suite`.
+    """
     meta: dict[str, float] = {}
     header_seen = False
     quotes: list[OptionQuote] = []
@@ -174,20 +176,17 @@ def load_chain(path: str | Path, short_maturities_only: bool = False) -> ChainFi
                 f"{days_raw!r}") from None
         price = _numeric(fields[2], line_no, "market_price")
         try:
-            quote = OptionQuote(strike=strike, days_to_maturity=days,
-                                market_price=price)
+            quotes.append(OptionQuote(strike=strike, days_to_maturity=days,
+                                      market_price=price))
         except DomainError as exc:
             raise DataFormatError(f"line {line_no}: {exc}") from None
-        if short_maturities_only and quote.days_to_maturity > MAX_CALIBRATION_DAYS:
-            continue
-        quotes.append(quote)
     for key in _CHAIN_KEYS:
         if key not in meta:
             raise DataFormatError(f"missing '# {key}=' metadata line")
     if not header_seen:
         raise DataFormatError("missing 'strike,days_to_maturity,market_price' header")
     if not quotes:
-        raise DataFormatError("chain file contains no quotes after filtering")
+        raise DataFormatError("chain file contains no quotes")
     return ChainFile(**meta, quotes=tuple(quotes))
 
 

@@ -56,7 +56,9 @@ class MinimizeConfig:
     the starting value): a run stops once the simplex value spread falls
     below tolerance * scale. ``restarts`` re-runs the search from the
     incumbent with a fresh, randomly oriented simplex whose orientation
-    and size come from a generator seeded with ``seed``.
+    and size come from a generator seeded with ``seed``. The three counts
+    must be integers: ``max_iterations`` >= 1, ``restarts`` and ``seed``
+    >= 0.
     """
 
     tolerance: float = 1e-10
@@ -67,10 +69,10 @@ class MinimizeConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.tolerance < math.inf:
             raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
-        if self.restarts < 0:
-            raise DomainError(f"restarts must be >= 0, got {self.restarts}")
+        for name, least in (("max_iterations", 1), ("restarts", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -178,12 +178,12 @@ class _Plan:
     the first block, and each later block joins it at its own step: its
     columns are appended to the rows still live. Each block gets, once, a
     contiguous float64 work array of the live columns and then its own,
-    and a scratch array, the arrays ``np.hstack`` and ``np.empty_like``
-    would make on every run. The caller writes terminal values into
-    :attr:`blocks`, each block's own columns of its work array, and
-    :meth:`run` copies the live rows in beside them. One array laid out
-    once for all blocks would leave every step a strided view of short
-    runs, which costs far more than these copies.
+    and a scratch array, so that a run allocates no array of nodes: a
+    fit runs its plan at every objective evaluation. The caller writes
+    terminal values into :attr:`blocks`, each block's own columns of its
+    work array, and :meth:`run` copies the live rows in beside them. One
+    array laid out once for all blocks would leave every step a strided
+    view of short runs, which costs far more than these copies.
 
     Each step runs on three views, ``(values[1:m+1], values[:m], tmp[:m])``.
     A plan run at every evaluation of a fit (a calibration chain) keeps

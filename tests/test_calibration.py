@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -467,6 +468,55 @@ def test_suite_names_the_first_call_priced_above_the_spot():
               OptionQuote(90.0, 21, 102.0)]
     with pytest.raises(DomainError, match="strike=110.0"):
         calibrate_suite(MODELS, quotes, S0, RATE)
+
+
+def _chain_with_one_long_quote():
+    """Five noisy mpbin1 quotes: four of at most 100 days, one of 101."""
+    protos = [OptionQuote(k, d, 1.0) for d, k in
+              ((21, 95.0), (21, 100.0), (21, 105.0), (100, 100.0), (101, 110.0))]
+    prices = model_prices("mpbin1", build_params("mpbin1", (0.25, 0.55), RATE),
+                          protos, S0, RATE)
+    return [OptionQuote(q.strike, q.days_to_maturity, p * noise) for q, p, noise in
+            zip(protos, prices, (1.02, 0.97, 1.03, 0.99, 1.04))]
+
+
+# A non-default value of every CalibrationConfig field.
+NON_DEFAULT_CONFIG = {"dt": 1.0 / 365.0, "tolerance": 1e-4, "max_iterations": 5,
+                      "restarts": 0, "seed": 1, "maturity_filter": True}
+
+
+@pytest.mark.parametrize("field", sorted(NON_DEFAULT_CONFIG))
+def test_every_config_field_changes_the_suite_result(field):
+    # maturity_filter used to act only in the CLI, so the suite ignored it.
+    assert set(NON_DEFAULT_CONFIG) == {f.name for f in fields(CalibrationConfig)}
+    quotes = _chain_with_one_long_quote()
+    config = CalibrationConfig(**{field: NON_DEFAULT_CONFIG[field]})
+    assert (calibrate_suite(["crr", "mpbin1"], quotes, S0, RATE, config)
+            != calibrate_suite(["crr", "mpbin1"], quotes, S0, RATE))
+
+
+def test_maturity_filter_fits_the_quotes_of_at_most_100_days():
+    quotes = _chain_with_one_long_quote()
+    short = [q for q in quotes if q.days_to_maturity <= 100]
+    assert len(short) == 4
+    config = CalibrationConfig(maturity_filter=True)
+    assert (calibrate_suite(MODELS, quotes, S0, RATE, config)
+            == calibrate_suite(MODELS, short, S0, RATE))
+    assert calibrate("jr", quotes, S0, RATE, config) == calibrate("jr", short, S0, RATE)
+
+
+def test_maturity_filter_acts_before_the_quote_checks():
+    # A long quote priced above the spot is dropped, not rejected; a chain
+    # the filter empties is rejected with a message that names the filter.
+    above = OptionQuote(100.0, 101, 150.0)
+    short = _chain_with_one_long_quote()[:4]
+    config = CalibrationConfig(maturity_filter=True)
+    assert (calibrate_suite(["crr"], short + [above], S0, RATE, config)
+            == calibrate_suite(["crr"], short, S0, RATE))
+    with pytest.raises(DomainError, match=r"^maturity_filter left no quote within 100 days$"):
+        calibrate_suite(["crr"], [above, OptionQuote(90.0, 150, 12.0)], S0, RATE, config)
+    with pytest.raises(DomainError, match="no call is worth more than the spot"):
+        calibrate_suite(["crr"], short + [above], S0, RATE)
 
 
 def _noisy_chains():

@@ -184,14 +184,40 @@ def test_calibrate_config_sets_every_calibration_value(tmp_path, capsys):
                  "--config", str(config_path)]) == 0
     out = capsys.readouterr().out
 
-    chain = load_chain(chain_path, short_maturities_only=True)
-    assert {q.days_to_maturity for q in chain.quotes} == {21}
+    chain = load_chain(chain_path)
+    short = [q for q in chain.quotes if q.days_to_maturity <= 100]
+    assert {q.days_to_maturity for q in short} == {21}
     config = CalibrationConfig(dt=0.004, tolerance=1e-6, restarts=1,
                                max_iterations=40, seed=7)
-    results = calibrate_suite(["crr", "mpbin1"], chain.quotes, chain.spot,
+    results = calibrate_suite(["crr", "mpbin1"], short, chain.spot,
                               chain.rate, config)
     assert out == ("# spot=100.0\n# rate=0.04\n"
                    + calibration_report_csv(results))
+
+
+def test_calibrate_reports_a_maturity_filter_that_leaves_no_quote_as_one_error_line(
+        tmp_path, capsys):
+    chain_path = tmp_path / "chain.csv"
+    write_chain(ChainFile(100.0, 0.04, (OptionQuote(90.0, 150, 12.0),)), chain_path)
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text("maturity_filter=true\n")
+    assert main(["calibrate", "--chain", str(chain_path), "--config",
+                 str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: maturity_filter left no quote within 100 days\n"
+
+
+def test_calibrate_reports_a_negative_seed_as_one_error_line(tmp_path, capsys):
+    # NumPy's generator used to reject it inside the fit, with a traceback.
+    chain_path = _two_maturity_chain(tmp_path)
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text("seed=-1\n")
+    assert main(["calibrate", "--chain", str(chain_path), "--config",
+                 str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: seed: seed must be an integer >= 0, got -1\n"
 
 
 def test_calibrate_rejects_an_empty_model_list(tmp_path, capsys):

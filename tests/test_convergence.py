@@ -54,6 +54,23 @@ def test_discrete_cdf_validation():
         DiscreteCdf(support=[], cum=[])
 
 
+@pytest.mark.parametrize("cum", [[math.nan, 1.0], [0.5, math.nan], [math.nan, math.nan]])
+def test_discrete_cdf_rejects_a_nan_cumulative_weight(cum):
+    # NaN fails both a difference test and the end-at-1 test, so such a CDF
+    # used to pass and give kolmogorov_distance NaN.
+    with pytest.raises(DomainError, match="non-NaN"):
+        DiscreteCdf(support=[1.0, 2.0], cum=cum)
+
+
+@pytest.mark.parametrize("support,cum", [([math.inf, math.inf], [0.5, 1.0]),
+                                         ([1.0, 2.0], [-math.inf, -math.inf])],
+                         ids=["support", "cum"])
+def test_discrete_cdf_rejects_repeated_infinities_without_a_warning(support, cum):
+    # inf - inf is NaN with a RuntimeWarning, an error in this suite.
+    with pytest.raises(DomainError):
+        DiscreteCdf(support=support, cum=cum)
+
+
 def test_discrete_cdf_weights():
     cdf = DiscreteCdf(support=[1.0, 2.0, 3.0], cum=[0.2, 0.7, 1.0])
     assert np.allclose(cdf.weights, [0.2, 0.5, 0.3])
@@ -103,8 +120,23 @@ def test_terminal_risk_neutral_measure():
     params = mp(gamma=0.08, delta=0.08, g=0.6)
     r, dt = 0.02, 0.01
     q = risk_neutral_prob(params, r, dt)
-    cdf = terminal_distribution(100.0, params, 1, dt, measure="risk_neutral", r=r)
+    cdf = terminal_distribution(100.0, params, 1, dt, r=r)
     assert np.allclose(cdf.weights, [1.0 - q, q], rtol=1e-12)
+
+
+def test_terminal_without_rate_is_the_physical_law():
+    # v != 0 puts p(dt) = g + v*sqrt(dt) away from both g and Q.
+    params = mp(gamma=0.08, delta=0.02, g=0.55, v=0.3)
+    dt, n = 0.01, 3
+    p = step_factors_exact(params, dt).p
+    assert p == pytest.approx(0.58)
+    cdf = terminal_distribution(100.0, params, n, dt)
+    assert np.allclose(cdf.weights, binom.pmf(np.arange(n + 1), n, p), rtol=1e-12)
+    risk_neutral = terminal_distribution(100.0, params, n, dt, r=0.03)
+    assert np.array_equal(risk_neutral.support, cdf.support)
+    q = risk_neutral_prob(params, 0.03, dt)
+    assert abs(q - p) > 1e-3
+    assert np.allclose(risk_neutral.weights, binom.pmf(np.arange(n + 1), n, q), rtol=1e-12)
 
 
 def test_terminal_rejects_a_nan_spot():
@@ -142,23 +174,13 @@ def test_terminal_risk_neutral_point_mass_at_q_one_and_zero(r, node):
     params = ModelParams(0.0, 0.0, 0.5, 0.0, 0.1)
     dt = 0.01
     assert risk_neutral_prob(params, r, dt) == float(node == 4)
-    cdf = terminal_distribution(100.0, params, 4, dt, measure="risk_neutral", r=r)
+    cdf = terminal_distribution(100.0, params, 4, dt, r=r)
     assert np.array_equal(cdf.weights, np.eye(5)[node])
     # Both end nodes lie above the strike, so the call pays S - 90 there.
     lattice = Lattice.build(100.0, params, 4, dt, r)
     price = price_european(lattice, params, Payoff.call(90.0))
     assert price == pytest.approx(math.exp(-4 * r * dt) * (cdf.support[node] - 90.0),
                                   rel=1e-13)
-
-
-def test_terminal_risk_neutral_requires_rate():
-    with pytest.raises(DomainError, match="requires r"):
-        terminal_distribution(100.0, mp(), 2, 0.01, measure="risk_neutral")
-
-
-def test_terminal_rejects_unknown_measure():
-    with pytest.raises(DomainError, match="measure"):
-        terminal_distribution(100.0, mp(), 2, 0.01, measure="surreal")
 
 
 # ---------------------------------------------------------------------------

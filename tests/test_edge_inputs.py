@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mptree.calibration import MODELS, OptionQuote, build_params, model_prices
-from mptree.convergence import lognormal_cdf, terminal_distribution
+from mptree.convergence import DiscreteCdf, lognormal_cdf, terminal_distribution
 from mptree.errors import ArbitrageError, DomainError
 from mptree.model import (ModelParams, gbm_moment, jarrow_rudd_params,
                           step_factors_asymptotic, step_factors_exact, step_moment)
+from mptree.optimize import MinimizeConfig, minimize
 from mptree.pricing import (Lattice, Payoff, black_scholes_call, delta_hedge,
                             discontinuity_report, risk_neutral_prob)
 
@@ -24,6 +25,8 @@ steps = st.one_of(st.integers(-1, 66), st.sampled_from([400, 100_000]))
 params = st.builds(ModelParams, reals, reals, reals, reals, reals)
 kinds = st.sampled_from(["call", "put"])
 models = st.sampled_from(MODELS)
+# Small counts, so that no search runs long; floats among them must fail.
+counts = st.one_of(st.integers(-2, 4), st.floats(-2.0, 4.0), st.sampled_from(EDGES))
 
 
 def _discontinuity_report(s0, r, sigma, t, kind, strike, p):
@@ -44,6 +47,17 @@ def _model_prices(model, params, quotes, s0, r, dt):
     return model_prices(model, params, [OptionQuote(*quote) for quote in quotes], s0, r, dt)
 
 
+def _discrete_cdf(pairs):
+    return DiscreteCdf(support=[x for x, _ in pairs], cum=[c for _, c in pairs])
+
+
+def _minimize(tolerance, max_iterations, restarts, seed):
+    # The config is built inside the call, since a bad setting raises there.
+    config = MinimizeConfig(tolerance, max_iterations, restarts, seed)
+    return minimize(lambda x: float(np.dot(x - 0.3, x - 0.3)), [(-1.0, 1.0)] * 2,
+                    [0.5, -0.5], config=config)
+
+
 # Each call: (function, strategies of its arguments).
 CALLS = {
     "gbm_moment": (gbm_moment, (reals, reals, reals, orders)),
@@ -55,9 +69,9 @@ CALLS = {
     "Lattice.build": (Lattice.build, (reals, params, steps, reals, reals,
                                       st.sampled_from(["exact", "asymptotic"]))),
     "terminal_distribution": (terminal_distribution,
-                              (reals, params, steps, reals,
-                               st.sampled_from(["physical", "risk_neutral"]),
-                               st.none() | reals)),
+                              (reals, params, steps, reals, st.none() | reals)),
+    "DiscreteCdf": (_discrete_cdf, (st.lists(st.tuples(reals, reals), max_size=4),)),
+    "minimize": (_minimize, (reals, counts, counts, counts)),
     "lognormal_cdf": (lognormal_cdf, (reals | st.lists(reals, max_size=4).map(np.array),
                                       reals, reals, reals, reals)),
     "discontinuity_report": (_discontinuity_report,

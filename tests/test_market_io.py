@@ -171,14 +171,13 @@ def test_load_chain_names_the_bad_line(tmp_path, text, message):
     ("# spot=100.0\nstrike,days_to_maturity,market_price\n90.0,21,1.0\n",
      "missing '# rate=' metadata line"),
     ("# spot=100.0\n# rate=0.04\n", "missing 'strike,days_to_maturity,market_price' header"),
-    (CHAIN_HEAD, "chain file contains no quotes after filtering"),
-    (CHAIN_HEAD + "90.0,150,1.0\n", "chain file contains no quotes after filtering"),
+    (CHAIN_HEAD, "chain file contains no quotes"),
 ])
 def test_load_chain_rejects_an_incomplete_file(tmp_path, text, message):
     path = tmp_path / "chain.csv"
     path.write_text(text)
     with pytest.raises(DataFormatError) as exc:
-        load_chain(path, short_maturities_only=True)
+        load_chain(path)
     assert str(exc.value) == message
 
 

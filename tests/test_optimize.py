@@ -1,6 +1,7 @@
 """Transformed Nelder-Mead and Levenberg-Marquardt: sanity cases, determinism, guards."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,30 @@ def test_config_validation():
         MinimizeConfig(restarts=-1)
     with pytest.raises(DomainError):
         MinimizeConfig(max_iterations=0)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("seed", -1, "seed must be an integer >= 0, got -1"),
+    ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+    ("seed", 2.0, "seed must be an integer >= 0, got 2.0"),
+    ("restarts", 1.5, "restarts must be an integer >= 0, got 1.5"),
+    ("max_iterations", 2.5, "max_iterations must be an integer >= 1, got 2.5"),
+    ("max_iterations", None, "max_iterations must be an integer >= 1, got None"),
+])
+def test_config_rejects_a_count_that_is_not_a_valid_integer(field, value, message):
+    # Each used to pass, then fail inside minimize: a negative seed in NumPy's
+    # generator, a float count in range().
+    with pytest.raises(DomainError, match=re.escape(message)):
+        MinimizeConfig(**{field: value})
+
+
+def test_config_takes_numpy_integer_counts():
+    config = MinimizeConfig(max_iterations=np.int64(40), restarts=np.int32(1), seed=np.uint8(3))
+    plain = MinimizeConfig(max_iterations=40, restarts=1, seed=3)
+    runs = [minimize(lambda x: float((x[0] - 0.3) ** 2), [(-1.0, 1.0)], [0.5], config=cfg)
+            for cfg in (config, plain)]
+    assert runs[0].x.tolist() == runs[1].x.tolist()
+    assert runs[0].evaluations == runs[1].evaluations
 
 
 def test_restartless_run_still_reports():
