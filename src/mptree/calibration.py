@@ -83,13 +83,14 @@ import numpy as np
 
 from .errors import ArbitrageError, DomainError
 from .model import (ModelParams, crr_params, jarrow_rudd_params, p_up,
-                    step_factors_exact, tian_params, validate_params)
+                    step_factors_exact, tian_params)
 from .optimize import MinimizeConfig, least_squares, minimize
 from .pricing import Lattice, _Plan, risk_neutral_prob
 
 __all__ = [
     "MODELS",
     "OptionQuote",
+    "ChainFile",
     "ErrorMetrics",
     "error_metrics",
     "CalibrationConfig",
@@ -129,14 +130,45 @@ class OptionQuote:
             raise DomainError(f"days to maturity must be an integer, "
                               f"got {self.days_to_maturity!r}") from None
         object.__setattr__(self, "days_to_maturity", days)
-        if not self.strike > 0.0:
-            raise DomainError(f"strike must be positive, got {self.strike}")
+        if not 0.0 < self.strike < math.inf:
+            raise DomainError(f"strike must be positive and finite, got {self.strike}")
         if self.days_to_maturity < 1:
             raise DomainError(
                 f"days to maturity must be >= 1, got {self.days_to_maturity}")
-        if not self.market_price > 0.0:
+        if not 0.0 < self.market_price < math.inf:
             raise DomainError(
-                f"market price must be positive, got {self.market_price}")
+                f"market price must be positive and finite, got {self.market_price}")
+
+
+@dataclass(frozen=True)
+class ChainFile:
+    """An option chain with its spot and annualized risk-free rate.
+
+    Building one is the one check of a chain, for
+    :func:`~mptree.market_io.load_chain` and :func:`calibrate_suite`
+    alike: the spot is positive and finite, the rate finite, there is at
+    least one quote, and no call is priced above the spot (Merton 1973).
+    """
+
+    spot: float
+    rate: float
+    quotes: tuple[OptionQuote, ...]
+
+    def __post_init__(self) -> None:
+        # Plain floats, so that write_chain's repr() output parses back.
+        object.__setattr__(self, "spot", float(self.spot))
+        object.__setattr__(self, "rate", float(self.rate))
+        if not self.spot > 0.0:
+            raise DomainError(f"spot must be positive, got {self.spot}")
+        if self.spot == math.inf:
+            raise DomainError(f"spot must be finite, got {self.spot}")
+        if not math.isfinite(self.rate):
+            raise DomainError(f"rate must be finite, got {self.rate}")
+        if len(self.quotes) == 0:
+            raise DomainError("chain must contain at least one quote")
+        above = next((quote for quote in self.quotes if quote.market_price > self.spot), None)
+        if above is not None:
+            raise DomainError(f"no call is worth more than the spot {self.spot!r}: {above}")
 
 
 @dataclass(frozen=True)
@@ -294,6 +326,7 @@ class _Chain(tuple):
 
     def __new__(cls, quotes: Sequence[OptionQuote]) -> "_Chain":
         chain = super().__new__(cls, quotes)
+        # model_prices also takes raw quotes, which no ChainFile has checked.
         if len(chain) == 0:
             raise DomainError("quote list must be non-empty")
         order = sorted(range(len(chain)), key=lambda idx: -chain[idx].days_to_maturity)
@@ -406,7 +439,7 @@ def _default_start(model: str, sigma0: float, r: float, dt: float) -> tuple[floa
     sigma0 = min(max(sigma0, SIGMA_BOUNDS[0] * 2), SIGMA_BOUNDS[1] / 2)
     while sigma0 < SIGMA_BOUNDS[1] / 2:
         try:
-            validate_params(family.build((sigma0,), r), dt)
+            p_up(family.build((sigma0,), r), dt)
             break
         except DomainError:
             sigma0 *= 1.5
@@ -487,9 +520,11 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
 
     With ``maturity_filter`` set in ``config``, the quotes of more than
     ``MAX_CALIBRATION_DAYS`` = 100 trading days to maturity are dropped
-    before the quotes are checked; this is the one place the setting
-    acts. The quotes are sorted once by (maturity, strike, price), so the
-    result does not depend on their order. Families are fit in
+    before the chain is checked; this is the one place the setting acts.
+    The chain ``(quotes, s0, r)`` is then checked by building one
+    :class:`ChainFile`, the one home of a chain's rules. The quotes are
+    sorted once by (maturity, strike, price), so the result does not
+    depend on their order. Families are fit in
     :data:`MODELS` order, each by one search from one start. crr, jr and
     tian start from an at-the-money sigma inversion made once per chain.
     If a nested family (mpbin1, mpbin2) is requested, every family before
@@ -505,10 +540,12 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
     Raises
     ------
     DomainError
-        For an empty or unknown model list, an empty quote list or one
-        that the maturity filter empties, a quote priced above ``s0`` (no
-        call is worth more than the stock), or mpbin2 at a rate outside
-        ``GAMMA_BOUNDS``: it embeds a poorer optimum at gamma = r.
+        For an empty or unknown model list, a quote list that the
+        maturity filter empties, a chain that :class:`ChainFile` rejects
+        (a spot that is not positive and finite, a rate that is not
+        finite, no quote, or a quote priced above ``s0``), or mpbin2 at a
+        rate outside ``GAMMA_BOUNDS``: it embeds a poorer optimum at
+        gamma = r.
     """
     cfg = config or CalibrationConfig()
     if len(models) == 0:
@@ -519,11 +556,7 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
         quotes = [quote for quote in quotes if quote.days_to_maturity <= MAX_CALIBRATION_DAYS]
         if len(quotes) == 0:
             raise DomainError(f"maturity_filter left no quote within {MAX_CALIBRATION_DAYS} days")
-    if len(quotes) == 0:
-        raise DomainError("quote list must be non-empty")
-    above = next((quote for quote in quotes if quote.market_price > s0), None)
-    if above is not None:
-        raise DomainError(f"no call is worth more than the spot {s0!r}: {above}")
+    ChainFile(s0, r, tuple(quotes))
     if "mpbin2" in models and not GAMMA_BOUNDS[0] < r < GAMMA_BOUNDS[1]:
         raise DomainError(f"mpbin2 embeds poorer optima at gamma = r, so the "
                           f"rate must lie inside {GAMMA_BOUNDS}, got {r}")

@@ -10,6 +10,13 @@ chain CSV::
     90.0,21,10.5
     ...
 
+A chain file is read into a :class:`~mptree.calibration.ChainFile`, the
+one home of a chain's rules; this module imports it, so
+``market_io.ChainFile`` names the same class. A malformed line gets a
+line-numbered DataFormatError; a chain that parses but breaks a chain
+rule (no quote, or a call priced above the spot) raises ChainFile's
+DomainError, which names the rule but no line.
+
 returns CSV: ``date,value`` rows with ISO-8601 dates (an optional literal
 ``date,value`` header is tolerated). A file in canonical form is parsed in
 whole columns: an optional first line exactly ``date,value``, then lines
@@ -26,7 +33,7 @@ and sets one field, and an absent key keeps its default: ``dt``,
 (``restarts``), ``optimizer_max_iterations`` (``max_iterations``),
 ``seed`` and ``maturity_filter`` (``true`` or ``false``; it acts in
 :func:`~mptree.calibration.calibrate_suite`, not in :func:`load_chain`,
-which reads every quote). Every malformed input, a repeated key
+which reads every quote). Every malformed line, a repeated key
 included, produces a line-numbered diagnostic rather than a crash or a
 silent skip.
 
@@ -49,37 +56,16 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .calibration import CalibrationConfig, OptionQuote
+from .calibration import CalibrationConfig, ChainFile, OptionQuote
 from .errors import DataFormatError, DomainError
 
 __all__ = [
-    "ChainFile",
     "ReturnSeries",
     "load_chain",
     "write_chain",
     "load_returns",
     "load_config",
 ]
-
-@dataclass(frozen=True)
-class ChainFile:
-    """An option chain with its spot and annualized risk-free rate."""
-
-    spot: float
-    rate: float
-    quotes: tuple[OptionQuote, ...]
-
-    def __post_init__(self) -> None:
-        # Plain floats, so that write_chain's repr() output parses back.
-        object.__setattr__(self, "spot", float(self.spot))
-        object.__setattr__(self, "rate", float(self.rate))
-        if not self.spot > 0.0:
-            raise DomainError(f"spot must be positive, got {self.spot}")
-        if not math.isfinite(self.rate):
-            raise DomainError(f"rate must be finite, got {self.rate}")
-        if len(self.quotes) == 0:
-            raise DomainError("chain must contain at least one quote")
-
 
 @dataclass(frozen=True)
 class ReturnSeries:
@@ -136,7 +122,11 @@ def load_chain(path: str | Path) -> ChainFile:
     """Parse a chain CSV into all of its quotes.
 
     No quote is dropped: ``maturity_filter`` acts where the chain is fit,
-    in :func:`~mptree.calibration.calibrate_suite`.
+    in :func:`~mptree.calibration.calibrate_suite`. A malformed line
+    raises DataFormatError naming it. The parsed chain is then checked by
+    :class:`~mptree.calibration.ChainFile`, whose DomainError reaches the
+    caller as it is: a file with no quote, or with a call priced above
+    its spot, is rejected there.
     """
     meta: dict[str, float] = {}
     header_seen = False
@@ -149,6 +139,7 @@ def load_chain(path: str | Path) -> ChainFile:
                     raise DataFormatError(
                         f"line {line_no}: repeated '# {key}=' metadata line")
                 meta[key] = _numeric(value, line_no, key)
+                # ChainFile checks the spot too, but cannot name its line.
                 if key == "spot" and not meta[key] > 0.0:
                     raise DataFormatError(
                         f"line {line_no}: spot must be positive, got {meta[key]}")
@@ -185,8 +176,6 @@ def load_chain(path: str | Path) -> ChainFile:
             raise DataFormatError(f"missing '# {key}=' metadata line")
     if not header_seen:
         raise DataFormatError("missing 'strike,days_to_maturity,market_price' header")
-    if not quotes:
-        raise DataFormatError("chain file contains no quotes")
     return ChainFile(**meta, quotes=tuple(quotes))
 
 

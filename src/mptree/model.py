@@ -28,9 +28,10 @@ two moments match to O(dt^2) for every g, higher ones to O(dt^2) at
 g = 1/2 and O(dt^(3/2)) otherwise.
 
 Each tree rule is written once, here. :func:`p_up` forms and checks
-p(dt) for every caller, :func:`validate_params` and both factor forms
-included. ``_require_finite_nodes`` checks the spot, the step count and
-the top node of an n-step tree, for :class:`~mptree.pricing.Lattice` and
+p(dt) for every caller, both factor forms included; it is the one check
+that a tree is admissible at a step dt. ``_require_finite_nodes`` checks
+the spot, the step count and the top node of an n-step tree, for
+:class:`~mptree.pricing.Lattice` and
 :func:`~mptree.convergence.terminal_distribution`. ``_exp`` is the one
 guard against an exponent too large for exp, for the exact factors,
 :func:`gbm_moment`, and the lattice discount and closed forms in
@@ -50,7 +51,6 @@ from .errors import DomainError
 __all__ = [
     "ModelParams",
     "StepFactors",
-    "validate_params",
     "p_up",
     "step_factors_exact",
     "step_factors_asymptotic",
@@ -158,15 +158,6 @@ def _require_finite_nodes(s0: float, factors: StepFactors, n: int) -> None:
     if max(growth, log_s0 + growth) > _LOG_FLOAT_MAX:
         raise DomainError(f"top node s0*u^n overflows: ln(s0) = {log_s0}, "
                           f"n*ln(u) = {growth}")
-
-
-def validate_params(params: ModelParams, dt: float) -> ModelParams:
-    """Check the admissibility of ``params`` at time step ``dt``.
-
-    Returns ``params``; the checks are those of :func:`p_up`.
-    """
-    p_up(params, dt)
-    return params
 
 
 def p_up(params: ModelParams, dt: float) -> float:

@@ -19,8 +19,7 @@ from mptree.calibration import (MODELS, CalibrationConfig, OptionQuote,
 from mptree.calibration import free_parameter_names
 from mptree.errors import ArbitrageError, DomainError
 from mptree.optimize import least_squares, minimize
-from mptree.model import (ModelParams, crr_params, jarrow_rudd_params,
-                          validate_params)
+from mptree.model import ModelParams, crr_params, jarrow_rudd_params, p_up
 from mptree.pricing import (Lattice, Payoff, black_scholes_call,
                             price_european, risk_neutral_prob)
 
@@ -116,13 +115,24 @@ def test_quote_validation():
 
 
 def test_quote_rejects_a_nan_strike():
-    with pytest.raises(DomainError, match="strike must be positive, got nan"):
+    with pytest.raises(DomainError, match="strike must be positive and finite, got nan"):
         OptionQuote(strike=float("nan"), days_to_maturity=10, market_price=1.0)
 
 
 def test_quote_rejects_a_nan_market_price():
-    with pytest.raises(DomainError, match="market price must be positive, got nan"):
+    with pytest.raises(DomainError, match="market price must be positive and finite, got nan"):
         OptionQuote(strike=100.0, days_to_maturity=10, market_price=float("nan"))
+
+
+def test_quote_rejects_an_infinite_strike():
+    with pytest.raises(DomainError, match="strike must be positive and finite, got inf"):
+        OptionQuote(strike=math.inf, days_to_maturity=21, market_price=2.0)
+
+
+def test_quote_rejects_an_infinite_market_price():
+    with pytest.raises(DomainError,
+                       match="market price must be positive and finite, got inf"):
+        OptionQuote(strike=100.0, days_to_maturity=21, market_price=math.inf)
 
 
 def test_quote_days_must_be_an_integer():
@@ -470,6 +480,23 @@ def test_suite_names_the_first_call_priced_above_the_spot():
         calibrate_suite(MODELS, quotes, S0, RATE)
 
 
+@pytest.mark.parametrize("s0, message", [
+    (0.0, "spot must be positive, got 0.0"),
+    (-1.0, "spot must be positive, got -1.0"),
+    (math.inf, "spot must be finite, got inf"),
+    (math.nan, "spot must be positive, got nan"),
+])
+def test_suite_rejects_a_bad_spot(s0, message):
+    with pytest.raises(DomainError, match=message):
+        calibrate_suite(["crr"], [OptionQuote(100.0, 21, 3.0)], s0, RATE)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_suite_rejects_a_non_finite_rate(r):
+    with pytest.raises(DomainError, match=f"rate must be finite, got {r}"):
+        calibrate_suite(["crr"], [OptionQuote(100.0, 21, 3.0)], S0, r)
+
+
 def _chain_with_one_long_quote():
     """Five noisy mpbin1 quotes: four of at most 100 days, one of 101."""
     protos = [OptionQuote(k, d, 1.0) for d, k in
@@ -586,10 +613,10 @@ def test_calibrate_crosses_the_region_where_pricing_raises(monkeypatch):
 def test_default_start_walks_sigma_up_to_an_admissible_tree():
     # At r = 3.5 the CRR tree at sigma 0.2 has its up probability above 1.
     with pytest.raises(DomainError, match="up probability"):
-        validate_params(crr_params(3.5, 0.2), DAILY)
+        p_up(crr_params(3.5, 0.2), DAILY)
     start = calibration._default_start("crr", 0.2, 3.5, DAILY)
     assert start == (0.2 * 1.5,)
-    validate_params(build_params("crr", start, 3.5), DAILY)
+    p_up(build_params("crr", start, 3.5), DAILY)
 
 
 def test_calibrate_requires_quotes():

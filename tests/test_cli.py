@@ -239,10 +239,10 @@ def test_calibrate_reports_a_discount_too_large_for_exp_as_one_error_line(tmp_pa
 
 
 def test_calibrate_rejects_a_call_priced_above_the_spot(tmp_path, capsys):
-    quotes = (OptionQuote(90.0, 21, 10.6), OptionQuote(100.0, 21, 150.0),
-              OptionQuote(110.0, 21, 0.4))
+    # Written as text, since ChainFile rejects such a chain.
     path = tmp_path / "chain.csv"
-    write_chain(ChainFile(100.0, 0.04, quotes), path)
+    path.write_text("# spot=100.0\n# rate=0.04\nstrike,days_to_maturity,market_price\n"
+                    "90.0,21,10.6\n100.0,21,150.0\n110.0,21,0.4\n")
     assert main(["calibrate", "--chain", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

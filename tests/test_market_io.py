@@ -18,6 +18,7 @@ from mptree.market_io import ChainFile, load_chain, write_chain
 from mptree.market_io import load_config
 from mptree.market_io import load_returns
 from mptree.market_io import ReturnSeries
+from test_edge_inputs import reals
 
 
 def test_write_chain_round_trips_numpy_scalar_inputs(tmp_path):
@@ -40,13 +41,15 @@ def test_write_chain_round_trips_numpy_scalar_inputs(tmp_path):
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-_QUOTES = st.lists(st.builds(OptionQuote, _POSITIVE, st.integers(1, 10_000), _POSITIVE),
-                   min_size=1, max_size=30)
 
 
 @settings(deadline=None)
-@given(spot=_POSITIVE, rate=_FINITE, quotes=_QUOTES)
-def test_chain_round_trips_through_write_and_load(tmp_path_factory, spot, rate, quotes):
+@given(spot=_POSITIVE, rate=_FINITE, data=st.data())
+def test_chain_round_trips_through_write_and_load(tmp_path_factory, spot, rate, data):
+    # Prices within the spot; the property below covers those above it.
+    prices = st.floats(min_value=0.0, max_value=spot, exclude_min=True)
+    quotes = data.draw(st.lists(st.builds(OptionQuote, _POSITIVE, st.integers(1, 10_000),
+                                          prices), min_size=1, max_size=30))
     chain = ChainFile(spot, rate, tuple(quotes))
     directory = tmp_path_factory.mktemp("chain")
     first, second = directory / "first.csv", directory / "second.csv"
@@ -55,6 +58,23 @@ def test_chain_round_trips_through_write_and_load(tmp_path_factory, spot, rate, 
     assert loaded == chain
     write_chain(loaded, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(spot=reals, rate=reals, data=st.data())
+def test_chain_file_raises_or_round_trips_through_write_and_load(
+        tmp_path_factory, spot, rate, data):
+    # Prices on both sides of the spot, next to it included.
+    near_spot = st.sampled_from((0.5, 1.0, 1.0 + 2.0 ** -52, 2.0)).map(lambda f: spot * f)
+    rows = data.draw(st.lists(st.tuples(reals, st.integers(-1, 400), reals | near_spot),
+                              max_size=4))
+    try:
+        chain = ChainFile(spot, rate, tuple(OptionQuote(*row) for row in rows))
+    except DomainError:
+        return
+    path = tmp_path_factory.mktemp("chain") / "chain.csv"
+    write_chain(chain, path)
+    assert load_chain(path) == chain
 
 
 def test_chain_file_rejects_a_nan_spot():
@@ -165,18 +185,20 @@ def test_load_chain_names_the_bad_line(tmp_path, text, message):
     assert str(exc.value).startswith(message)
 
 
-@pytest.mark.parametrize("text,message", [
+@pytest.mark.parametrize("text,message,error", [
     ("# rate=0.04\nstrike,days_to_maturity,market_price\n90.0,21,1.0\n",
-     "missing '# spot=' metadata line"),
+     "missing '# spot=' metadata line", DataFormatError),
     ("# spot=100.0\nstrike,days_to_maturity,market_price\n90.0,21,1.0\n",
-     "missing '# rate=' metadata line"),
-    ("# spot=100.0\n# rate=0.04\n", "missing 'strike,days_to_maturity,market_price' header"),
-    (CHAIN_HEAD, "chain file contains no quotes"),
+     "missing '# rate=' metadata line", DataFormatError),
+    ("# spot=100.0\n# rate=0.04\n", "missing 'strike,days_to_maturity,market_price' header",
+     DataFormatError),
+    # A well-formed file with no quote breaks a chain rule, which ChainFile holds.
+    (CHAIN_HEAD, "chain must contain at least one quote", DomainError),
 ])
-def test_load_chain_rejects_an_incomplete_file(tmp_path, text, message):
+def test_load_chain_rejects_an_incomplete_file(tmp_path, text, message, error):
     path = tmp_path / "chain.csv"
     path.write_text(text)
-    with pytest.raises(DataFormatError) as exc:
+    with pytest.raises(error) as exc:
         load_chain(path)
     assert str(exc.value) == message
 

@@ -12,8 +12,7 @@ from mptree.errors import DomainError
 from mptree.model import (MAX_MOMENT_ORDER, ModelParams, StepFactors,
                           crr_params, gbm_moment, jarrow_rudd_params,
                           node_values, p_up, step_factors_asymptotic,
-                          step_factors_exact, step_moment, tian_params,
-                          validate_params)
+                          step_factors_exact, step_moment, tian_params)
 
 DAILY = 1.0 / 252.0
 
@@ -56,36 +55,35 @@ def tian_factors(r, sigma, dt):
 # ---------------------------------------------------------------------------
 
 def test_validate_accepts_interior_params():
-    params = mp()
-    assert validate_params(params, DAILY) is params
+    assert p_up(mp(), DAILY) == 0.5
 
 
 def test_validate_rejects_probability_slope_pushing_p_negative():
     with pytest.raises(DomainError, match="time step too coarse"):
-        validate_params(mp(v=-60.0), DAILY)
+        p_up(mp(v=-60.0), DAILY)
 
 
 def test_validate_rejects_boundary_g():
     with pytest.raises(DomainError, match="base up probability"):
-        validate_params(mp(g=1.0), DAILY)
+        p_up(mp(g=1.0), DAILY)
     with pytest.raises(DomainError, match="base up probability"):
-        validate_params(mp(g=0.0), DAILY)
+        p_up(mp(g=0.0), DAILY)
 
 
 def test_validate_rejects_nonpositive_sigma():
     with pytest.raises(DomainError, match="sigma"):
-        validate_params(mp(sigma=0.0), DAILY)
+        p_up(mp(sigma=0.0), DAILY)
 
 
 def test_validate_rejects_nonfinite_drift():
     with pytest.raises(DomainError, match="finite"):
-        validate_params(mp(gamma=math.inf), DAILY)
+        p_up(mp(gamma=math.inf), DAILY)
 
 
 @pytest.mark.parametrize("dt", [0.0, math.nan])
 def test_validate_rejects_nonpositive_dt(dt):
     with pytest.raises(DomainError, match="time step must be positive"):
-        validate_params(mp(), dt)
+        p_up(mp(), dt)
     with pytest.raises(DomainError, match="time step must be positive"):
         step_moment(mp(), dt, 2)
 
@@ -198,10 +196,9 @@ def test_validated_params_give_ordered_positive_factors():
                              sigma=rng.uniform(0.05, 0.8))
         dt = rng.choice([DAILY, DAILY / 2, DAILY / 8])
         try:
-            validate_params(params, dt)
+            p = p_up(params, dt)
         except DomainError:
             continue
-        p = p_up(params, dt)
         assert 0.0 < p < 1.0
         f = step_factors_exact(params, dt)
         assert f.u > f.d > 0.0

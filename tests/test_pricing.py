@@ -3,13 +3,15 @@
 import math
 import random
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
+from mptree.calibration import MODELS, build_params, free_parameter_names
 from mptree.errors import ArbitrageError, DomainError
 from mptree.model import ModelParams, jarrow_rudd_params, step_factors_asymptotic
 from mptree.pricing import (Lattice, Payoff, black_scholes_call, delta_hedge,
@@ -21,6 +23,30 @@ DAILY = 1.0 / 252.0
 
 def mp(gamma=0.05, delta=0.05, g=0.5, v=0.0, sigma=0.2):
     return ModelParams(gamma=gamma, delta=delta, g=g, v=v, sigma=sigma)
+
+
+def exact_price(lattice, params, payoff):
+    """What :func:`price_european` computes, in exact arithmetic, to 40 digits.
+
+    The float lattice is priced from the floats the kernel reads: u, d,
+    Q, 1 - Q and e^{-r dt}. The root value is
+    e^{-r dt n} * sum_i C(n, i) Q^i (1-Q)^(n-i) payoff(s0 u^i d^(n-i)),
+    each weight and node taken from the one before by the ratio
+    recurrence. Q must lie strictly inside (0, 1).
+    """
+    q = risk_neutral_prob(params, lattice.rate, lattice.dt)
+    n, u, d = lattice.n, lattice.factors.u, lattice.factors.d
+    with localcontext() as ctx:
+        ctx.prec = 40
+        up, down = Decimal(q), Decimal(1.0 - q)
+        strike, sign = Decimal(payoff.strike), 1 if payoff.kind == "call" else -1
+        weight, node = down ** n, Decimal(lattice.s0) * Decimal(d) ** n
+        ratio, total = Decimal(u) / Decimal(d), Decimal(0)
+        for i in range(n + 1):
+            total += weight * max(sign * (node - strike), 0)
+            weight = weight * (n - i) / (i + 1) * up / down
+            node *= ratio
+        return total * Decimal(math.exp(-lattice.rate * lattice.dt)) ** n
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +239,12 @@ def test_payoff_allows_the_zero_strike_limit():
     assert Payoff.put(0.0).evaluate(terminal).tolist() == [0.0, 0.0, 0.0]
 
 
+# The bound on |price_european - exact_price| / exact_price. Over 3,000
+# draws of each property below the largest measured was 8.7e-14 (tian,
+# exact factors, n = 4,096) and 1.5e-14 for the zero-strike call.
+REFERENCE_REL_BOUND = Decimal("2e-13")
+
+
 @settings(deadline=None, max_examples=300)
 @given(s0=st.floats(1.0, 1000.0), r=st.floats(-0.05, 0.2),
        sigma=st.floats(0.01, 1.0), dt=st.floats(1e-4, 0.05), n=st.integers(1, 400))
@@ -224,8 +256,39 @@ def test_zero_strike_call_carries_the_documented_martingale_residual(
     lattice = Lattice.build(s0, params, n=n, dt=dt, rate=r)
     s = sigma * math.sqrt(dt)
     expected = s0 * (math.exp(-s * s / 2.0) * math.cosh(s)) ** n
-    assert price_european(lattice, params, Payoff.call(0.0)) == \
-        pytest.approx(expected, rel=1e-12)
+    price = price_european(lattice, params, Payoff.call(0.0))
+    assert price == pytest.approx(expected, rel=1e-12)
+    exact = exact_price(lattice, params, Payoff.call(0.0))
+    assert abs(Decimal(price) - exact) <= REFERENCE_REL_BOUND * exact
+
+
+# n from 1 to 4,096, spread evenly over its powers of two, so that few
+# draws take the large lattices.
+steps_up_to_4096 = st.integers(0, 12).flatmap(
+    lambda k: st.integers(2 ** k, min(2 ** (k + 1), 4096)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(model=st.sampled_from(MODELS), sigma=st.floats(0.05, 0.6), g=st.floats(0.3, 0.7),
+       gamma=st.floats(-0.5, 0.5), r=st.floats(-0.02, 0.1), t=st.floats(0.05, 2.0),
+       n=steps_up_to_4096, s0=st.floats(1.0, 1000.0), moneyness=st.floats(-0.5, 0.5),
+       kind=st.sampled_from(["call", "put"]), method=st.sampled_from(["exact", "asymptotic"]))
+def test_price_european_stays_within_a_bound_of_the_exact_lattice_price(
+        model, sigma, g, gamma, r, t, n, s0, moneyness, kind, method):
+    # Strikes within half a standard deviation of the spot.
+    strike = s0 * math.exp(moneyness * sigma * math.sqrt(t))
+    x = (sigma, g, gamma)[:len(free_parameter_names(model))]
+    try:
+        params = build_params(model, x, r)
+        lattice = Lattice.build(s0, params, n, t / n, r, method=method)
+        q = risk_neutral_prob(params, r, t / n)
+    except (DomainError, ArbitrageError):
+        reject()
+    assume(0.0 < q < 1.0)
+    payoff = Payoff(kind, strike)
+    price = price_european(lattice, params, payoff)
+    exact = exact_price(lattice, params, payoff)
+    assert abs(Decimal(price) - exact) <= REFERENCE_REL_BOUND * exact
 
 
 def test_lattice_rejects_unknown_factor_method():
