@@ -82,8 +82,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ArbitrageError, DomainError
-from .model import (ModelParams, crr_params, jarrow_rudd_params, p_up,
-                    step_factors_exact, tian_params)
+from .model import (ModelParams, _require_g, _require_spot, crr_params,
+                    jarrow_rudd_params, p_up, step_factors_exact, tian_params)
 from .optimize import MinimizeConfig, least_squares, minimize
 from .pricing import Lattice, _Plan, risk_neutral_prob
 
@@ -158,10 +158,7 @@ class ChainFile:
         # Plain floats, so that write_chain's repr() output parses back.
         object.__setattr__(self, "spot", float(self.spot))
         object.__setattr__(self, "rate", float(self.rate))
-        if not self.spot > 0.0:
-            raise DomainError(f"spot must be positive, got {self.spot}")
-        if self.spot == math.inf:
-            raise DomainError(f"spot must be finite, got {self.spot}")
+        _require_spot(self.spot)
         if not math.isfinite(self.rate):
             raise DomainError(f"rate must be finite, got {self.rate}")
         if len(self.quotes) == 0:
@@ -252,9 +249,7 @@ def _seed(params: ModelParams, dt: float) -> tuple[float, float, float]:
 def _build_mpbin2(x: Sequence[float], r: float) -> ModelParams:
     sigma, g, gamma = x
     # delta divides by 1 - g, so g = 1 from the command line must not reach it.
-    if not 0.0 < g < 1.0:
-        raise DomainError(
-            f"base up probability g must lie strictly inside (0, 1), got {g}")
+    _require_g(g)
     return ModelParams(gamma=gamma, delta=(r - g * gamma) / (1.0 - g), g=g, v=0.0,
                        sigma=sigma)
 
@@ -484,13 +479,13 @@ def _fit(model: str, start: Sequence[float],
         best = minimize(objective, bounds, start, transforms, cfg)
         evaluations, converged = best.evaluations, False
         if best.value < _PENALTY:
-            polished = least_squares(residuals, bounds, best.x, transforms, cfg)
+            polished = least_squares(residuals, bounds, best.x, transforms, cfg.tolerance)
             evaluations += polished.evaluations
             converged = polished.converged
             if polished.value < best.value:
                 best = polished
     else:
-        best = least_squares(residuals, bounds, start, transforms, cfg)
+        best = least_squares(residuals, bounds, start, transforms, cfg.tolerance)
         evaluations, converged = best.evaluations, best.converged
     params = build_params(model, best.x, r)
     metrics = error_metrics(model_prices(model, params, quotes, s0, r, cfg.dt),

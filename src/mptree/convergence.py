@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelParams, _require_finite_nodes, node_values, step_factors_exact
+from .model import (ModelParams, _require_finite_nodes, _require_sigma_and_t, node_values,
+                    step_factors_exact)
 from .pricing import risk_neutral_prob
 from .special import binomial_weights
 
@@ -122,11 +123,11 @@ def lognormal_cdf(x: float | np.ndarray, s0: float, b: float, sigma: float,
         log-mean and log-sd are finite with a positive log-sd, and no x is
         NaN.
     """
+    # The spot's two checks stay here: an infinite spot is named with the
+    # drift, in one message.
     if not s0 > 0.0:
         raise DomainError(f"spot must be positive, got {s0}")
-    if not (0.0 < sigma < math.inf and 0.0 < t < math.inf):
-        raise DomainError(f"sigma and t must be positive and finite, "
-                          f"got sigma={sigma}, t={t}")
+    _require_sigma_and_t(sigma, t)
     if not (s0 < math.inf and math.isfinite(b)):
         raise DomainError(f"spot and drift must be finite, got s0={s0}, b={b}")
     drift = (b - sigma * sigma / 2.0) * t

@@ -33,9 +33,20 @@ that a tree is admissible at a step dt. ``_require_finite_nodes`` checks
 the spot, the step count and the top node of an n-step tree, for
 :class:`~mptree.pricing.Lattice` and
 :func:`~mptree.convergence.terminal_distribution`. ``_exp`` is the one
-guard against an exponent too large for exp, for the exact factors,
-:func:`gbm_moment`, and the lattice discount and closed forms in
-:mod:`mptree.pricing`.
+guard against an exponent that is NaN or too large for exp, for the
+exact factors, :func:`gbm_moment`, and the lattice discount and closed
+forms in :mod:`mptree.pricing`.
+
+The argument rules that several modules share have one home each here
+too. ``_require_spot`` (positive, then finite) serves
+``_require_finite_nodes``, :class:`~mptree.calibration.ChainFile`,
+:func:`~mptree.pricing.delta_hedge` and
+:func:`~mptree.pricing.discontinuity_report`. ``_require_g`` (strictly
+inside (0, 1)) serves :func:`p_up` and calibration's mpbin2 family,
+whose delta divides by 1 - g. ``_require_sigma_and_t`` (both positive
+and finite) serves :func:`~mptree.convergence.lognormal_cdf`,
+:func:`~mptree.pricing.discontinuity_report` and
+:func:`~mptree.pricing.black_scholes_call`.
 """
 
 from __future__ import annotations
@@ -117,6 +128,8 @@ class StepFactors:
         if not 0.0 < self.d < self.u:
             raise DomainError(
                 f"step factors must satisfy 0 < d < u, got d={self.d}, u={self.u}")
+        if self.u == math.inf:
+            raise DomainError(f"step factors must be finite, got u={self.u}")
         if not 0.0 < self.p < 1.0:
             raise DomainError(f"up probability must be in (0, 1), got {self.p}")
 
@@ -145,15 +158,12 @@ def _require_finite_nodes(s0: float, factors: StepFactors, n: int) -> None:
     Raises
     ------
     DomainError
-        If s0 is not positive, n is below 1, s0 is infinite, or u^n or
+        If s0 is not positive and finite, n is below 1, or u^n or
         s0 * u^n overflows.
     """
-    if not s0 > 0.0:
-        raise DomainError(f"spot must be positive, got {s0}")
+    _require_spot(s0)
     if n < 1:
         raise DomainError(f"step count must be >= 1, got {n}")
-    if s0 == math.inf:
-        raise DomainError(f"spot must be finite, got {s0}")
     log_s0, growth = math.log(s0), n * max(math.log(factors.u), 0.0)
     if max(growth, log_s0 + growth) > _LOG_FLOAT_MAX:
         raise DomainError(f"top node s0*u^n overflows: ln(s0) = {log_s0}, "
@@ -171,9 +181,7 @@ def p_up(params: ModelParams, dt: float) -> float:
         keep g + v*sqrt(dt) inside (0, 1).
     """
     _require_positive_dt(dt)
-    if not 0.0 < params.g < 1.0:
-        raise DomainError(
-            f"base up probability g must lie strictly inside (0, 1), got {params.g}")
+    _require_g(params.g)
     _require_positive_sigma(params.sigma)
     if not math.isfinite(params.mean_drift):
         raise DomainError("mean drift g*gamma + (1-g)*delta must be finite")
@@ -191,9 +199,12 @@ def _exp(name: str, arg: float) -> float:
     Raises
     ------
     DomainError
-        If ``arg`` exceeds ``_LOG_FLOAT_MAX``; the message names it ``name``.
+        If ``arg`` is NaN or exceeds ``_LOG_FLOAT_MAX``; the message names
+        it ``name``.
     """
-    if arg > _LOG_FLOAT_MAX:
+    if not arg <= _LOG_FLOAT_MAX:  # NaN fails the comparison too
+        if math.isnan(arg):
+            raise DomainError(f"{name} is NaN")
         raise DomainError(f"{name} = {arg} is too large for exp")
     return math.exp(arg)
 
@@ -310,6 +321,23 @@ def gbm_moment(b: float, sigma: float, dt: float, j: int) -> float:
     _require_positive_dt(dt)
     _require_moment_order(j)
     return _exp("log moment", j * (b + (j - 1) / 2.0 * sigma * sigma) * dt)
+
+
+def _require_spot(s0: float) -> None:
+    if not s0 > 0.0:
+        raise DomainError(f"spot must be positive, got {s0}")
+    if s0 == math.inf:
+        raise DomainError(f"spot must be finite, got {s0}")
+
+
+def _require_g(g: float) -> None:
+    if not 0.0 < g < 1.0:
+        raise DomainError(f"base up probability g must lie strictly inside (0, 1), got {g}")
+
+
+def _require_sigma_and_t(sigma: float, t: float) -> None:
+    if not (0.0 < sigma < math.inf and 0.0 < t < math.inf):
+        raise DomainError(f"sigma and t must be positive and finite, got sigma={sigma}, t={t}")
 
 
 def _require_positive_sigma(sigma: float) -> None:

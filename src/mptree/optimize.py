@@ -207,16 +207,17 @@ def least_squares(residuals: Callable[[np.ndarray], np.ndarray],
                   bounds: Sequence[tuple[float, float]],
                   start: Sequence[float],
                   transforms: Sequence[str] | None = None,
-                  config: MinimizeConfig | None = None) -> MinimizeResult:
+                  tolerance: float = MinimizeConfig.tolerance) -> MinimizeResult:
     """Minimize a sum of squared residuals over a box by Levenberg-Marquardt.
 
     The search runs on the same coordinates as :func:`minimize` and takes
     the same arguments, except that ``residuals`` maps a parameter vector
-    to the residual vector; the result's ``value`` is the sum of squares
-    (SSE). The Jacobian is a forward difference, or a backward one where
-    the forward point has a non-finite residual. A trial step counts only
-    if its residuals are all finite and lower the SSE, so the result is
-    never worse than the start. Of ``config`` only ``tolerance`` is read.
+    to the residual vector and that ``tolerance``, the one setting it
+    reads, stands in place of the config; the result's ``value`` is the
+    sum of squares (SSE). The Jacobian is a forward difference, or a
+    backward one where the forward point has a non-finite residual. A
+    trial step counts only if its residuals are all finite and lower the
+    SSE, so the result is never worse than the start.
 
     ``converged`` is True when the search stops because the SSE falls
     below 1e-24, because no damping up to 1e12 lowers it, because the
@@ -230,10 +231,10 @@ def least_squares(residuals: Callable[[np.ndarray], np.ndarray],
     Raises
     ------
     DomainError
-        If the start violates the box or the residuals are not all finite
-        there.
+        If ``tolerance`` is not finite and positive, the start violates
+        the box, or the residuals are not all finite there.
     """
-    cfg = config or MinimizeConfig()
+    MinimizeConfig(tolerance)  # rejects a tolerance that is not finite and > 0
     decode, y = _unconstrained_start(bounds, start, transforms)
     evaluations = 0
 
@@ -246,7 +247,7 @@ def least_squares(residuals: Callable[[np.ndarray], np.ndarray],
     res, sse = sse_at(y)
     if not math.isfinite(sse):
         raise DomainError(f"residuals are not finite at the start: {res}")
-    min_gain = cfg.tolerance * max(1.0, sse) * 1e-6
+    min_gain = tolerance * max(1.0, sse) * 1e-6
     damping = _LM_DAMPING_START
     converged = sse < _LM_EXACT_SSE
     for _ in range(_LM_ITERATIONS):

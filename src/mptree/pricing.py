@@ -29,9 +29,13 @@ discount or checks an overflow of its own.
 The tree rules live in :mod:`mptree.model`: p(dt) in
 :func:`~mptree.model.p_up`, the checks of a :class:`Lattice` in
 ``_require_positive_dt`` and ``_require_finite_nodes`` (spot, step count,
-top node), and the guard against an exponent too large for exp, ``_exp``, which
-the induction's discount, :func:`discontinuity_report` and
-:func:`black_scholes_call` share with the exact factors.
+top node), and the guard against an exponent that is NaN or too large
+for exp, ``_exp``, which the induction's discount,
+:func:`discontinuity_report` and :func:`black_scholes_call` share with
+the exact factors. So do the argument rules shared with other modules:
+``_require_spot`` for :func:`delta_hedge` and
+:func:`discontinuity_report`, and ``_require_sigma_and_t`` for both
+closed forms.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ import numpy as np
 
 from .errors import ArbitrageError, DomainError
 from .model import (ModelParams, StepFactors, _exp, _require_finite_nodes,
-                    _require_positive_dt, node_values, p_up, step_factors_asymptotic,
-                    step_factors_exact)
+                    _require_positive_dt, _require_sigma_and_t, _require_spot, node_values,
+                    p_up, step_factors_asymptotic, step_factors_exact)
 from .special import normal_cdf
 
 __all__ = [
@@ -295,11 +299,11 @@ def delta_hedge(s: float, f_u: float, f_d: float, params: ModelParams,
     Raises
     ------
     DomainError
-        If s is not positive, u - d is zero, or s*(u - d) underflows to
-        zero, besides the checks of :func:`~mptree.model.p_up`.
+        If s is not positive and finite, u - d is zero, s*(u - d)
+        underflows to zero, or Delta is not finite, besides the checks of
+        :func:`~mptree.model.p_up`.
     """
-    if not s > 0.0:
-        raise DomainError(f"spot must be positive, got {s}")
+    _require_spot(s)
     p = p_up(params, dt)
     denom = (params.gamma - params.delta) * dt + \
         params.sigma * math.sqrt(dt) / math.sqrt(p * (1.0 - p))
@@ -307,7 +311,10 @@ def delta_hedge(s: float, f_u: float, f_d: float, params: ModelParams,
         raise DomainError("degenerate hedge: asymptotic factor spread u - d is zero")
     if s * denom == 0.0:
         raise DomainError(f"degenerate hedge: price spread s*(u - d) underflows, s = {s}")
-    return (f_u - f_d) / (s * denom)
+    hedge = (f_u - f_d) / (s * denom)
+    if not math.isfinite(hedge):
+        raise DomainError(f"hedge ratio = {hedge} is not finite")
+    return hedge
 
 
 def price_european(lattice: Lattice, params: ModelParams, payoff: Payoff) -> float:
@@ -348,13 +355,10 @@ def discontinuity_report(s0: float, r: float, sigma: float, t: float,
         of the report is not finite, or sigma*sqrt(t) is so small that u
         rounds to d, besides the argument checks.
     """
-    if not s0 > 0.0:
-        raise DomainError(f"spot must be positive, got {s0}")
+    _require_spot(s0)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"probability must be in [0, 1], got {p}")
-    if not (0.0 < sigma < math.inf and 0.0 < t < math.inf):
-        raise DomainError(f"sigma and t must be positive and finite, "
-                          f"got sigma={sigma}, t={t}")
+    _require_sigma_and_t(sigma, t)
     u = _exp("sigma*sqrt(t)", sigma * math.sqrt(t))
     grow = _exp("r*t", r * t)
     if not math.isfinite(s0 * u):
@@ -396,17 +400,22 @@ def black_scholes_call(s0: float, strike: float, r: float, sigma: float,
     Raises
     ------
     DomainError
-        If the spot, strike, sigma or t is not positive, sigma*sqrt(t) or
-        s0/strike rounds to zero, or -r*t is too large for exp.
+        If the spot, strike, sigma or t is not positive and finite,
+        sigma*sqrt(t) or s0/strike rounds to zero, -r*t is NaN or too
+        large for exp, or d1, d2 or the value is not finite.
     """
-    if not (s0 > 0.0 and strike > 0.0):
-        raise DomainError("spot and strike must be positive")
-    if not (sigma > 0.0 and t > 0.0):
-        raise DomainError("sigma and t must be positive")
+    # One message names both, as lognormal_cdf's "spot and drift" does.
+    if not (0.0 < s0 < math.inf and 0.0 < strike < math.inf):
+        raise DomainError(f"spot and strike must be positive and finite, "
+                          f"got s0={s0}, strike={strike}")
+    _require_sigma_and_t(sigma, t)
     srt, moneyness = sigma * math.sqrt(t), s0 / strike
     if srt == 0.0 or moneyness == 0.0:
         raise DomainError(f"sigma*sqrt(t) = {srt}, s0/strike = {moneyness}: one is zero")
     disc = _exp("-r*t", -r * t)
     d1 = (math.log(moneyness) + (r + sigma * sigma / 2.0) * t) / srt
     d2 = d1 - srt
-    return s0 * normal_cdf(d1) - strike * disc * normal_cdf(d2)
+    value = s0 * normal_cdf(d1) - strike * disc * normal_cdf(d2)
+    if not all(map(math.isfinite, (d1, d2, value))):
+        raise DomainError(f"d1 = {d1}, d2 = {d2} and the value {value} must be finite")
+    return value

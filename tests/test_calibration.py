@@ -368,7 +368,8 @@ def test_calibrate_is_deterministic():
 
 
 def test_calibrate_hands_its_config_to_the_optimizer(monkeypatch):
-    # One Nelder-Mead search from the best-ranked start, then one polish.
+    # One Nelder-Mead search from the best-ranked start, then one polish,
+    # which takes the one setting it reads, the tolerance.
     configs = []
 
     def spy(search):
@@ -381,8 +382,8 @@ def test_calibrate_hands_its_config_to_the_optimizer(monkeypatch):
     monkeypatch.setattr(calibration, "least_squares", spy(least_squares))
     config = CalibrationConfig(tolerance=1e-6, restarts=1, max_iterations=30, seed=4)
     calibrate("crr", synthetic_chain("jr", (0.25,)), S0, RATE, config)
-    assert [name for name, _ in configs] == ["minimize", "least_squares"]
-    assert all(c is config for _, c in configs)
+    assert configs == [("minimize", config), ("least_squares", config.tolerance)]
+    assert configs[0][1] is config
 
 
 def test_calibrate_counts_every_evaluation(monkeypatch):

@@ -106,12 +106,22 @@ def test_exact_factors_accept_a_large_finite_exponent():
     (1.0, 1.0, 0.5, "0 < d < u"),
     (0.9, 1.1, 0.5, "0 < d < u"),
     (1.1, 0.0, 0.5, "0 < d < u"),
+    (math.inf, 1.0, 0.5, "step factors must be finite, got u=inf"),
     (1.1, 0.9, 1.0, "up probability must be in"),
     (1.1, 0.9, 0.0, "up probability must be in"),
 ])
 def test_step_factors_reject_unordered_factors_or_a_boundary_probability(u, d, p, message):
     with pytest.raises(DomainError, match=message):
         StepFactors(u=u, d=d, p=p)
+
+
+def test_asymptotic_factors_and_moments_reject_an_up_factor_that_overflows():
+    # p = 2e-310, so (1-p)/p overflows and with it h_u and u.
+    params = ModelParams(1e-310, 1e-310, 1e-310, 1e-310, 1e-310)
+    with pytest.raises(DomainError, match="step factors must be finite"):
+        step_factors_asymptotic(params, 1e-310)
+    with pytest.raises(DomainError, match="step factors must be finite"):
+        step_moment(params, 1e-310, 1)
 
 
 @pytest.mark.parametrize("ctor", [crr_params, jarrow_rudd_params, tian_params])
@@ -368,6 +378,11 @@ def test_gbm_moment_rejects_an_exponent_too_large_for_exp():
     assert math.isfinite(gbm_moment(0.05, 1.0, 0.35, 64))
     with pytest.raises(DomainError, match=re.escape("log moment = 2019.2 is too large")):
         gbm_moment(0.05, 1.0, 1.0, 64)
+
+
+def test_gbm_moment_rejects_a_nan_exponent():
+    with pytest.raises(DomainError, match=re.escape("log moment is NaN")):
+        gbm_moment(0.05, math.nan, 0.01, 2)
 
 
 @pytest.mark.parametrize("fn", [step_moment, None])

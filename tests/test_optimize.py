@@ -274,6 +274,12 @@ def test_least_squares_shares_the_start_checks():
         least_squares(lambda x: np.array([math.inf]), [(0.0, 1.0)], [0.5])
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+def test_least_squares_rejects_a_tolerance_that_is_not_finite_and_positive(tolerance):
+    with pytest.raises(DomainError, match="tolerance must be finite and > 0"):
+        least_squares(lambda x: x - 0.3, [(0.0, 1.0)], [0.5], tolerance=tolerance)
+
+
 @settings(deadline=None, max_examples=50)
 @given(box=st.sampled_from([("logit", -2.0, 3.0), ("log", 1e-3, 10.0)]),
        fracs=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),

@@ -118,6 +118,16 @@ def test_delta_hedge_rejects_a_zero_factor_spread():
         delta_hedge(100.0, 5.0, 0.0, mp(gamma=-1.0, delta=1.0, sigma=0.5), 0.25)
 
 
+@pytest.mark.parametrize("s, f_u, f_d, message", [
+    (math.inf, 10.0, 0.0, "spot must be finite, got inf"),
+    # f_u - f_d overflows.
+    (100.0, 1e308, -1e308, "hedge ratio = inf is not finite"),
+], ids=["infinite-spot", "overflowing-spread"])
+def test_delta_hedge_rejects_a_hedge_that_is_not_finite(s, f_u, f_d, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        delta_hedge(s, f_u, f_d, jarrow_rudd_params(0.05, 0.2), DAILY)
+
+
 def test_delta_hedge_direct_arithmetic():
     assert delta_hedge(100.0, 5.0, 0.0, mp(), 0.01) == pytest.approx(1.25,
                                                                      rel=1e-14)
@@ -592,7 +602,8 @@ def test_discontinuity_accepts_the_largest_finite_exponent():
 @pytest.mark.parametrize("s0, r, sigma, strike, message", [
     # exp(709) is finite, 100*exp(709) is not.
     (100.0, 0.05, 709.0, 100.0, "s0*u = inf is not finite"),
-    (math.inf, 0.05, 0.2, 100.0, "s0*u = inf is not finite"),
+    # The spot's own check comes first.
+    (math.inf, 0.05, 0.2, 100.0, "spot must be finite, got inf"),
     # s0*u = exp(709) is finite, but exp(30) times it is not.
     (1.0, -30.0, 709.0, 0.0, "gap_at_1 = inf is not finite"),
 ], ids=["overflowing-up-price", "infinite-spot", "overflowing-gap"])
@@ -615,6 +626,29 @@ def test_black_scholes_rejects_a_zero_scale_or_an_overflowing_discount(
         s0, strike, r, sigma, t, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         black_scholes_call(s0, strike, r, sigma, t)
+
+
+@pytest.mark.parametrize("s0, strike, r, sigma, t, message", [
+    (math.inf, 100.0, 0.05, 0.2, 1.0, "spot and strike must be positive and finite"),
+    (100.0, 100.0, 0.05, math.inf, 1.0, "sigma and t must be positive and finite"),
+    (100.0, 100.0, math.nan, 0.2, 1.0, "-r*t is NaN"),
+    # sigma*sqrt(t) overflows, so d1 = inf/inf.
+    (100.0, 100.0, 0.05, 1e300, 1e300, "d1 = nan"),
+    # K*exp(-r*t) overflows.
+    (1.0, 1e308, -1.0, 0.2, 700.0, "the value nan must be finite"),
+    # sigma^2*t/2 overflows, so d1 = d2 = inf and the call would be worth 4.877.
+    (100.0, 100.0, 0.05, 1e200, 1.0, "d1 = inf"),
+], ids=["infinite-spot", "infinite-sigma", "nan-rate", "overflowing-scale",
+        "overflowing-strike-value", "overflowing-variance"])
+def test_black_scholes_rejects_a_result_that_is_not_finite(s0, strike, r, sigma, t, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        black_scholes_call(s0, strike, r, sigma, t)
+
+
+def test_discontinuity_rejects_a_nan_rate_by_name():
+    # Not an ArbitrageError that blames the rate's band.
+    with pytest.raises(DomainError, match=re.escape("r*t is NaN")):
+        discontinuity_report(100.0, math.nan, 0.2, 1.0, Payoff.call(100.0), 0.5)
 
 
 def test_roll_back_rejects_a_discount_too_large_for_exp():
