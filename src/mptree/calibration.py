@@ -16,9 +16,14 @@ induction of :mod:`mptree.pricing`, the induction that
 :func:`~mptree.pricing.price_european` runs on too. A fit prices one
 chain many times, so it lays the chain out once, as a private
 ``_Chain``: the quotes with their order by maturity, each maturity's
-strike row and the induction's plan, whose work arrays and step views
-every evaluation then reuses. The prices are bit for bit those of
-pricing the quotes afresh.
+strike row, the (step count, up-moves) of every maturity's terminal
+nodes, which one ``exp`` pass then takes together, and the induction's
+plan, whose work arrays and step views every evaluation reuses. A fit
+also keeps the prices of every free vector it has priced: a point its
+searches revisit is answered from them, and its reported metrics are
+those of its best point's stored prices, so each distinct point is
+priced once. The searches still count every evaluation. The prices are
+bit for bit those of pricing the quotes afresh.
 
 The slope v is visible only across step sizes, as in
 :func:`~mptree.convergence.rate_experiment` where dt = t/n; it is never
@@ -76,14 +81,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ArbitrageError, DomainError
-from .model import (ModelParams, _require_g, _require_spot, crr_params,
-                    jarrow_rudd_params, p_up, step_factors_exact, tian_params)
+from .model import (ModelParams, _nodes, _require_finite_rate, _require_g, _require_spot,
+                    crr_params, jarrow_rudd_params, p_up, step_factors_exact, tian_params)
 from .optimize import MinimizeConfig, least_squares, minimize
 from .pricing import Lattice, _Plan, risk_neutral_prob
 
@@ -159,8 +164,7 @@ class ChainFile:
         object.__setattr__(self, "spot", float(self.spot))
         object.__setattr__(self, "rate", float(self.rate))
         _require_spot(self.spot)
-        if not math.isfinite(self.rate):
-            raise DomainError(f"rate must be finite, got {self.rate}")
+        _require_finite_rate(self.rate)
         if len(self.quotes) == 0:
             raise DomainError("chain must contain at least one quote")
         above = next((quote for quote in self.quotes if quote.market_price > self.spot), None)
@@ -314,9 +318,12 @@ class _Chain(tuple):
     A tuple of the quotes in their given order, which also holds what
     pricing them would otherwise redo at every evaluation: the order of
     the quotes by descending maturity, the step count and strike row of
-    each maturity, and the induction's ``_Plan`` with one block per
-    maturity, longest first. Every pricing overwrites the plan's arrays,
-    so a chain belongs to one fit's closure and is never shared.
+    each maturity, the induction's ``_Plan`` with one block per
+    maturity, longest first, and the terminal nodes of every maturity
+    end to end in that order: the step count and up-moves of each node
+    (``node_steps``, ``node_ups``) and the slice of each maturity's rows
+    (``rows``). Every pricing overwrites the plan's arrays, so a chain
+    belongs to one fit's closure and is never shared.
     """
 
     def __new__(cls, quotes: Sequence[OptionQuote]) -> "_Chain":
@@ -330,7 +337,11 @@ class _Chain(tuple):
         chain.order = np.array(order)
         chain.steps = [n for n, _ in groups]
         chain.strikes = [np.array(strikes) for _, strikes in groups]
-        chain.plan = _Plan([n + 1 for n in chain.steps], [len(k) for k in chain.strikes])
+        sizes = [n + 1 for n in chain.steps]
+        chain.plan = _Plan(sizes, [len(k) for k in chain.strikes])
+        chain.node_steps = np.repeat(np.array(chain.steps, dtype=float), sizes)
+        chain.node_ups = np.concatenate([np.arange(size, dtype=float) for size in sizes])
+        chain.rows = [slice(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
         return chain
 
 
@@ -350,7 +361,10 @@ def model_prices(model: str, params: ModelParams, quotes: Sequence[OptionQuote],
     that overflows, so a discount too large for a float raises
     DomainError here as in ``roll_back``. The lattice uses the exact
     (exponential) factors and the paper's hedge probability Q, which
-    leaves the martingale residual documented on ``roll_back``.
+    leaves the martingale residual documented on ``roll_back``. The
+    terminal nodes of every maturity are taken in one ``exp`` pass of the
+    node formula of :func:`~mptree.model.node_values`, the same bits as
+    that function gives maturity by maturity.
 
     ``quotes`` laid out by a fit (a private ``_Chain``) are priced
     through the chain's plan; any other sequence is laid out for this
@@ -361,29 +375,50 @@ def model_prices(model: str, params: ModelParams, quotes: Sequence[OptionQuote],
     factors = step_factors_exact(params, dt)
     q = risk_neutral_prob(params, r, dt)
     lattice = Lattice(s0, chain.steps[0], dt, factors, r)
-    for n, strikes, block in zip(chain.steps, chain.strikes, chain.plan.blocks):
-        np.subtract(lattice.node_values(n)[:, None], strikes, out=block)
+    nodes = _nodes(s0, factors, chain.node_steps, chain.node_ups)
+    for rows, strikes, block in zip(chain.rows, chain.strikes, chain.plan.blocks):
+        np.subtract(nodes[rows, None], strikes, out=block)
         np.maximum(block, 0.0, out=block)
     prices = np.empty(len(chain))
     prices[chain.order] = chain.plan.run(lattice, q)
     return prices.tolist()
 
 
+def _point(x: Sequence[float]) -> bytes:
+    """The float64 bytes of a free vector, the key of its stored prices."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
 def _residuals(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
-               dt: float) -> Callable[[Sequence[float]], np.ndarray]:
+               dt: float, priced: dict[bytes, np.ndarray | None] | None = None
+               ) -> Callable[[Sequence[float]], np.ndarray]:
     """Model minus market prices of ``quotes`` as a function of the free
     vector of ``model``; NaN wherever the pricing raises. The quotes are
     laid out once, as a ``_Chain``, for every evaluation, and each
-    evaluation returns a new array."""
+    evaluation returns a new array.
+
+    ``priced`` (a new dict if not given) maps the :func:`_point` of every
+    vector priced to its prices, or to None where the pricing raised, and
+    a vector already in it is answered from it, so each distinct vector
+    reaches :func:`model_prices` once. A caller that passes ``priced``
+    reads the prices of its points there. The dict refers to no function
+    or chain, so it forms no reference cycle with the closure, and the
+    fit's chain and plan are freed as soon as the fit returns.
+    """
     chain = _Chain(quotes)
     market = np.array([q.market_price for q in chain])
+    priced = {} if priced is None else priced
 
     def residuals(x: Sequence[float]) -> np.ndarray:
-        try:
-            prices = model_prices(model, build_params(model, x, r), chain, s0, r, dt)
-        except (DomainError, ArbitrageError):
-            return np.full(market.size, np.nan)
-        return np.asarray(prices) - market
+        key = _point(x)
+        if key not in priced:
+            try:
+                priced[key] = np.asarray(
+                    model_prices(model, build_params(model, x, r), chain, s0, r, dt))
+            except (DomainError, ArbitrageError):
+                priced[key] = None
+        prices = priced[key]
+        return np.full(market.size, np.nan) if prices is None else prices - market
     return residuals
 
 
@@ -467,7 +502,8 @@ def _fit(model: str, start: Sequence[float],
     Non-convergence is reported through the flag, never raised.
     """
     bounds, transforms = free_parameter_spec(model)
-    residuals = _residuals(model, quotes, s0, r, cfg.dt)
+    priced: dict[bytes, np.ndarray | None] = {}
+    residuals = _residuals(model, quotes, s0, r, cfg.dt, priced)
 
     def objective(x: np.ndarray) -> float:
         diff = residuals(x)
@@ -488,8 +524,12 @@ def _fit(model: str, start: Sequence[float],
         best = least_squares(residuals, bounds, start, transforms, cfg.tolerance)
         evaluations, converged = best.evaluations, best.converged
     params = build_params(model, best.x, r)
-    metrics = error_metrics(model_prices(model, params, quotes, s0, r, cfg.dt),
-                            [q.market_price for q in quotes])
+    prices = priced.get(_point(best.x))
+    if prices is None:
+        # Only a fit that never left the region where the pricing raises
+        # ends here: pricing its point again raises that error.
+        prices = model_prices(model, params, quotes, s0, r, cfg.dt)
+    metrics = error_metrics(prices, [q.market_price for q in quotes])
     return CalibrationResult(model=model, params=params, metrics=metrics,
                              objective_evaluations=evaluations,
                              converged=converged)

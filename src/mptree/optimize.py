@@ -93,17 +93,25 @@ def _to_unconstrained(x: float, lo: float, hi: float, kind: str) -> float:
     return math.log(frac / (1.0 - frac))
 
 
-def _from_unconstrained(y: float, lo: float, hi: float, kind: str) -> float:
-    frac = 1.0 / (1.0 + math.exp(-y)) if y >= 0 else math.exp(y) / (1.0 + math.exp(y))
-    if kind == "log":
-        x = math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * frac)
-    else:
-        x = lo + (hi - lo) * frac
+def _decoder(lo: float, hi: float, kind: str) -> Callable[[float], float]:
+    """The map from an unconstrained coordinate back into (lo, hi).
+
+    The log-bounds of a "log" coordinate and the open box's closest
+    floats are taken here, once per search, and not at every decode.
+    """
+    base, width = (math.log(lo), math.log(hi) - math.log(lo)) if kind == "log" else (lo, hi - lo)
     # The sigmoid rounds to exactly 0 or 1 for large |y|, and the map back
     # can round onto (or, through exp, past) a bound even when frac does
     # not, so the decoded value is clamped to the open box's closest floats.
     inner_lo, inner_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
-    return inner_lo if x < inner_lo else inner_hi if x > inner_hi else x
+
+    def decode(y: float) -> float:
+        frac = 1.0 / (1.0 + math.exp(-y)) if y >= 0 else math.exp(y) / (1.0 + math.exp(y))
+        x = base + width * frac
+        if kind == "log":
+            x = math.exp(x)
+        return inner_lo if x < inner_lo else inner_hi if x > inner_hi else x
+    return decode
 
 
 def _unconstrained_start(bounds: Sequence[tuple[float, float]],
@@ -131,9 +139,10 @@ def _unconstrained_start(bounds: Sequence[tuple[float, float]],
         if kind == "log" and lo <= 0.0:
             raise DomainError("log transform requires a positive lower bound")
 
+    decoders = [_decoder(lo, hi, kind) for (lo, hi), kind in zip(bounds, kinds)]
+
     def decode(y: np.ndarray) -> np.ndarray:
-        return np.array([_from_unconstrained(float(yi), lo, hi, kind)
-                         for yi, (lo, hi), kind in zip(y, bounds, kinds)])
+        return np.array([coordinate(yi) for coordinate, yi in zip(decoders, y.tolist())])
 
     y0 = np.array([_to_unconstrained(float(x), lo, hi, kind)
                    for x, (lo, hi), kind in zip(start, bounds, kinds)])

@@ -28,11 +28,11 @@ discount or checks an overflow of its own.
 
 The tree rules live in :mod:`mptree.model`: p(dt) in
 :func:`~mptree.model.p_up`, the checks of a :class:`Lattice` in
-``_require_positive_dt`` and ``_require_finite_nodes`` (spot, step count,
-top node), and the guard against an exponent that is NaN or too large
-for exp, ``_exp``, which the induction's discount,
-:func:`discontinuity_report` and :func:`black_scholes_call` share with
-the exact factors. So do the argument rules shared with other modules:
+``_require_positive_dt``, ``_require_finite_nodes`` (spot, step count,
+top node) and ``_require_finite_rate``, and the guard against an
+exponent that is NaN or too large for exp, ``_exp``, which the
+induction's discount, :func:`discontinuity_report` and
+:func:`black_scholes_call` share with the exact factors. So do the argument rules shared with other modules:
 ``_require_spot`` for :func:`delta_hedge` and
 :func:`discontinuity_report`, and ``_require_sigma_and_t`` for both
 closed forms.
@@ -48,8 +48,9 @@ import numpy as np
 
 from .errors import ArbitrageError, DomainError
 from .model import (ModelParams, StepFactors, _exp, _require_finite_nodes,
-                    _require_positive_dt, _require_sigma_and_t, _require_spot, node_values,
-                    p_up, step_factors_asymptotic, step_factors_exact)
+                    _require_finite_rate, _require_positive_dt, _require_sigma_and_t,
+                    _require_spot, node_values, p_up, step_factors_asymptotic,
+                    step_factors_exact)
 from .special import normal_cdf
 
 __all__ = [
@@ -110,6 +111,7 @@ class Lattice:
     def __post_init__(self) -> None:
         _require_positive_dt(self.dt)
         _require_finite_nodes(self.s0, self.factors, self.n)
+        _require_finite_rate(self.rate)
 
     @classmethod
     def build(cls, s0: float, params: ModelParams, n: int, dt: float, rate: float,

@@ -4,6 +4,7 @@ import math
 import random
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mptree.calibration import (MODELS, CalibrationConfig, OptionQuote,
                                 model_prices)
 from mptree.calibration import free_parameter_names
 from mptree.errors import ArbitrageError, DomainError
+from mptree.market_io import load_chain
 from mptree.optimize import least_squares, minimize
 from mptree.model import ModelParams, crr_params, jarrow_rudd_params, p_up
 from mptree.pricing import (Lattice, Payoff, black_scholes_call,
@@ -387,19 +389,62 @@ def test_calibrate_hands_its_config_to_the_optimizer(monkeypatch):
 
 
 def test_calibrate_counts_every_evaluation(monkeypatch):
-    chain = synthetic_chain("jr", (0.25,))
-    calls = []
+    # Each search counts every call it makes to its objective, a repeated
+    # point included, while model_prices runs once per distinct point: the
+    # fit answers a repeat, and takes its reported metrics, from the
+    # prices it keeps. model_prices also runs for the at-the-money sigma
+    # and the poorer families' fits (as "crr", "jr" and "tian").
+    points, priced = [], []
 
-    def counting(*args):
-        calls.append(args[0])
-        return model_prices(*args)
+    def spy(search):
+        def call(objective, bounds, *rest):
+            def counted(x):
+                if len(bounds) == 2:  # mpbin1
+                    points.append(np.asarray(x, dtype=float).tobytes())
+                return objective(x)
+            return search(counted, bounds, *rest)
+        return call
 
+    def counting(model, *args):
+        priced.append(model)
+        return model_prices(model, *args)
+
+    monkeypatch.setattr(calibration, "minimize", spy(minimize))
+    monkeypatch.setattr(calibration, "least_squares", spy(least_squares))
     monkeypatch.setattr(calibration, "model_prices", counting)
-    result = calibrate("mpbin1", chain, S0, RATE)
-    # model_prices also runs for the at-the-money sigma and the poorer
-    # families' fits (as "crr", "jr" and "tian") and once for the reported
-    # metrics.
-    assert result.objective_evaluations == calls.count("mpbin1") - 1
+    result = calibrate("mpbin1", SLOPED_CHAIN, S0, RATE)
+    assert result.objective_evaluations == len(points)
+    assert priced.count("mpbin1") == len(set(points)) < len(points)
+
+
+def test_a_fit_prices_each_point_once(monkeypatch, tmp_path):
+    # On the benchmark's first chain of seed 1 the searches revisit
+    # points, and each fit reports the metrics of its best point; a fit
+    # answers every such repeat from the prices it keeps. The free
+    # vector's coordinates are fields of the tree.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from mptree_bench import inputs
+    job = inputs.make_jobs("calibrate", 1, tmp_path)[0]
+    chain = load_chain(job.path)
+    fits = []
+    fit = calibration._fit
+
+    def fitting(*args):
+        fits.append([])
+        return fit(*args)
+
+    def pricing(model, params, *rest):
+        if fits:  # not the at-the-money sigma, which comes before the fits
+            free = [getattr(params, name) for name in free_parameter_names(model)]
+            fits[-1].append((model, np.array(free).tobytes()))
+        return model_prices(model, params, *rest)
+
+    monkeypatch.setattr(calibration, "_fit", fitting)
+    monkeypatch.setattr(calibration, "model_prices", pricing)
+    calibrate_suite(MODELS, chain.quotes, chain.spot, chain.rate)
+    assert len(fits) == len(MODELS)
+    for points in fits:
+        assert len(set(points)) == len(points)
 
 
 def record_searches(monkeypatch):

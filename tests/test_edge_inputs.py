@@ -104,7 +104,6 @@ def test_degenerate_inputs_raise_only_domain_or_arbitrage_errors(data, name):
 RECORDS = {
     "build_params": "holds its vector as a ModelParams; p_up checks it wherever a tree is built",
     "DiscreteCdf": "holds the support and weights it is given; its rules are order and total",
-    "Lattice.build": "holds its rate as given; roll_back checks the discount taken from it",
 }
 
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mptree.errors import DomainError
-from mptree.optimize import (MinimizeConfig, _from_unconstrained,
-                             _to_unconstrained, least_squares, minimize)
+from mptree.optimize import (MinimizeConfig, _decoder, _to_unconstrained,
+                             least_squares, minimize)
 
 TIGHT = MinimizeConfig(tolerance=1e-14)
 
@@ -163,7 +163,7 @@ def test_transform_round_trip_stays_inside_box(box, frac):
         x = math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * frac)
     else:
         x = lo + (hi - lo) * frac
-    back = _from_unconstrained(_to_unconstrained(x, lo, hi, kind), lo, hi, kind)
+    back = _decoder(lo, hi, kind)(_to_unconstrained(x, lo, hi, kind))
     assert lo < back < hi
     assert abs(back - x) <= 1e-13 * x
 

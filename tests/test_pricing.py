@@ -348,6 +348,14 @@ def test_lattice_validation():
             Lattice.build(100.0, mp(), n=4, dt=dt, rate=0.02)
 
 
+@pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
+def test_lattice_rejects_a_rate_that_is_not_finite(rate):
+    # At rate = inf each step would discount by exp(-inf) = 0, so roll_back
+    # would return 0.0 for any terminal values.
+    with pytest.raises(DomainError, match=f"rate must be finite, got {rate}"):
+        Lattice.build(100.0, jarrow_rudd_params(0.05, 0.2), 4, 0.01, rate=rate)
+
+
 def textbook_roll_back(q, disc, values, n):
     for _ in range(n):
         values = disc * (q * values[1:] + (1.0 - q) * values[:-1])
