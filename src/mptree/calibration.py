@@ -13,17 +13,27 @@ n = days to maturity):
 
 :func:`model_prices` prices a whole chain in one run of the one backward
 induction of :mod:`mptree.pricing`, the induction that
-:func:`~mptree.pricing.price_european` runs on too. A fit prices one
+:func:`~mptree.pricing.price_european` runs on too. A suite prices one
 chain many times, so it lays the chain out once, as a private
 ``_Chain``: the quotes with their order by maturity, each maturity's
 strike row, the (step count, up-moves) of every maturity's terminal
 nodes, which one ``exp`` pass then takes together, and the induction's
-plan, whose work arrays and step views every evaluation reuses. A fit
+plans, whose work arrays and step views every evaluation reuses. A fit
 also keeps the prices of every free vector it has priced: a point its
 searches revisit is answered from them, and its reported metrics are
 those of its best point's stored prices, so each distinct point is
-priced once. The searches still count every evaluation. The prices are
-bit for bit those of pricing the quotes afresh.
+priced once. The searches still count every evaluation.
+
+A fit is resumable: it yields each point it has not priced and is sent
+that point's prices, and its two searches, from
+:mod:`mptree.optimize`, are resumable in the same way. crr, jr and tian
+are fit in lockstep: each round prices the pending point of every one
+of them in one run of the chain's plan for a stack of their trees, in
+which the trees share every step's ufunc calls, each column with its
+own Q. A round of one point goes through :func:`model_prices`. The
+prices are bit for bit those of pricing each point's quotes afresh,
+and a point that the pricing rejects fails alone, so every fit, and
+its evaluation count, is that of fitting it alone.
 
 The slope v is visible only across step sizes, as in
 :func:`~mptree.convergence.rate_experiment` where dt = t/n; it is never
@@ -71,9 +81,10 @@ that spread. On a chain made by an mpbin1 tree this spares mpbin2's
 search, which would move its SSE by rounding only.
 
 :func:`calibrate_suite` is the one fit loop, and :func:`calibrate` is its
-result for one model. Families are fit in :data:`MODELS` order, and a
-requested nested family is fit after every family before it. Without a
-nested family only the requested families are fit.
+result for one model. The one-parameter families are fit together, and
+each nested family after them, in :data:`MODELS` order; a requested
+nested family is fit after every family before it. Without a nested
+family only the requested families are fit.
 """
 
 from __future__ import annotations
@@ -82,14 +93,17 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate, groupby
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
 from .errors import ArbitrageError, DomainError
 from .model import (ModelParams, _nodes, _require_finite_rate, _require_g, _require_spot,
                     crr_params, jarrow_rudd_params, p_up, step_factors_exact, tian_params)
-from .optimize import MinimizeConfig, least_squares, minimize
+# minimize stays a name of this module, though no fit calls it: the
+# benchmark's tracer wraps calibration.minimize.
+from .optimize import (MinimizeConfig, MinimizeResult, _least_squares_search,
+                       _minimize_search, minimize)  # noqa: F401
 from .pricing import Lattice, _Plan, risk_neutral_prob
 
 __all__ = [
@@ -211,8 +225,9 @@ class CalibrationConfig(MinimizeConfig):
 
     The optimizer's settings (``tolerance``, ``max_iterations``,
     ``restarts``, ``seed``) are inherited from
-    :class:`~mptree.optimize.MinimizeConfig` and reach :func:`minimize`
-    unchanged. ``dt`` is the lattice step. ``maturity_filter`` is read by
+    :class:`~mptree.optimize.MinimizeConfig` and reach the Nelder-Mead
+    search of :func:`~mptree.optimize.minimize` unchanged. ``dt`` is the
+    lattice step. ``maturity_filter`` is read by
     :func:`calibrate_suite`, which then fits only the quotes of at most
     ``MAX_CALIBRATION_DAYS`` = 100 trading days to maturity.
     """
@@ -313,7 +328,7 @@ def free_parameter_spec(model: str) -> tuple[tuple[tuple[float, float], ...],
 
 
 class _Chain(tuple):
-    """The quotes of one fit, laid out once for the backward induction.
+    """The quotes of one suite, laid out once for the backward induction.
 
     A tuple of the quotes in their given order, which also holds what
     pricing them would otherwise redo at every evaluation: the order of
@@ -322,8 +337,11 @@ class _Chain(tuple):
     maturity, longest first, and the terminal nodes of every maturity
     end to end in that order: the step count and up-moves of each node
     (``node_steps``, ``node_ups``) and the slice of each maturity's rows
-    (``rows``). Every pricing overwrites the plan's arrays, so a chain
-    belongs to one fit's closure and is never shared.
+    (``rows``). ``plan`` prices one tree; :meth:`stack` gives the plan of
+    a stack of k trees, laid out the first time a round of k trees needs
+    it. Every pricing overwrites a plan's arrays, so a chain belongs to
+    one suite, whose fits it serves one round at a time, and is never
+    shared.
     """
 
     def __new__(cls, quotes: Sequence[OptionQuote]) -> "_Chain":
@@ -337,12 +355,47 @@ class _Chain(tuple):
         chain.order = np.array(order)
         chain.steps = [n for n, _ in groups]
         chain.strikes = [np.array(strikes) for _, strikes in groups]
-        sizes = [n + 1 for n in chain.steps]
-        chain.plan = _Plan(sizes, [len(k) for k in chain.strikes])
-        chain.node_steps = np.repeat(np.array(chain.steps, dtype=float), sizes)
-        chain.node_ups = np.concatenate([np.arange(size, dtype=float) for size in sizes])
-        chain.rows = [slice(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
+        chain.sizes = [n + 1 for n in chain.steps]
+        chain.plan = _Plan(chain.sizes, [len(k) for k in chain.strikes])
+        chain.stacks = {}
+        chain.node_steps = np.repeat(np.array(chain.steps, dtype=float), chain.sizes)
+        chain.node_ups = np.concatenate([np.arange(size, dtype=float) for size in chain.sizes])
+        chain.rows = [slice(end - size, end) for size, end in
+                      zip(chain.sizes, accumulate(chain.sizes))]
         return chain
+
+    def stack(self, trees: int) -> _Plan:
+        """The plan of a stack of ``trees`` trees, laid out once."""
+        if trees not in self.stacks:
+            self.stacks[trees] = _Plan(self.sizes, [len(k) for k in self.strikes], stack=trees)
+        return self.stacks[trees]
+
+    def tree(self, params: ModelParams, s0: float, r: float,
+             dt: float) -> tuple[Lattice, float, np.ndarray]:
+        """The lattice, Q and terminal nodes of one tree on this chain.
+
+        Raises where :func:`model_prices` raises before its induction.
+        """
+        factors = step_factors_exact(params, dt)
+        q = risk_neutral_prob(params, r, dt)
+        lattice = Lattice(s0, self.steps[0], dt, factors, r)
+        return lattice, q, _nodes(s0, factors, self.node_steps, self.node_ups)
+
+    def payoffs(self, plan: _Plan, nodes: np.ndarray) -> None:
+        """Write the calls at every terminal node into ``plan``'s blocks,
+        tree after tree within each block; ``nodes`` has one column of
+        terminal nodes per tree."""
+        for rows, strikes, block in zip(self.rows, self.strikes, plan.blocks):
+            # A view: the block's rows are contiguous runs of k*w columns.
+            calls = block.reshape(len(block), -1, strikes.size)
+            np.subtract(nodes[rows, :, None], strikes, out=calls)
+            np.maximum(calls, 0.0, out=calls)
+
+    def in_quote_order(self, root: np.ndarray) -> np.ndarray:
+        """A root row, block after block, as prices in quote order."""
+        prices = np.empty(len(self))
+        prices[self.order] = root
+        return prices
 
 
 def model_prices(model: str, params: ModelParams, quotes: Sequence[OptionQuote],
@@ -366,22 +419,53 @@ def model_prices(model: str, params: ModelParams, quotes: Sequence[OptionQuote],
     node formula of :func:`~mptree.model.node_values`, the same bits as
     that function gives maturity by maturity.
 
-    ``quotes`` laid out by a fit (a private ``_Chain``) are priced
-    through the chain's plan; any other sequence is laid out for this
-    call alone. The prices are the same bits either way.
+    ``quotes`` laid out by a suite (a private ``_Chain``) are priced
+    through the chain's plan of one tree, with its 0-d weights; any other
+    sequence is laid out for this call alone. The prices are the same
+    bits either way, and the same as those of the tree's columns when a
+    suite prices several fits' points in one run of a stack plan.
     """
     _family(model)  # rejects an unknown model
     chain = quotes if isinstance(quotes, _Chain) else _Chain(quotes)
-    factors = step_factors_exact(params, dt)
-    q = risk_neutral_prob(params, r, dt)
-    lattice = Lattice(s0, chain.steps[0], dt, factors, r)
-    nodes = _nodes(s0, factors, chain.node_steps, chain.node_ups)
-    for rows, strikes, block in zip(chain.rows, chain.strikes, chain.plan.blocks):
-        np.subtract(nodes[rows, None], strikes, out=block)
-        np.maximum(block, 0.0, out=block)
-    prices = np.empty(len(chain))
-    prices[chain.order] = chain.plan.run(lattice, q)
-    return prices.tolist()
+    lattice, q, nodes = chain.tree(params, s0, r, dt)
+    chain.payoffs(chain.plan, nodes[:, None])
+    return chain.in_quote_order(chain.plan.run(lattice, q)).tolist()
+
+
+def _price_round(chain: _Chain, points: Sequence[tuple[str, np.ndarray]], s0: float,
+                 r: float, dt: float) -> list[np.ndarray | None]:
+    """The prices of the chain's quotes at each (model, free vector) of
+    ``points``, or None where :func:`model_prices` raises on it.
+
+    One point is priced by ``model_prices``, looked up on this module.
+    Several are priced in one run of the chain's plan for a stack of the
+    trees that pass ``model_prices``'s checks: each tree's columns take
+    the arithmetic of pricing it alone, and a tree whose root overflows
+    reads as raised on its own.
+    """
+    if len(points) == 1:
+        (model, x), = points
+        try:
+            return [np.asarray(model_prices(model, build_params(model, x, r), chain, s0, r, dt))]
+        except (DomainError, ArbitrageError):
+            return [None]
+    trees = []
+    for model, x in points:
+        try:
+            trees.append(chain.tree(build_params(model, x, r), s0, r, dt))
+        except (DomainError, ArbitrageError):
+            trees.append(None)
+    ready = [tree for tree in trees if tree is not None]
+    if not ready:
+        return [None] * len(trees)
+    plan = chain.stack(len(ready))
+    chain.payoffs(plan, np.stack([nodes for _, _, nodes in ready], axis=1))
+    try:
+        roots = plan.run(ready[0][0], [q for _, q, _ in ready])
+    except DomainError:  # the discount, which every tree shares
+        return [None] * len(trees)
+    prices = iter(None if root is None else chain.in_quote_order(root) for root in roots)
+    return [None if tree is None else next(prices) for tree in trees]
 
 
 def _point(x: Sequence[float]) -> bytes:
@@ -394,29 +478,26 @@ def _residuals(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
                ) -> Callable[[Sequence[float]], np.ndarray]:
     """Model minus market prices of ``quotes`` as a function of the free
     vector of ``model``; NaN wherever the pricing raises. The quotes are
-    laid out once, as a ``_Chain``, for every evaluation, and each
-    evaluation returns a new array.
+    laid out once, as a ``_Chain``, for every evaluation, unless they
+    already are one, and each evaluation returns a new array.
 
     ``priced`` (a new dict if not given) maps the :func:`_point` of every
     vector priced to its prices, or to None where the pricing raised, and
     a vector already in it is answered from it, so each distinct vector
-    reaches :func:`model_prices` once. A caller that passes ``priced``
-    reads the prices of its points there. The dict refers to no function
-    or chain, so it forms no reference cycle with the closure, and the
-    fit's chain and plan are freed as soon as the fit returns.
+    is priced once, by :func:`_price_round`. A caller that passes
+    ``priced`` reads the prices of its points there, or puts them there
+    itself. The dict refers to no function or chain, so it forms no
+    reference cycle with the closure, and the chain and its plans are
+    freed as soon as the last closure that holds them is.
     """
-    chain = _Chain(quotes)
+    chain = quotes if isinstance(quotes, _Chain) else _Chain(quotes)
     market = np.array([q.market_price for q in chain])
     priced = {} if priced is None else priced
 
     def residuals(x: Sequence[float]) -> np.ndarray:
         key = _point(x)
         if key not in priced:
-            try:
-                priced[key] = np.asarray(
-                    model_prices(model, build_params(model, x, r), chain, s0, r, dt))
-            except (DomainError, ArbitrageError):
-                priced[key] = None
+            priced[key], = _price_round(chain, [(model, x)], s0, r, dt)
         prices = priced[key]
         return np.full(market.size, np.nan) if prices is None else prices - market
     return residuals
@@ -486,10 +567,16 @@ def _inside(value: float, bounds: tuple[float, float]) -> float:
 _PENALTY = 1e15
 
 
-def _fit(model: str, start: Sequence[float],
-         quotes: Sequence[OptionQuote], s0: float, r: float,
-         cfg: CalibrationConfig, search: bool) -> CalibrationResult:
-    """Fit ``model`` to the chain by least squares on prices.
+def _fit(model: str, start: Sequence[float], chain: _Chain, s0: float, r: float,
+         cfg: CalibrationConfig, search: bool
+         ) -> Generator[np.ndarray, np.ndarray | None, CalibrationResult]:
+    """Fit ``model`` to the chain by least squares on prices, resumably.
+
+    The fit yields each free vector that it has not priced yet and is
+    sent that vector's prices in quote order, or None where the pricing
+    raises; it returns the result. A vector priced once is answered from
+    the fit's store of prices for every later visit, and the reported
+    metrics are those of the best point's stored prices.
 
     ``start`` (a free-parameter vector of this model) is clipped into the
     box; a restarted Nelder-Mead with the optimizer settings of ``cfg``
@@ -503,36 +590,89 @@ def _fit(model: str, start: Sequence[float],
     """
     bounds, transforms = free_parameter_spec(model)
     priced: dict[bytes, np.ndarray | None] = {}
-    residuals = _residuals(model, quotes, s0, r, cfg.dt, priced)
+    residuals = _residuals(model, chain, s0, r, cfg.dt, priced)
 
     def objective(x: np.ndarray) -> float:
         diff = residuals(x)
         sse = float(np.dot(diff, diff))
         return sse if math.isfinite(sse) else _PENALTY
 
+    def drive(search: Generator[np.ndarray, object, MinimizeResult],
+              evaluate: Callable[[np.ndarray], object]
+              ) -> Generator[np.ndarray, np.ndarray | None, MinimizeResult]:
+        # Yields each point not yet priced, then sends the search its value.
+        point = next(search)
+        while True:
+            key = _point(point)
+            if key not in priced:
+                priced[key] = yield point
+            try:
+                point = search.send(evaluate(point))
+            except StopIteration as stop:
+                return stop.value
+
     start = [_inside(float(value), box) for value, box in zip(start, bounds)]
     if search:
-        best = minimize(objective, bounds, start, transforms, cfg)
+        best = yield from drive(_minimize_search(bounds, start, transforms, cfg), objective)
         evaluations, converged = best.evaluations, False
         if best.value < _PENALTY:
-            polished = least_squares(residuals, bounds, best.x, transforms, cfg.tolerance)
+            polished = yield from drive(
+                _least_squares_search(bounds, best.x, transforms, cfg.tolerance), residuals)
             evaluations += polished.evaluations
             converged = polished.converged
             if polished.value < best.value:
                 best = polished
     else:
-        best = least_squares(residuals, bounds, start, transforms, cfg.tolerance)
+        best = yield from drive(
+            _least_squares_search(bounds, start, transforms, cfg.tolerance), residuals)
         evaluations, converged = best.evaluations, best.converged
     params = build_params(model, best.x, r)
     prices = priced.get(_point(best.x))
     if prices is None:
         # Only a fit that never left the region where the pricing raises
         # ends here: pricing its point again raises that error.
-        prices = model_prices(model, params, quotes, s0, r, cfg.dt)
-    metrics = error_metrics(prices, [q.market_price for q in quotes])
+        prices = model_prices(model, params, chain, s0, r, cfg.dt)
+    metrics = error_metrics(prices, [q.market_price for q in chain])
     return CalibrationResult(model=model, params=params, metrics=metrics,
                              objective_evaluations=evaluations,
                              converged=converged)
+
+
+def _run_fits(fits: dict[str, Generator[np.ndarray, np.ndarray | None, CalibrationResult]],
+              chain: _Chain, s0: float, r: float, dt: float) -> list[CalibrationResult]:
+    """Drive ``fits`` (model to ``_fit``) in lockstep; their results, in order.
+
+    Each round prices the next point of every fit still running in one
+    :func:`_price_round`. A point's prices do not depend on the others
+    priced with it, so each fit ends as it would alone. If fits raise
+    DomainError or ArbitrageError, the error of the first in order is
+    raised once all have ended, as a loop fitting one after the other
+    would raise it.
+    """
+    outcomes: dict[str, CalibrationResult | ValueError] = {}
+    sent: dict[str, np.ndarray | None] = dict.fromkeys(fits)  # None starts a fit
+    while sent:
+        points = {}
+        for model, prices in sent.items():
+            try:
+                points[model] = fits[model].send(prices)
+            except StopIteration as stop:
+                outcomes[model] = stop.value
+            except (DomainError, ArbitrageError) as error:  # raised below, in order
+                outcomes[model] = error
+        sent = dict(zip(points, _price_round(chain, list(points.items()), s0, r, dt)
+                        if points else []))
+    results = [outcomes.pop(model) for model in fits]
+    failed = next((result for result in results if isinstance(result, ValueError)), None)
+    if failed is not None:
+        # Dropping every reference from this frame before the raise leaves
+        # no cycle through the traceback, which holds the chain.
+        results = None
+        try:
+            raise failed
+        finally:
+            del failed
+    return results
 
 
 def calibrate(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
@@ -572,6 +712,14 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
     fit. The result holds the requested models only, in :data:`MODELS`
     order.
 
+    The chain is laid out once for every fit. The fits of crr, jr and
+    tian advance in lockstep, and each round prices their pending points
+    in one run of a stacked induction; the nested families follow one at
+    a time, one point a round. Each result, and each evaluation count,
+    is bit for bit that of fitting the family alone, and where several
+    fits raise, the error of the first in :data:`MODELS` order is the one
+    raised, as if the families were fit one after the other.
+
     Raises
     ------
     DomainError
@@ -597,20 +745,22 @@ def calibrate_suite(models: Sequence[str], quotes: Sequence[OptionQuote],
                           f"rate must lie inside {GAMMA_BOUNDS}, got {r}")
     quotes = sorted(quotes, key=_chain_order)
     last_nested = max((MODELS.index(m) for m in models if _FAMILIES[m].nested), default=-1)
+    fitted = [model for i, model in enumerate(MODELS) if i < last_nested or model in models]
     sigma0 = implied_atm_sigma(quotes, s0, r, cfg.dt)
-    results: list[CalibrationResult] = []
-    for i, model in enumerate(MODELS):
-        if i < last_nested or model in models:
-            family = _FAMILIES[model]
-            if family.nested:
-                best = min(results, key=lambda res: res.metrics.rmse)
-                start = _seed(best.params, cfg.dt)[:len(family.params)]
-                # No search from a seed of SSE below the tolerance can gain
-                # more than the simplex spread at which minimize stops.
-                search = len(quotes) * best.metrics.rmse ** 2 >= cfg.tolerance
-            else:
-                start, search = _default_start(model, sigma0, r, cfg.dt), True
-            results.append(_fit(model, start, quotes, s0, r, cfg, search))
+    chain = _Chain(quotes)
+    results = _run_fits(
+        {model: _fit(model, _default_start(model, sigma0, r, cfg.dt), chain, s0, r, cfg, True)
+         for model in fitted if not _FAMILIES[model].nested}, chain, s0, r, cfg.dt)
+    for model in fitted:
+        family = _FAMILIES[model]
+        if family.nested:
+            best = min(results, key=lambda res: res.metrics.rmse)
+            start = _seed(best.params, cfg.dt)[:len(family.params)]
+            # No search from a seed of SSE below the tolerance can gain
+            # more than the simplex spread at which minimize stops.
+            search = len(quotes) * best.metrics.rmse ** 2 >= cfg.tolerance
+            results += _run_fits({model: _fit(model, start, chain, s0, r, cfg, search)},
+                                 chain, s0, r, cfg.dt)
     return [res for res in results if res.model in models]
 
 

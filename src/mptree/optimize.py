@@ -6,6 +6,14 @@ Box constraints are enforced by smooth bijections rather than clipping:
 scale parameters such as a volatility. Both searches below run on these
 coordinates and share one check of the start, box and transforms.
 
+Each search is written once, as a generator that yields the point it
+needs evaluated, in natural units, is sent the value there, and returns
+its :class:`MinimizeResult`. :func:`minimize` and :func:`least_squares`
+drive them with a callable. A caller that evaluates several searches'
+points together, as calibration prices the points of three fits in one
+induction, drives the generators itself; the searches take the same
+steps either way.
+
 :func:`minimize` is the standard reflect/expand/contract/shrink
 Nelder-Mead scheme for any scalar objective; restarts re-seed the
 simplex around the best point found so far using a seeded generator, so
@@ -27,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
@@ -168,24 +176,38 @@ def minimize(objective: Callable[[np.ndarray], float],
         Per-coordinate bijection; defaults to "logit" everywhere.
     config : MinimizeConfig, optional
 
+    The search is ``_minimize_search``, which yields each point and is
+    sent its value; this function answers every point with ``objective``.
+
     Raises
     ------
     DomainError
         If the start violates the box or the objective is not finite
         there.
     """
+    return _drive(_minimize_search(bounds, start, transforms, config), objective)
+
+
+def _minimize_search(bounds: Sequence[tuple[float, float]],
+                     start: Sequence[float],
+                     transforms: Sequence[str] | None = None,
+                     config: MinimizeConfig | None = None
+                     ) -> Generator[np.ndarray, float, MinimizeResult]:
+    """The search of :func:`minimize`, resumable: it yields each point in
+    natural units, is sent the objective's value there, and returns the
+    result."""
     cfg = config or MinimizeConfig()
     decode, y0 = _unconstrained_start(bounds, start, transforms)
     dims = y0.size
 
     evaluations = 0
 
-    def f(y: np.ndarray) -> float:
+    def f(y: np.ndarray) -> Generator[np.ndarray, float, float]:
         nonlocal evaluations
         evaluations += 1
-        return float(objective(decode(y)))
+        return float((yield decode(y)))
 
-    f0 = f(y0)
+    f0 = yield from f(y0)
     if not math.isfinite(f0):
         raise DomainError(f"objective is not finite at the start: {f0}")
     scale = max(1.0, abs(f0))
@@ -202,7 +224,8 @@ def minimize(objective: Callable[[np.ndarray], float],
             simplex = _initial_simplex(
                 best_y + rng.normal(0.0, 0.1 * spread, size=dims), spread)
             simplex[0] = best_y.copy()
-        y_run, f_run, hit_tol = _nelder_mead(f, simplex, best_f, tol, cfg.max_iterations)
+        y_run, f_run, hit_tol = yield from _nelder_mead(f, simplex, best_f, tol,
+                                                        cfg.max_iterations)
         if f_run < best_f:
             best_y, best_f = y_run, f_run
             converged = hit_tol
@@ -237,23 +260,39 @@ def least_squares(residuals: Callable[[np.ndarray], np.ndarray],
     coordinate it left: there the box transform has saturated, so neither
     a zero Jacobian nor a small gain says anything of the residuals.
 
+    The search is ``_least_squares_search``, which yields each point and
+    is sent its residual vector; this function answers every point with
+    ``residuals``.
+
     Raises
     ------
     DomainError
         If ``tolerance`` is not finite and positive, the start violates
         the box, or the residuals are not all finite there.
     """
+    return _drive(_least_squares_search(bounds, start, transforms, tolerance), residuals)
+
+
+def _least_squares_search(bounds: Sequence[tuple[float, float]],
+                          start: Sequence[float],
+                          transforms: Sequence[str] | None = None,
+                          tolerance: float = MinimizeConfig.tolerance
+                          ) -> Generator[np.ndarray, np.ndarray, MinimizeResult]:
+    """The search of :func:`least_squares`, resumable: it yields each point
+    in natural units, is sent the residual vector there, and returns the
+    result."""
     MinimizeConfig(tolerance)  # rejects a tolerance that is not finite and > 0
     decode, y = _unconstrained_start(bounds, start, transforms)
     evaluations = 0
 
-    def sse_at(point: np.ndarray) -> tuple[np.ndarray, float]:
+    def sse_at(point: np.ndarray) -> Generator[np.ndarray, np.ndarray,
+                                               tuple[np.ndarray, float]]:
         nonlocal evaluations
         evaluations += 1
-        res = np.asarray(residuals(decode(point)), dtype=float)
+        res = np.asarray((yield decode(point)), dtype=float)
         return res, float(np.dot(res, res)) if np.all(np.isfinite(res)) else math.inf
 
-    res, sse = sse_at(y)
+    res, sse = yield from sse_at(y)
     if not math.isfinite(sse):
         raise DomainError(f"residuals are not finite at the start: {res}")
     min_gain = tolerance * max(1.0, sse) * 1e-6
@@ -266,7 +305,7 @@ def least_squares(residuals: Callable[[np.ndarray], np.ndarray],
         steps = _LM_DIFF_STEP * np.maximum(1.0, np.abs(y))
         for i, step in enumerate(np.diag(steps)):
             for sign in (1.0, -1.0):  # forward, else backward
-                moved, moved_sse = sse_at(y + sign * step)
+                moved, moved_sse = yield from sse_at(y + sign * step)
                 if math.isfinite(moved_sse):
                     jac[:, i] = sign * (moved - res) / steps[i]
                     break
@@ -278,7 +317,7 @@ def least_squares(residuals: Callable[[np.ndarray], np.ndarray],
         while damping <= _LM_DAMPING_MAX:
             trial = y - np.linalg.solve(
                 normal + damping * np.diag(np.diag(normal)) + floor, grad)
-            trial_res, trial_sse = sse_at(trial)
+            trial_res, trial_sse = yield from sse_at(trial)
             if trial_sse < sse:
                 break
             damping *= 10.0
@@ -298,6 +337,18 @@ def least_squares(residuals: Callable[[np.ndarray], np.ndarray],
                           converged=converged)
 
 
+def _drive(search: Generator[np.ndarray, Any, MinimizeResult],
+           evaluate: Callable[[np.ndarray], Any]) -> MinimizeResult:
+    """Run ``search`` to its result, sending it ``evaluate`` of each point."""
+    point = next(search)
+    while True:
+        value = evaluate(point)
+        try:
+            point = search.send(value)
+        except StopIteration as stop:
+            return stop.value
+
+
 def _initial_simplex(y0: np.ndarray, step: float) -> np.ndarray:
     dims = y0.size
     simplex = np.tile(y0, (dims + 1, 1))
@@ -306,12 +357,17 @@ def _initial_simplex(y0: np.ndarray, step: float) -> np.ndarray:
     return simplex
 
 
-def _nelder_mead(f: Callable[[np.ndarray], float], simplex: np.ndarray, f_first: float,
-                 tol: float, max_iterations: int) -> tuple[np.ndarray, float, bool]:
+def _nelder_mead(f: Callable[[np.ndarray], Generator[np.ndarray, float, float]],
+                 simplex: np.ndarray, f_first: float, tol: float, max_iterations: int
+                 ) -> Generator[np.ndarray, float, tuple[np.ndarray, float, bool]]:
     """One simplex descent from a simplex whose first vertex has the value
-    ``f_first``; returns (best point, best value, hit tolerance)."""
+    ``f_first``; returns (best point, best value, hit tolerance). ``f`` is
+    the search's evaluation, which yields the point it is given."""
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    values = np.array([f_first] + [f(v) for v in simplex[1:]])
+    values = [f_first]
+    for vertex in simplex[1:]:
+        values.append((yield from f(vertex)))
+    values = np.array(values)
     hit_tol = False
     for _ in range(max_iterations):
         order = np.argsort(values, kind="stable")
@@ -321,10 +377,10 @@ def _nelder_mead(f: Callable[[np.ndarray], float], simplex: np.ndarray, f_first:
             break
         centroid = simplex[:-1].mean(axis=0)
         reflected = centroid + alpha * (centroid - simplex[-1])
-        f_reflected = f(reflected)
+        f_reflected = yield from f(reflected)
         if f_reflected < values[0]:
             expanded = centroid + gamma * (reflected - centroid)
-            f_expanded = f(expanded)
+            f_expanded = yield from f(expanded)
             if f_expanded < f_reflected:
                 simplex[-1], values[-1] = expanded, f_expanded
             else:
@@ -337,13 +393,13 @@ def _nelder_mead(f: Callable[[np.ndarray], float], simplex: np.ndarray, f_first:
             contracted = centroid + rho * (reflected - centroid)
         else:
             contracted = centroid + rho * (simplex[-1] - centroid)
-        f_contracted = f(contracted)
+        f_contracted = yield from f(contracted)
         if f_contracted < min(f_reflected, values[-1]):
             simplex[-1], values[-1] = contracted, f_contracted
             continue
         best = simplex[0].copy()
         for i in range(1, simplex.shape[0]):
             simplex[i] = best + sigma * (simplex[i] - best)
-            values[i] = f(simplex[i])
+            values[i] = yield from f(simplex[i])
     order = np.argsort(values, kind="stable")
     return simplex[order[0]].copy(), float(values[order[0]]), hit_tol

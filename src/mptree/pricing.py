@@ -18,13 +18,16 @@ views of an induction over blocks of terminal values in descending
 order of step count, each block joining at its own step.
 :meth:`Lattice.roll_back` builds a one-block plan per call for
 :func:`price_european`; calibration's chain pricer
-(:func:`~mptree.calibration.model_prices`) builds one per fit, with one
+(:func:`~mptree.calibration.model_prices`) builds one per suite, with one
 block of strike columns per maturity, and runs it at every evaluation.
-Each step does the same IEEE operations in the same order for every
-column, so a chain price equals the :func:`price_european` price of its
-quote bit for bit. The run checks q, takes its discount through
-``_exp`` and rejects a root that overflows, so neither pricer computes a
-discount or checks an overflow of its own.
+A plan can also hold a stack of trees, each with its own Q, whose
+columns share every step: calibration prices the points of several fits
+in one run of it. Each step does the same IEEE operations in the same
+order for every column, so a chain price equals the
+:func:`price_european` price of its quote bit for bit, in a stack or
+alone. The run checks q, takes its discount through ``_exp`` and rejects
+a root that overflows, tree by tree in a stack, so neither pricer
+computes a discount or checks an overflow of its own.
 
 The tree rules live in :mod:`mptree.model`: p(dt) in
 :func:`~mptree.model.p_up`, the checks of a :class:`Lattice` in
@@ -167,15 +170,21 @@ class Lattice:
         return plan.run(self, q).reshape(shape[1:])[()]
 
 
-def _step_views(values: np.ndarray, tmp: np.ndarray, top: int,
-                bottom: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``(values[1:m+1], values[:m], tmp[:m])`` for m from ``top`` down to
-    ``bottom``, the views of the steps that leave m live rows."""
-    return ((values[1:m + 1], values[:m], tmp[:m]) for m in range(top, bottom - 1, -1))
+def _step_views(values: np.ndarray, tmp: np.ndarray, up: np.ndarray, down: np.ndarray,
+                top: int, bottom: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """``(values[1:m+1], values[:m], tmp[:m], up, down)`` for m from ``top``
+    down to ``bottom``, the views of the steps that leave m live rows; the
+    weights ``up`` and ``down`` are 0-d, or tiles of ``tmp``'s shape cut
+    to m rows like it."""
+    rows = range(top, bottom - 1, -1)
+    if up.ndim:
+        return ((values[1:m + 1], values[:m], tmp[:m], up[:m], down[:m]) for m in rows)
+    return ((values[1:m + 1], values[:m], tmp[:m], up, down) for m in rows)
 
 
 class _Plan:
-    """Work arrays and step views of one backward induction, laid out once.
+    """Work arrays, weights and step views of one backward induction, laid
+    out once.
 
     The induction takes blocks of terminal values in descending order of
     step count. Block i has ``rows[i]`` rows, one per node after
@@ -191,32 +200,58 @@ class _Plan:
     array laid out once for all blocks would leave every step a strided
     view of short runs, which costs far more than these copies.
 
-    Each step runs on three views, ``(values[1:m+1], values[:m], tmp[:m])``.
-    A plan run at every evaluation of a fit (a calibration chain) keeps
-    them, made once, since slicing them anew is a large share of a step
-    of a few dozen nodes. A plan run once (``keep_views=False``, as in
-    :meth:`Lattice.roll_back`) generates them step by step instead: kept,
-    the views of 4,096 steps would hold 1.9 MB for nothing.
+    A plan prices one tree, or with ``stack`` = k a stack of k trees on
+    lattices of the same rate and step, each with its own Q: each block
+    then holds ``cols[i]`` columns per tree, tree after tree, and the
+    trees share every step's four ufunc calls. The weights are the plan's
+    own: for one tree, two 0-d arrays that every step reads; for a stack,
+    two tiles per block, of its scratch array's shape, which a run fills
+    with each column's Q and 1 - Q. A Q row broadcast over the rows would
+    save the fill but runs the steps slower, and a single column of
+    thousands of nodes runs slower on tiles than on the 0-d weights, so
+    one tree keeps those.
+
+    Each step runs on five views, ``(values[1:m+1], values[:m], tmp[:m],
+    up, down)``. A plan run at every evaluation of a fit (a calibration
+    chain) keeps them, made once, since slicing them anew is a large
+    share of a step of a few dozen nodes. A plan run once
+    (``keep_views=False``, as in :meth:`Lattice.roll_back`) generates
+    them step by step instead: kept, the views of 4,096 steps would hold
+    1.9 MB for nothing.
 
     Every run overwrites the work arrays, and the root row it returns is
     a view of them, so a plan belongs to the one caller that made it,
-    a fit's closure or a roll-back, and is never shared.
+    a suite's chain or a roll-back, and is never shared.
     """
 
     def __init__(self, rows: Sequence[int], cols: Sequence[int],
-                 keep_views: bool = True) -> None:
+                 keep_views: bool = True, stack: int | None = None) -> None:
         self.blocks: list[np.ndarray] = []
         self._layout = []
+        self._up, self._down = np.empty(()), np.empty(())
         live = 0
+        # The tree of every live column of a stack.
+        owner = np.empty(0, dtype=np.intp)
         # A block's steps end where the next block joins, or at the root.
         for here, joins, width in zip(rows, [*rows[1:], 1], cols):
-            live += width
+            joined, live = live, live + (stack or 1) * width
             values, tmp = np.empty((here, live)), np.empty((here - 1, live))
-            self.blocks.append(values[:, live - width:])
-            steps = (values, tmp, here - 1, joins)
-            self._layout.append((values, steps, list(_step_views(*steps)) if keep_views else None))
+            self.blocks.append(values[:, joined:])
+            if stack is None:
+                weights, fill = (self._up, self._down), None
+            else:
+                owner = np.concatenate([owner, np.repeat(np.arange(stack), width)])
+                weights = (np.empty_like(tmp), np.empty_like(tmp))
+                fill = (*weights, owner)
+            steps = (values, tmp, *weights, here - 1, joins)
+            self._layout.append((values, steps, fill,
+                                 list(_step_views(*steps)) if keep_views else None))
+        # Each tree's root columns, block after block.
+        self._trees = None if stack is None else [np.flatnonzero(owner == tree)
+                                                  for tree in range(stack)]
 
-    def run(self, lattice: Lattice, q: float) -> np.ndarray:
+    def run(self, lattice: Lattice, q: float | Sequence[float]
+            ) -> np.ndarray | list[np.ndarray | None]:
         """Root row of the induction on ``lattice``: one entry per column,
         block after block; a view of the plan's work array.
 
@@ -233,30 +268,49 @@ class _Plan:
         ``disc`` into the weights, changes the last bits of the prices,
         and with them where some fits stop.
 
-        The three scalars reach the ufuncs as 0-d float64 arrays: NumPy
-        takes those as they are, where it converts a Python float and
-        resolves its type on every call, a large share of a call on a few
-        dozen nodes. The products are the same IEEE values.
+        For a stack, ``q`` holds one probability per tree, and the result
+        is a list with one new array per tree, its root columns block after
+        block, or None for a tree whose root overflows: each column takes
+        the same IEEE operations as on its tree alone, so a tree's row is
+        the bits of a plan of that tree alone, and a tree that fails fails
+        alone. The lattice gives only the rate and step, which the trees
+        share, so a discount too large for a float raises for them all.
+
+        The weights and the discount reach the ufuncs as float64 arrays:
+        NumPy takes those as they are, where it converts a Python float
+        and resolves its type on every call, a large share of a call on a
+        few dozen nodes. The products are the same IEEE values.
         """
-        if not 0.0 <= q <= 1.0:
+        probabilities = [q] if self._trees is None else list(q)
+        if not all(0.0 <= p <= 1.0 for p in probabilities):
             raise DomainError(f"up probability q must be in [0, 1], got {q}")
         disc = _exp("-rate*dt", -lattice.rate * lattice.dt)
-        up, down, discount = np.array(q), np.array(1.0 - q), np.array(disc)
+        up, discount = np.array(probabilities), np.array(disc)
+        down = 1.0 - up
+        self._up[()], self._down[()] = up[0], down[0]
         # Positional outputs and local names cut the per-call overhead, which
         # is a large share of a step of a few hundred nodes.
         multiply, add = np.multiply, np.add
         live = None
         with np.errstate(over="ignore", invalid="ignore"):
-            for values, steps, views in self._layout:
+            for values, steps, fill, views in self._layout:
                 if live is not None:
                     values[:, :live.shape[1]] = live[:len(values)]
-                for upper, head, scratch in views if views is not None else _step_views(*steps):
-                    multiply(upper, up, scratch)
-                    multiply(head, down, head)
+                if fill is not None:
+                    up_tile, down_tile, owner = fill
+                    up_tile[...] = up[owner]
+                    down_tile[...] = down[owner]
+                for upper, head, scratch, up_weight, down_weight in (
+                        views if views is not None else _step_views(*steps)):
+                    multiply(upper, up_weight, scratch)
+                    multiply(head, down_weight, head)
                     add(head, scratch, head)
                     multiply(head, discount, head)
                 live = values
         root = values[0]
+        if self._trees is not None:
+            rows = [root[columns] for columns in self._trees]
+            return [row if np.isfinite(row).all() else None for row in rows]
         if not np.isfinite(root).all():
             raise DomainError(f"the rolled-back value overflows a float at discount "
                               f"exp(-rate*dt) = {disc}")

@@ -1,5 +1,6 @@
 """Error metrics, chain pricing, and least-squares calibration."""
 
+import gc
 import math
 import random
 import re
@@ -20,7 +21,7 @@ from mptree.calibration import (MODELS, CalibrationConfig, OptionQuote,
 from mptree.calibration import free_parameter_names
 from mptree.errors import ArbitrageError, DomainError
 from mptree.market_io import load_chain
-from mptree.optimize import least_squares, minimize
+from mptree.optimize import _least_squares_search, _minimize_search, least_squares
 from mptree.model import ModelParams, crr_params, jarrow_rudd_params, p_up
 from mptree.pricing import (Lattice, Payoff, black_scholes_call,
                             price_european, risk_neutral_prob)
@@ -369,19 +370,26 @@ def test_calibrate_is_deterministic():
     assert first.objective_evaluations == second.objective_evaluations
 
 
+def spy_searches(monkeypatch, spy):
+    """Replace the two searches that calibration looks up by ``spy(name,
+    search)``, named as the functions that drive them."""
+    monkeypatch.setattr(calibration, "_minimize_search", spy("minimize", _minimize_search))
+    monkeypatch.setattr(calibration, "_least_squares_search",
+                        spy("least_squares", _least_squares_search))
+
+
 def test_calibrate_hands_its_config_to_the_optimizer(monkeypatch):
     # One Nelder-Mead search from the best-ranked start, then one polish,
     # which takes the one setting it reads, the tolerance.
     configs = []
 
-    def spy(search):
+    def spy(name, search):
         def call(*args):
-            configs.append((search.__name__, args[-1]))
+            configs.append((name, args[-1]))
             return search(*args)
         return call
 
-    monkeypatch.setattr(calibration, "minimize", spy(minimize))
-    monkeypatch.setattr(calibration, "least_squares", spy(least_squares))
+    spy_searches(monkeypatch, spy)
     config = CalibrationConfig(tolerance=1e-6, restarts=1, max_iterations=30, seed=4)
     calibrate("crr", synthetic_chain("jr", (0.25,)), S0, RATE, config)
     assert configs == [("minimize", config), ("least_squares", config.tolerance)]
@@ -389,28 +397,34 @@ def test_calibrate_hands_its_config_to_the_optimizer(monkeypatch):
 
 
 def test_calibrate_counts_every_evaluation(monkeypatch):
-    # Each search counts every call it makes to its objective, a repeated
-    # point included, while model_prices runs once per distinct point: the
-    # fit answers a repeat, and takes its reported metrics, from the
-    # prices it keeps. model_prices also runs for the at-the-money sigma
-    # and the poorer families' fits (as "crr", "jr" and "tian").
+    # Each search counts every point it yields, a repeated point included,
+    # while model_prices runs once per distinct point: the fit answers a
+    # repeat, and takes its reported metrics, from the prices it keeps.
+    # mpbin1 is fit alone, so each of its rounds is one point, which
+    # model_prices prices; it also runs for the at-the-money sigma and
+    # for the poorer families' rounds of one point (as "crr", "jr" and
+    # "tian").
     points, priced = [], []
 
-    def spy(search):
-        def call(objective, bounds, *rest):
-            def counted(x):
+    def spy(name, search):
+        def call(bounds, *rest):
+            steps = search(bounds, *rest)
+            value = None
+            while True:
+                try:
+                    x = steps.send(value)
+                except StopIteration as stop:
+                    return stop.value
                 if len(bounds) == 2:  # mpbin1
                     points.append(np.asarray(x, dtype=float).tobytes())
-                return objective(x)
-            return search(counted, bounds, *rest)
+                value = yield x
         return call
 
     def counting(model, *args):
         priced.append(model)
         return model_prices(model, *args)
 
-    monkeypatch.setattr(calibration, "minimize", spy(minimize))
-    monkeypatch.setattr(calibration, "least_squares", spy(least_squares))
+    spy_searches(monkeypatch, spy)
     monkeypatch.setattr(calibration, "model_prices", counting)
     result = calibrate("mpbin1", SLOPED_CHAIN, S0, RATE)
     assert result.objective_evaluations == len(points)
@@ -420,58 +434,76 @@ def test_calibrate_counts_every_evaluation(monkeypatch):
 def test_a_fit_prices_each_point_once(monkeypatch, tmp_path):
     # On the benchmark's first chain of seed 1 the searches revisit
     # points, and each fit reports the metrics of its best point; a fit
-    # answers every such repeat from the prices it keeps. The free
-    # vector's coordinates are fields of the tree.
+    # answers every such repeat from the prices it keeps. Every point a
+    # fit yields is priced in a round, and a round names each point's
+    # model.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     from mptree_bench import inputs
     job = inputs.make_jobs("calibrate", 1, tmp_path)[0]
     chain = load_chain(job.path)
-    fits = []
-    fit = calibration._fit
+    fits = {}
+    fit, price_round = calibration._fit, calibration._price_round
 
-    def fitting(*args):
-        fits.append([])
-        return fit(*args)
+    def fitting(model, *rest):
+        fits[model] = []
+        return fit(model, *rest)
 
-    def pricing(model, params, *rest):
-        if fits:  # not the at-the-money sigma, which comes before the fits
-            free = [getattr(params, name) for name in free_parameter_names(model)]
-            fits[-1].append((model, np.array(free).tobytes()))
-        return model_prices(model, params, *rest)
+    def pricing(chain, points, *rest):
+        for model, x in points:
+            if model in fits:  # not the at-the-money sigma, which comes before the fits
+                fits[model].append(np.asarray(x, dtype=float).tobytes())
+        return price_round(chain, points, *rest)
 
     monkeypatch.setattr(calibration, "_fit", fitting)
-    monkeypatch.setattr(calibration, "model_prices", pricing)
+    monkeypatch.setattr(calibration, "_price_round", pricing)
     calibrate_suite(MODELS, chain.quotes, chain.spot, chain.rate)
     assert len(fits) == len(MODELS)
-    for points in fits:
+    for points in fits.values():
         assert len(set(points)) == len(points)
 
 
 def record_searches(monkeypatch):
-    """(search name, dimensions, evaluations) of every search and polish.
+    """A function that lists (search name, dimensions, evaluations) of every
+    search and polish, fit by fit in the order the fits start.
 
     The dimension names the family: 1 for crr, jr and tian, 2 for mpbin1,
-    3 for mpbin2.
+    3 for mpbin2. crr, jr and tian advance in lockstep, so each search is
+    filed under the fit whose step started it.
     """
-    calls = []
+    by_fit, running = [], []
+    fit = calibration._fit
 
-    def spy(search):
-        def call(objective, bounds, *rest):
-            result = search(objective, bounds, *rest)
-            calls.append((search.__name__, len(bounds), result.evaluations))
+    def fitting(*args):
+        records = []
+        by_fit.append(records)
+        steps, prices = fit(*args), None
+        while True:
+            running[:] = [records]
+            try:
+                point = steps.send(prices)
+            except StopIteration as stop:
+                return stop.value
+            prices = yield point
+
+    def spy(name, search):
+        def call(bounds, *rest):
+            records = running[0]
+            result = yield from search(bounds, *rest)
+            records.append((name, len(bounds), result.evaluations))
             return result
         return call
 
-    monkeypatch.setattr(calibration, "minimize", spy(minimize))
-    monkeypatch.setattr(calibration, "least_squares", spy(least_squares))
-    return calls
+    monkeypatch.setattr(calibration, "_fit", fitting)
+    spy_searches(monkeypatch, spy)
+    return lambda: [call for records in by_fit for call in records]
 
 
 def test_fit_makes_no_ranking_evaluation(monkeypatch):
     # Every evaluation belongs to the search or the polish: each fit has one
     # start, and nothing prices it before the search does.
-    calls = record_searches(monkeypatch)
+    searches = record_searches(monkeypatch)
     results = calibrate_suite(MODELS, SLOPED_CHAIN, S0, RATE)
+    calls = searches()
     counts = [evaluations for _, _, evaluations in calls]
     assert len(counts) == 2 * len(MODELS)
     assert [res.objective_evaluations for res in results] == [
@@ -481,11 +513,11 @@ def test_fit_makes_no_ranking_evaluation(monkeypatch):
 def test_nested_family_starts_from_the_best_poorer_optimum(monkeypatch):
     starts = []
 
-    def recording(objective, bounds, start, *rest):
+    def recording(bounds, start, *rest):
         starts.append(list(start))
-        return minimize(objective, bounds, start, *rest)
+        return _minimize_search(bounds, start, *rest)
 
-    monkeypatch.setattr(calibration, "minimize", recording)
+    monkeypatch.setattr(calibration, "_minimize_search", recording)
     results = calibrate_suite(MODELS, SLOPED_CHAIN, S0, RATE)
     for i in (3, 4):  # mpbin1, mpbin2
         best = min(results[:i], key=lambda res: res.metrics.rmse)
@@ -630,6 +662,53 @@ def test_one_parameter_fits_are_no_worse_than_a_sigma_grid():
             assert result.metrics.rmse <= (1.0 + 1e-9) * grid_rmse, (c, result.model)
 
 
+def test_lockstep_fits_equal_fits_alone_on_kinked_chains():
+    # crr, jr and tian advance together, their points priced in one stacked
+    # induction a round; calibrate fits one family alone, a point a round.
+    # On these chains each fit takes hundreds of rounds from a kinked SSE.
+    chains = _noisy_chains()
+    for c in (6, 12, 14, 34, 57):
+        r, quotes = chains[c]
+        assert calibrate_suite(["crr", "jr", "tian"], quotes, S0, r) == [
+            calibrate(model, quotes, S0, r) for model in ("crr", "jr", "tian")], c
+
+
+def test_suite_raises_the_error_of_the_first_family_in_order(monkeypatch):
+    # tian fails after its first round, jr after its third; crr ends. A loop
+    # fitting one family after the other would have raised jr's error.
+    fit = calibration._fit
+
+    def failing(model, *rest):
+        steps = fit(model, *rest)
+        if model == "crr":
+            return (yield from steps)
+        prices = None
+        for _ in range({"jr": 3, "tian": 1}[model]):
+            prices = yield steps.send(prices)
+        raise DomainError(f"{model} failed")
+
+    monkeypatch.setattr(calibration, "_fit", failing)
+    with pytest.raises(DomainError, match="^jr failed$"):
+        calibrate_suite(["crr", "jr", "tian"], SLOPED_CHAIN, S0, RATE)
+
+
+@pytest.mark.parametrize("rate", [RATE, -180000.0])
+def test_a_suite_leaves_no_reference_cycle(rate):
+    # Fits, their searches, the chain and its plans are freed by reference
+    # counting when the suite returns, or raises: at -180000 every point's
+    # discount overflows and each fit's closing pricing raises.
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            calibrate_suite(["crr", "jr", "tian"], SLOPED_CHAIN, S0, rate)
+        except DomainError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_calibrate_crosses_the_region_where_pricing_raises(monkeypatch):
     # At sigma = 0.005 the CRR probability slope is steep, and the search
     # tries trial points whose up probability leaves (0, 1). Those price
@@ -769,17 +848,19 @@ def test_standalone_mpbin2_fits_a_chain_of_its_nested_family():
 def test_mpbin2_is_polished_alone_from_a_seed_that_fits_the_chain(monkeypatch):
     # mpbin1 reprices its own chain, so mpbin2's seed already has an SSE
     # below the tolerance and no Nelder-Mead search runs for it.
-    calls = record_searches(monkeypatch)
+    searches = record_searches(monkeypatch)
     result = calibrate("mpbin2", synthetic_chain("mpbin1", (0.2, 0.55)), S0, RATE)
+    calls = searches()
     assert [(name, evaluations) for name, dims, evaluations in calls if dims == 3] == [
         ("least_squares", result.objective_evaluations)]
     assert result.metrics.rmse < 1e-10
 
 
 def test_both_nested_families_are_polished_alone_on_a_crr_chain(monkeypatch):
-    calls = record_searches(monkeypatch)
+    searches = record_searches(monkeypatch)
     rmse = {res.model: res.metrics.rmse
             for res in calibrate_suite(MODELS, synthetic_chain("crr", (0.25,)), S0, RATE)}
+    calls = searches()
     assert [(name, dims) for name, dims, _ in calls if dims > 1] == [
         ("least_squares", 2), ("least_squares", 3)]
     assert rmse["mpbin1"] <= rmse["crr"] + 1e-10
@@ -996,6 +1077,47 @@ def test_a_fit_prices_its_laid_out_chain_as_a_fresh_quote_list(model, quotes, da
         returned.append((res, res.tobytes()))
     # Levenberg-Marquardt keeps a residual array across its trials.
     assert all(res.tobytes() == kept for res, kept in returned)
+
+
+def alone(model, x, quotes, s0, r):
+    """The prices of ``model_prices`` at one point, or None where it raises."""
+    try:
+        return np.asarray(model_prices(model, build_params(model, x, r), list(quotes), s0, r))
+    except (DomainError, ArbitrageError):
+        return None
+
+
+@settings(deadline=None, max_examples=60)
+@given(quotes=shuffled_chain(), data=st.data())
+def test_a_round_prices_each_point_as_model_prices_alone(quotes, data):
+    # A round prices two or three points of any families in one stacked
+    # induction, each column with its own tree's Q; a point that is no
+    # tree (a negative sigma) reads as raised, and the others are priced
+    # as if alone.
+    models = data.draw(st.lists(st.sampled_from(MODELS), min_size=2, max_size=3))
+    points = [(model, np.array(data.draw(st.tuples(*(
+        st.floats(*FREE_PARAMETER_RANGES[name]) for name in free_parameter_names(model))))))
+        for model in models]
+    rejected = data.draw(st.integers(0, len(points) - 1))
+    points[rejected][1][0] *= -1.0
+    priced = calibration._price_round(calibration._Chain(quotes), points, S0, RATE, DAILY)
+    assert priced[rejected] is None
+    for (model, x), prices in zip(points, priced):
+        expected = alone(model, x, quotes, S0, RATE)
+        assert (None if prices is None else prices.tobytes()) == (
+            None if expected is None else expected.tobytes()), (model, x)
+
+
+def test_a_round_isolates_a_tree_whose_root_overflows():
+    # At r = -20 the first tree's call outgrows the largest float on its way
+    # to the root (test_model_prices_rejects_a_price_that_overflows_at_a_
+    # negative_rate); the other two stay finite and keep their own bits.
+    quotes, s0, r = [OptionQuote(1.0, 21, 1.0)], 1.7e308, -20.0
+    points = [("mpbin1", np.array(x)) for x in ((3.0, 0.9), (0.2, 0.5), (1.0, 0.6))]
+    priced = calibration._price_round(calibration._Chain(quotes), points, s0, r, DAILY)
+    assert priced[0] is None
+    for (model, x), prices in zip(points[1:], priced[1:]):
+        assert prices.tobytes() == alone(model, x, quotes, s0, r).tobytes()
 
 
 @settings(deadline=None)

@@ -8,7 +8,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mptree.calibration import MODELS, OptionQuote, build_params, model_prices
+from mptree.calibration import (MODELS, OptionQuote, build_params, free_parameter_names,
+                                 model_prices)
 from mptree.convergence import DiscreteCdf, lognormal_cdf, terminal_distribution
 from mptree.errors import ArbitrageError, DomainError
 from mptree.model import (ModelParams, gbm_moment, jarrow_rudd_params,
@@ -27,6 +28,12 @@ steps = st.one_of(st.integers(-1, 66), st.sampled_from([400, 100_000]))
 params = st.builds(ModelParams, reals, reals, reals, reals, reals)
 kinds = st.sampled_from(["call", "put"])
 models = st.sampled_from(MODELS)
+# Trees of the five families on values inside their boxes, so that edges
+# also meet a tree that passes every check.
+IN_BOX = {"sigma": st.floats(0.05, 1.0), "g": st.floats(0.3, 0.7), "gamma": st.floats(0.01, 0.5)}
+trees = models.flatmap(lambda model: st.builds(
+    build_params, st.just(model),
+    st.tuples(*(IN_BOX[name] for name in free_parameter_names(model))), st.floats(0.0, 0.08)))
 # Small counts, so that no search runs long; floats among them must fail.
 counts = st.one_of(st.integers(-2, 4), st.floats(-2.0, 4.0), st.sampled_from(EDGES))
 
@@ -68,7 +75,7 @@ CALLS = {
     "step_factors_asymptotic": (step_factors_asymptotic, (params, reals)),
     "risk_neutral_prob": (risk_neutral_prob, (params, reals, reals)),
     "delta_hedge": (delta_hedge, (reals, reals, reals, params, reals)),
-    "Lattice.build": (Lattice.build, (reals, params, steps, reals, reals,
+    "Lattice.build": (Lattice.build, (reals, params | trees, steps, reals, reals,
                                       st.sampled_from(["exact", "asymptotic"]))),
     "terminal_distribution": (terminal_distribution,
                               (reals, params, steps, reals, st.none() | reals)),
