@@ -18,9 +18,11 @@ chain many times, so it lays the chain out once, as a private
 ``_Chain``: the quotes with their order by maturity, each maturity's
 strike row, the (step count, up-moves) of every maturity's terminal
 nodes, which one ``exp`` pass then takes together, and the induction's
-plans, whose work arrays and step views every evaluation reuses. A fit
-also keeps the prices of every free vector it has priced: a point its
-searches revisit is answered from them, and its reported metrics are
+plans, one per number of trees priced together, whose work arrays and
+step views every evaluation reuses. ``_Chain.price`` is the one place a
+chain is priced, for one tree or several. A fit keeps the prices of
+every free vector it has priced, its one store of them: a point its
+searches revisit is answered from it, and its reported metrics are
 those of its best point's stored prices, so each distinct point is
 priced once. The searches still count every evaluation.
 
@@ -28,12 +30,12 @@ A fit is resumable: it yields each point it has not priced and is sent
 that point's prices, and its two searches, from
 :mod:`mptree.optimize`, are resumable in the same way. crr, jr and tian
 are fit in lockstep: each round prices the pending point of every one
-of them in one run of the chain's plan for a stack of their trees, in
-which the trees share every step's ufunc calls, each column with its
-own Q. A round of one point goes through :func:`model_prices`. The
-prices are bit for bit those of pricing each point's quotes afresh,
-and a point that the pricing rejects fails alone, so every fit, and
-its evaluation count, is that of fitting it alone.
+of them in one run of the chain's plan for that many trees, in which
+the trees share every step's ufunc calls, each column with its own Q. A
+round of one point goes through :func:`model_prices`. The prices are
+bit for bit those of pricing each point's quotes afresh, and a point
+that the pricing rejects fails alone, so every fit, and its evaluation
+count, is that of fitting it alone.
 
 The slope v is visible only across step sizes, as in
 :func:`~mptree.convergence.rate_experiment` where dt = t/n; it is never
@@ -98,13 +100,14 @@ from typing import Callable, Generator, Sequence
 import numpy as np
 
 from .errors import ArbitrageError, DomainError
-from .model import (ModelParams, _nodes, _require_finite_rate, _require_g, _require_spot,
-                    crr_params, jarrow_rudd_params, p_up, step_factors_exact, tian_params)
+from .model import (ModelParams, _nodes, _require_finite_nodes, _require_finite_rate,
+                    _require_g, _require_spot, crr_params, jarrow_rudd_params, p_up,
+                    step_factors_exact, tian_params)
 # minimize stays a name of this module, though no fit calls it: the
 # benchmark's tracer wraps calibration.minimize.
 from .optimize import (MinimizeConfig, MinimizeResult, _least_squares_search,
                        _minimize_search, minimize)  # noqa: F401
-from .pricing import Lattice, _Plan, risk_neutral_prob
+from .pricing import _Plan, risk_neutral_prob
 
 __all__ = [
     "MODELS",
@@ -331,17 +334,18 @@ class _Chain(tuple):
     """The quotes of one suite, laid out once for the backward induction.
 
     A tuple of the quotes in their given order, which also holds what
-    pricing them would otherwise redo at every evaluation: the order of
-    the quotes by descending maturity, the step count and strike row of
-    each maturity, the induction's ``_Plan`` with one block per
-    maturity, longest first, and the terminal nodes of every maturity
-    end to end in that order: the step count and up-moves of each node
-    (``node_steps``, ``node_ups``) and the slice of each maturity's rows
-    (``rows``). ``plan`` prices one tree; :meth:`stack` gives the plan of
-    a stack of k trees, laid out the first time a round of k trees needs
-    it. Every pricing overwrites a plan's arrays, so a chain belongs to
-    one suite, whose fits it serves one round at a time, and is never
-    shared.
+    pricing them would otherwise redo at every evaluation: the place of
+    each quote in their order by descending maturity (``position``), the
+    step count and strike row of each maturity, and the terminal nodes of
+    every maturity end to end in that order: the step count and up-moves
+    of each node (``node_steps``, ``node_ups``) and the slice of each
+    maturity's rows (``rows``). :meth:`price` is the one place a chain is
+    priced, one tree or several at a time, on the induction's ``_Plan``
+    for that many trees, with one block per maturity, longest first; each
+    plan is laid out the first time a pricing needs it and kept in
+    ``plans``. Every pricing overwrites a plan's arrays, so a chain
+    belongs to one suite, whose fits it serves one round at a time, and
+    is never shared.
     """
 
     def __new__(cls, quotes: Sequence[OptionQuote]) -> "_Chain":
@@ -352,50 +356,55 @@ class _Chain(tuple):
         order = sorted(range(len(chain)), key=lambda idx: -chain[idx].days_to_maturity)
         groups = [(n, [chain[idx].strike for idx in idxs]) for n, idxs in
                   groupby(order, key=lambda idx: chain[idx].days_to_maturity)]
-        chain.order = np.array(order)
+        chain.position = np.argsort(order)
         chain.steps = [n for n, _ in groups]
         chain.strikes = [np.array(strikes) for _, strikes in groups]
         chain.sizes = [n + 1 for n in chain.steps]
-        chain.plan = _Plan(chain.sizes, [len(k) for k in chain.strikes])
-        chain.stacks = {}
+        chain.plans = {}
         chain.node_steps = np.repeat(np.array(chain.steps, dtype=float), chain.sizes)
         chain.node_ups = np.concatenate([np.arange(size, dtype=float) for size in chain.sizes])
         chain.rows = [slice(end - size, end) for size, end in
                       zip(chain.sizes, accumulate(chain.sizes))]
         return chain
 
-    def stack(self, trees: int) -> _Plan:
-        """The plan of a stack of ``trees`` trees, laid out once."""
-        if trees not in self.stacks:
-            self.stacks[trees] = _Plan(self.sizes, [len(k) for k in self.strikes], stack=trees)
-        return self.stacks[trees]
-
     def tree(self, params: ModelParams, s0: float, r: float,
-             dt: float) -> tuple[Lattice, float, np.ndarray]:
-        """The lattice, Q and terminal nodes of one tree on this chain.
+             dt: float) -> tuple[float, np.ndarray]:
+        """Q and the terminal nodes of one tree on this chain.
 
-        Raises where :func:`model_prices` raises before its induction.
+        Raises where :func:`model_prices` raises before its induction,
+        with the checks of a :class:`~mptree.pricing.Lattice` of the
+        longest maturity in its order: the factors (whose p(dt) checks
+        dt), Q, every node finite, then the rate.
         """
         factors = step_factors_exact(params, dt)
         q = risk_neutral_prob(params, r, dt)
-        lattice = Lattice(s0, self.steps[0], dt, factors, r)
-        return lattice, q, _nodes(s0, factors, self.node_steps, self.node_ups)
+        _require_finite_nodes(s0, factors, self.steps[0])
+        _require_finite_rate(r)
+        return q, _nodes(s0, factors, self.node_steps, self.node_ups)
 
-    def payoffs(self, plan: _Plan, nodes: np.ndarray) -> None:
-        """Write the calls at every terminal node into ``plan``'s blocks,
-        tree after tree within each block; ``nodes`` has one column of
-        terminal nodes per tree."""
+    def price(self, trees: Sequence[tuple[float, np.ndarray]], r: float,
+              dt: float) -> list[np.ndarray | None]:
+        """The prices in quote order of each (Q, terminal nodes) of
+        :meth:`tree` in ``trees``, or None where that tree's root
+        overflows, from one run of the plan for that many trees.
+
+        Each is a new array. DomainError is raised where the discount is
+        too large for a float or no root is finite, so a pricing of one
+        tree raises where its root overflows.
+        """
+        if len(trees) not in self.plans:
+            self.plans[len(trees)] = _Plan(self.sizes, [len(k) for k in self.strikes],
+                                           trees=len(trees))
+        plan = self.plans[len(trees)]
+        # One column per tree; np.stack takes four times as long.
+        nodes = np.array([column for _, column in trees]).T
         for rows, strikes, block in zip(self.rows, self.strikes, plan.blocks):
             # A view: the block's rows are contiguous runs of k*w columns.
             calls = block.reshape(len(block), -1, strikes.size)
             np.subtract(nodes[rows, :, None], strikes, out=calls)
             np.maximum(calls, 0.0, out=calls)
-
-    def in_quote_order(self, root: np.ndarray) -> np.ndarray:
-        """A root row, block after block, as prices in quote order."""
-        prices = np.empty(len(self))
-        prices[self.order] = root
-        return prices
+        return [None if root is None else root[self.position]
+                for root in plan.run([q for q, _ in trees], r, dt)]
 
 
 def model_prices(model: str, params: ModelParams, quotes: Sequence[OptionQuote],
@@ -410,38 +419,39 @@ def model_prices(model: str, params: ModelParams, quotes: Sequence[OptionQuote],
     per maturity, longest first, each joining at its own step. Each
     column goes through the arithmetic of rolling it back alone, so each
     price is bit-identical to pricing its quote with ``price_european``.
-    The induction also checks Q, takes the discount and rejects a price
-    that overflows, so a discount too large for a float raises
-    DomainError here as in ``roll_back``. The lattice uses the exact
-    (exponential) factors and the paper's hedge probability Q, which
-    leaves the martingale residual documented on ``roll_back``. The
-    terminal nodes of every maturity are taken in one ``exp`` pass of the
-    node formula of :func:`~mptree.model.node_values`, the same bits as
-    that function gives maturity by maturity.
+    The tree is checked as a ``Lattice`` checks it, with the same
+    messages, though none is built. The induction also checks Q, takes
+    the discount and rejects a price that overflows, so a discount too
+    large for a float raises DomainError here as in ``roll_back``. The
+    lattice uses the exact (exponential) factors and the paper's hedge
+    probability Q, which leaves the martingale residual documented on
+    ``roll_back``. The terminal nodes of every maturity are taken in one
+    ``exp`` pass of the node formula of :func:`~mptree.model.node_values`,
+    the same bits as that function gives maturity by maturity.
 
     ``quotes`` laid out by a suite (a private ``_Chain``) are priced
     through the chain's plan of one tree, with its 0-d weights; any other
     sequence is laid out for this call alone. The prices are the same
     bits either way, and the same as those of the tree's columns when a
-    suite prices several fits' points in one run of a stack plan.
+    suite prices several fits' points in one run.
     """
     _family(model)  # rejects an unknown model
     chain = quotes if isinstance(quotes, _Chain) else _Chain(quotes)
-    lattice, q, nodes = chain.tree(params, s0, r, dt)
-    chain.payoffs(chain.plan, nodes[:, None])
-    return chain.in_quote_order(chain.plan.run(lattice, q)).tolist()
+    prices, = chain.price([chain.tree(params, s0, r, dt)], r, dt)
+    return prices.tolist()
 
 
 def _price_round(chain: _Chain, points: Sequence[tuple[str, np.ndarray]], s0: float,
                  r: float, dt: float) -> list[np.ndarray | None]:
     """The prices of the chain's quotes at each (model, free vector) of
-    ``points``, or None where :func:`model_prices` raises on it.
+    ``points``, each a new array, or None where :func:`model_prices`
+    raises on it.
 
     One point is priced by ``model_prices``, looked up on this module.
-    Several are priced in one run of the chain's plan for a stack of the
-    trees that pass ``model_prices``'s checks: each tree's columns take
-    the arithmetic of pricing it alone, and a tree whose root overflows
-    reads as raised on its own.
+    Several are priced in one :meth:`_Chain.price` of the trees that pass
+    ``model_prices``'s checks: each tree's columns take the arithmetic of
+    pricing it alone, and a tree whose root overflows reads as raised on
+    its own.
     """
     if len(points) == 1:
         (model, x), = points
@@ -458,49 +468,16 @@ def _price_round(chain: _Chain, points: Sequence[tuple[str, np.ndarray]], s0: fl
     ready = [tree for tree in trees if tree is not None]
     if not ready:
         return [None] * len(trees)
-    plan = chain.stack(len(ready))
-    chain.payoffs(plan, np.stack([nodes for _, _, nodes in ready], axis=1))
     try:
-        roots = plan.run(ready[0][0], [q for _, q, _ in ready])
-    except DomainError:  # the discount, which every tree shares
+        prices = iter(chain.price(ready, r, dt))
+    except DomainError:  # the discount, which every tree shares, or no root finite
         return [None] * len(trees)
-    prices = iter(None if root is None else chain.in_quote_order(root) for root in roots)
     return [None if tree is None else next(prices) for tree in trees]
 
 
 def _point(x: Sequence[float]) -> bytes:
     """The float64 bytes of a free vector, the key of its stored prices."""
     return np.asarray(x, dtype=float).tobytes()
-
-
-def _residuals(model: str, quotes: Sequence[OptionQuote], s0: float, r: float,
-               dt: float, priced: dict[bytes, np.ndarray | None] | None = None
-               ) -> Callable[[Sequence[float]], np.ndarray]:
-    """Model minus market prices of ``quotes`` as a function of the free
-    vector of ``model``; NaN wherever the pricing raises. The quotes are
-    laid out once, as a ``_Chain``, for every evaluation, unless they
-    already are one, and each evaluation returns a new array.
-
-    ``priced`` (a new dict if not given) maps the :func:`_point` of every
-    vector priced to its prices, or to None where the pricing raised, and
-    a vector already in it is answered from it, so each distinct vector
-    is priced once, by :func:`_price_round`. A caller that passes
-    ``priced`` reads the prices of its points there, or puts them there
-    itself. The dict refers to no function or chain, so it forms no
-    reference cycle with the closure, and the chain and its plans are
-    freed as soon as the last closure that holds them is.
-    """
-    chain = quotes if isinstance(quotes, _Chain) else _Chain(quotes)
-    market = np.array([q.market_price for q in chain])
-    priced = {} if priced is None else priced
-
-    def residuals(x: Sequence[float]) -> np.ndarray:
-        key = _point(x)
-        if key not in priced:
-            priced[key], = _price_round(chain, [(model, x)], s0, r, dt)
-        prices = priced[key]
-        return np.full(market.size, np.nan) if prices is None else prices - market
-    return residuals
 
 
 def _chain_order(quote: OptionQuote) -> tuple[int, float, float]:
@@ -523,15 +500,23 @@ def implied_atm_sigma(quotes: Sequence[OptionQuote], s0: float, r: float,
     every node at maturity is in the money: there it falls slightly, by
     the martingale residual of the hedge probability, so a quote on that
     plateau can have a repricing sigma that the two ends do not bracket.
+
+    Each sigma tried is priced by :func:`_price_round` on a ``_Chain``
+    of the one quote, and so through :func:`model_prices`.
     """
     quote = min(sorted(quotes, key=_chain_order), key=lambda q: abs(q.strike - s0))
-    residual = _residuals("crr", [quote], s0, r, dt)
+    chain = _Chain([quote])
+
+    def residual(sigma: float) -> float:
+        prices, = _price_round(chain, [("crr", (sigma,))], s0, r, dt)
+        return math.nan if prices is None else prices[0] - quote.market_price
+
     lo, hi = _default_start("crr", SIGMA_BOUNDS[0], r, dt)[0], SIGMA_BOUNDS[1]
-    if not residual((lo,))[0] <= 0.0 <= residual((hi,))[0]:
+    if not residual(lo) <= 0.0 <= residual(hi):
         return _default_start("crr", 0.2, r, dt)[0]
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:  # until lo and hi are adjacent floats
-        lo, hi = (mid, hi) if residual((mid,))[0] < 0.0 else (lo, mid)
+        lo, hi = (mid, hi) if residual(mid) < 0.0 else (lo, mid)
         mid = 0.5 * (lo + hi)
     return mid
 
@@ -574,9 +559,12 @@ def _fit(model: str, start: Sequence[float], chain: _Chain, s0: float, r: float,
 
     The fit yields each free vector that it has not priced yet and is
     sent that vector's prices in quote order, or None where the pricing
-    raises; it returns the result. A vector priced once is answered from
-    the fit's store of prices for every later visit, and the reported
-    metrics are those of the best point's stored prices.
+    raises; it returns the result. The fit's store maps each vector it
+    has been sent prices for to them, and is its searches' one source: a
+    search is answered from it at every visit, the first included, with
+    the SSE for Nelder-Mead and the residuals (NaN where the pricing
+    raised) for the polish, and the reported metrics are those of the
+    best point's stored prices.
 
     ``start`` (a free-parameter vector of this model) is clipped into the
     box; a restarted Nelder-Mead with the optimizer settings of ``cfg``
@@ -589,16 +577,22 @@ def _fit(model: str, start: Sequence[float], chain: _Chain, s0: float, r: float,
     Non-convergence is reported through the flag, never raised.
     """
     bounds, transforms = free_parameter_spec(model)
+    market = np.array([q.market_price for q in chain])
+    # The prices of every point priced, by its _point, or None where the
+    # pricing raised.
     priced: dict[bytes, np.ndarray | None] = {}
-    residuals = _residuals(model, chain, s0, r, cfg.dt, priced)
 
-    def objective(x: np.ndarray) -> float:
-        diff = residuals(x)
+    def residuals(prices: np.ndarray | None) -> np.ndarray:
+        # A new array, NaN wherever the pricing raised.
+        return np.full(market.size, np.nan) if prices is None else prices - market
+
+    def objective(prices: np.ndarray | None) -> float:
+        diff = residuals(prices)
         sse = float(np.dot(diff, diff))
         return sse if math.isfinite(sse) else _PENALTY
 
     def drive(search: Generator[np.ndarray, object, MinimizeResult],
-              evaluate: Callable[[np.ndarray], object]
+              evaluate: Callable[[np.ndarray | None], object]
               ) -> Generator[np.ndarray, np.ndarray | None, MinimizeResult]:
         # Yields each point not yet priced, then sends the search its value.
         point = next(search)
@@ -607,7 +601,7 @@ def _fit(model: str, start: Sequence[float], chain: _Chain, s0: float, r: float,
             if key not in priced:
                 priced[key] = yield point
             try:
-                point = search.send(evaluate(point))
+                point = search.send(evaluate(priced[key]))
             except StopIteration as stop:
                 return stop.value
 

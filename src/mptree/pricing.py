@@ -15,19 +15,20 @@ gaps for comparison.
 There is one backward induction, ``_Plan.run``, and both European
 pricers run on it. A ``_Plan`` lays out, once, the work arrays and step
 views of an induction over blocks of terminal values in descending
-order of step count, each block joining at its own step.
-:meth:`Lattice.roll_back` builds a one-block plan per call for
-:func:`price_european`; calibration's chain pricer
-(:func:`~mptree.calibration.model_prices`) builds one per suite, with one
-block of strike columns per maturity, and runs it at every evaluation.
-A plan can also hold a stack of trees, each with its own Q, whose
-columns share every step: calibration prices the points of several fits
-in one run of it. Each step does the same IEEE operations in the same
-order for every column, so a chain price equals the
-:func:`price_european` price of its quote bit for bit, in a stack or
-alone. The run checks q, takes its discount through ``_exp`` and rejects
-a root that overflows, tree by tree in a stack, so neither pricer
-computes a discount or checks an overflow of its own.
+order of step count, each block joining at its own step, for any number
+of trees that share the rate and step, each with its own Q. A run reads
+only each tree's Q, the rate and dt, and returns one root row per tree.
+:meth:`Lattice.roll_back` builds a one-block plan of one tree per call
+for :func:`price_european`; calibration's chain pricer
+(:func:`~mptree.calibration.model_prices`) lays out one plan per tree
+count per suite, with one block of strike columns per maturity, and
+runs it at every evaluation, or every round of several fits' points.
+Each step does the same IEEE operations in the same order for every
+column, so a chain price equals the :func:`price_european` price of its
+quote bit for bit, with other trees or alone. The run checks q, takes
+its discount through ``_exp`` and finds a root that overflows, tree by
+tree, so neither pricer computes a discount or checks an overflow of its
+own.
 
 The tree rules live in :mod:`mptree.model`: p(dt) in
 :func:`~mptree.model.p_up`, the checks of a :class:`Lattice` in
@@ -166,8 +167,9 @@ class Lattice:
         plan = _Plan([self.n + 1], [math.prod(shape[1:])], keep_views=False)
         block, = plan.blocks
         block[...] = np.reshape(values, block.shape)
+        root, = plan.run((q,), self.rate, self.dt)
         # [()] makes the 0-d root of a 1-D ``values`` a scalar.
-        return plan.run(self, q).reshape(shape[1:])[()]
+        return root.reshape(shape[1:])[()]
 
 
 def _step_views(values: np.ndarray, tmp: np.ndarray, up: np.ndarray, down: np.ndarray,
@@ -200,16 +202,17 @@ class _Plan:
     array laid out once for all blocks would leave every step a strided
     view of short runs, which costs far more than these copies.
 
-    A plan prices one tree, or with ``stack`` = k a stack of k trees on
-    lattices of the same rate and step, each with its own Q: each block
-    then holds ``cols[i]`` columns per tree, tree after tree, and the
-    trees share every step's four ufunc calls. The weights are the plan's
-    own: for one tree, two 0-d arrays that every step reads; for a stack,
-    two tiles per block, of its scratch array's shape, which a run fills
-    with each column's Q and 1 - Q. A Q row broadcast over the rows would
-    save the fill but runs the steps slower, and a single column of
-    thousands of nodes runs slower on tiles than on the 0-d weights, so
-    one tree keeps those.
+    A plan prices ``trees`` trees on lattices of the same rate and step,
+    each with its own Q, through one :meth:`run`: each block holds
+    ``cols[i]`` columns per tree, tree after tree, and the trees share
+    every step's four ufunc calls. The plan picks its weights from the
+    tree count: for one tree, two 0-d arrays that every step reads, and
+    no map of columns to trees, so its root row is the work array's own;
+    for more, two tiles per block, of its scratch array's shape, which a
+    run fills with each column's Q and 1 - Q. A Q row broadcast over the
+    rows would save the fill but runs the steps slower, and a single
+    column of thousands of nodes runs slower on tiles than on the 0-d
+    weights, so one tree keeps those.
 
     Each step runs on five views, ``(values[1:m+1], values[:m], tmp[:m],
     up, down)``. A plan run at every evaluation of a fit (a calibration
@@ -219,13 +222,13 @@ class _Plan:
     them step by step instead: kept, the views of 4,096 steps would hold
     1.9 MB for nothing.
 
-    Every run overwrites the work arrays, and the root row it returns is
+    Every run overwrites the work arrays, and the root row of one tree is
     a view of them, so a plan belongs to the one caller that made it,
     a suite's chain or a roll-back, and is never shared.
     """
 
     def __init__(self, rows: Sequence[int], cols: Sequence[int],
-                 keep_views: bool = True, stack: int | None = None) -> None:
+                 keep_views: bool = True, trees: int = 1) -> None:
         self.blocks: list[np.ndarray] = []
         self._layout = []
         self._up, self._down = np.empty(()), np.empty(())
@@ -234,58 +237,56 @@ class _Plan:
         owner = np.empty(0, dtype=np.intp)
         # A block's steps end where the next block joins, or at the root.
         for here, joins, width in zip(rows, [*rows[1:], 1], cols):
-            joined, live = live, live + (stack or 1) * width
+            joined, live = live, live + trees * width
             values, tmp = np.empty((here, live)), np.empty((here - 1, live))
             self.blocks.append(values[:, joined:])
-            if stack is None:
+            if trees == 1:
                 weights, fill = (self._up, self._down), None
             else:
-                owner = np.concatenate([owner, np.repeat(np.arange(stack), width)])
+                owner = np.concatenate([owner, np.repeat(np.arange(trees), width)])
                 weights = (np.empty_like(tmp), np.empty_like(tmp))
                 fill = (*weights, owner)
             steps = (values, tmp, *weights, here - 1, joins)
             self._layout.append((values, steps, fill,
                                  list(_step_views(*steps)) if keep_views else None))
         # Each tree's root columns, block after block.
-        self._trees = None if stack is None else [np.flatnonzero(owner == tree)
-                                                  for tree in range(stack)]
+        self._trees = None if trees == 1 else [np.flatnonzero(owner == tree)
+                                               for tree in range(trees)]
 
-    def run(self, lattice: Lattice, q: float | Sequence[float]
-            ) -> np.ndarray | list[np.ndarray | None]:
-        """Root row of the induction on ``lattice``: one entry per column,
-        block after block; a view of the plan's work array.
+    def run(self, q: Sequence[float], rate: float, dt: float) -> list[np.ndarray | None]:
+        """The root row of each tree: its columns, block after block, or
+        None where it overflows a float.
 
-        ``q`` must lie in [0, 1], exp(-rate*dt) must fit a float, and a
-        root that overflows raises DomainError; overflow and 0*inf are let
-        through the steps and caught once, at the root, where every
-        non-finite node ends up. A step on the first m + 1 rows is four
-        in-place ufunc calls, ``tmp[:m] = v[1:m+1]*q; v[:m] *= 1 - q;
+        ``q`` holds each tree's up probability, which must lie in [0, 1],
+        and every step discounts by exp(-rate*dt), which must fit a float,
+        or DomainError is raised. A tree whose root overflows reads None,
+        and a run in which no root is finite raises DomainError, so a run
+        of one tree raises where its root overflows. Overflow and 0*inf
+        are let through the steps and caught once, at the root, where
+        every non-finite node ends up. A step on the first m + 1 rows is
+        four in-place ufunc calls, ``tmp[:m] = v[1:m+1]*q; v[:m] *= 1 - q;
         v[:m] += tmp[:m]; v[:m] *= disc``, the same IEEE operations as
         ``disc*(q*v[1:] + (1-q)*v[:-1])`` since addition and
-        multiplication commute bit for bit. That fixed order is what makes
+        multiplication commute bit for bit. Each column of several trees
+        takes the operations of its tree alone, so a tree's row is the
+        bits of a plan of that tree alone. That fixed order is what makes
         :func:`~mptree.calibration.model_prices` equal
         :func:`price_european` exactly. A reordering, such as folding
         ``disc`` into the weights, changes the last bits of the prices,
         and with them where some fits stop.
 
-        For a stack, ``q`` holds one probability per tree, and the result
-        is a list with one new array per tree, its root columns block after
-        block, or None for a tree whose root overflows: each column takes
-        the same IEEE operations as on its tree alone, so a tree's row is
-        the bits of a plan of that tree alone, and a tree that fails fails
-        alone. The lattice gives only the rate and step, which the trees
-        share, so a discount too large for a float raises for them all.
-
-        The weights and the discount reach the ufuncs as float64 arrays:
-        NumPy takes those as they are, where it converts a Python float
-        and resolves its type on every call, a large share of a call on a
-        few dozen nodes. The products are the same IEEE values.
+        The row of one tree is a view of the plan's work array; the rows
+        of several are new arrays. The weights and the discount reach the
+        ufuncs as float64 arrays: NumPy takes those as they are, where it
+        converts a Python float and resolves its type on every call, a
+        large share of a call on a few dozen nodes. The products are the
+        same IEEE values.
         """
-        probabilities = [q] if self._trees is None else list(q)
-        if not all(0.0 <= p <= 1.0 for p in probabilities):
-            raise DomainError(f"up probability q must be in [0, 1], got {q}")
-        disc = _exp("-rate*dt", -lattice.rate * lattice.dt)
-        up, discount = np.array(probabilities), np.array(disc)
+        for p in q:
+            if not 0.0 <= p <= 1.0:
+                raise DomainError(f"up probability q must be in [0, 1], got {p}")
+        disc = _exp("-rate*dt", -rate * dt)
+        up, discount = np.array(q), np.array(disc)
         down = 1.0 - up
         self._up[()], self._down[()] = up[0], down[0]
         # Positional outputs and local names cut the per-call overhead, which
@@ -308,13 +309,12 @@ class _Plan:
                     multiply(head, discount, head)
                 live = values
         root = values[0]
-        if self._trees is not None:
-            rows = [root[columns] for columns in self._trees]
-            return [row if np.isfinite(row).all() else None for row in rows]
-        if not np.isfinite(root).all():
+        rows = [root] if self._trees is None else [root[columns] for columns in self._trees]
+        rows = [row if np.isfinite(row).all() else None for row in rows]
+        if all(row is None for row in rows):
             raise DomainError(f"the rolled-back value overflows a float at discount "
                               f"exp(-rate*dt) = {disc}")
-        return root
+        return rows
 
 
 def risk_neutral_prob(params: ModelParams, r: float, dt: float) -> float:

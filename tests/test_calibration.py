@@ -53,6 +53,25 @@ def synthetic_chain(model, x):
     return priced_chain(model, build_params(model, x, RATE))
 
 
+def alone(model, x, quotes, s0, r):
+    """The prices of ``model_prices`` at one point, or None where it raises."""
+    try:
+        return np.asarray(model_prices(model, build_params(model, x, r), list(quotes), s0, r))
+    except (DomainError, ArbitrageError):
+        return None
+
+
+def residuals_alone(model, quotes, s0, r):
+    """Model minus market prices of ``quotes`` as a function of the free
+    vector of ``model``, priced by :func:`alone`; NaN where that is None."""
+    market = np.array([q.market_price for q in quotes])
+
+    def residuals(x):
+        prices = alone(model, x, quotes, s0, r)
+        return np.full(market.size, np.nan) if prices is None else prices - market
+    return residuals
+
+
 # A chain whose generating tree has v != 0 and gamma != delta.
 SLOPED_CHAIN = priced_chain("mpbin2", four_coordinate_tree(0.21, 0.45, 0.52, 0.09, RATE))
 
@@ -149,6 +168,22 @@ def test_model_prices_rejects_a_nan_spot():
     with pytest.raises(DomainError, match="spot must be positive, got nan"):
         model_prices("jr", jarrow_rudd_params(RATE, 0.2), [OptionQuote(100.0, 21, 1.0)],
                      float("nan"), RATE)
+
+
+@pytest.mark.parametrize("s0, message", [
+    (math.inf, "spot must be finite, got inf"),
+    (1e308, "top node s0*u^n overflows: ln(s0) = 709.19"),
+], ids=["infinite-spot", "overflowing-top-node"])
+def test_model_prices_rejects_a_node_that_is_not_finite_as_a_lattice_does(s0, message):
+    # The chain's tree is checked as a Lattice of its longest maturity,
+    # though none is built, with the same message.
+    params, n = jarrow_rudd_params(0.05, 0.2), 10
+    quotes = [OptionQuote(100.0, 3, 1.0), OptionQuote(100.0, n, 1.0)]
+    with pytest.raises(DomainError, match=re.escape(message)) as lattice:
+        Lattice.build(s0, params, n, 1.0 / n, 0.05)
+    with pytest.raises(DomainError, match=re.escape(message)) as chain:
+        model_prices("jr", params, quotes, s0, 0.05, 1.0 / n)
+    assert str(chain.value) == str(lattice.value)
 
 
 def test_model_prices_zero_strike_limit():
@@ -531,8 +566,7 @@ def test_polish_reports_no_convergence_where_the_sigma_transform_saturated():
     # where the forward-difference point decodes to the same sigma and the
     # Jacobian is exactly 0. sigma near 1.9 reprices the quote.
     bounds, transforms = free_parameter_spec("crr")
-    residuals = calibration._residuals("crr", [OptionQuote(97.22, 55, 34.93)],
-                                       S0, 0.053, DAILY)
+    residuals = residuals_alone("crr", [OptionQuote(97.22, 55, 34.93)], S0, 0.053)
     result = least_squares(residuals, bounds,
                            calibration._default_start("crr", 0.2, 0.053, DAILY),
                            transforms)
@@ -657,7 +691,7 @@ def test_one_parameter_fits_are_no_worse_than_a_sigma_grid():
     for c in (6, 12, 14, 34, 57):
         r, quotes = chains[c]
         for result in calibrate_suite(["crr", "jr", "tian"], quotes, S0, r):
-            residuals = calibration._residuals(result.model, quotes, S0, r, DAILY)
+            residuals = residuals_alone(result.model, quotes, S0, r)
             grid_rmse = np.nanmin([np.sqrt(np.mean(residuals((s,)) ** 2)) for s in grid])
             assert result.metrics.rmse <= (1.0 + 1e-9) * grid_rmse, (c, result.model)
 
@@ -1052,39 +1086,25 @@ def shuffled_chain(draw):
 @settings(deadline=None, max_examples=50)
 @given(model=st.sampled_from(MODELS), quotes=shuffled_chain(), data=st.data())
 def test_a_fit_prices_its_laid_out_chain_as_a_fresh_quote_list(model, quotes, data):
-    # A fit lays its chain out once and prices it at every point, so each
-    # point must see none of the points before it, those that raise
-    # included: a negative sigma is no tree in any family.
+    # A fit lays its chain out once and prices it at every point, one point
+    # a round, so each point must see none of the points before it, those
+    # that raise included: a negative sigma is no tree in any family.
     point = st.tuples(*(st.floats(*FREE_PARAMETER_RANGES[name])
                         for name in free_parameter_names(model)))
     points = data.draw(st.lists(point, min_size=1, max_size=5))
     sigma, *rest = data.draw(point)
     points.insert(data.draw(st.integers(0, len(points))), (-sigma, *rest))
-    market = np.array([q.market_price for q in quotes])
-    residuals = calibration._residuals(model, quotes, S0, RATE, DAILY)
-
-    def fresh(x):
-        try:
-            prices = model_prices(model, build_params(model, x, RATE), list(quotes), S0, RATE)
-        except (DomainError, ArbitrageError):
-            return np.full(len(quotes), np.nan)
-        return np.asarray(prices) - market
-
+    chain = calibration._Chain(quotes)
     returned = []
     for x in points:
-        res = residuals(x)
-        assert res.tobytes() == fresh(x).tobytes(), x
-        returned.append((res, res.tobytes()))
-    # Levenberg-Marquardt keeps a residual array across its trials.
-    assert all(res.tobytes() == kept for res, kept in returned)
-
-
-def alone(model, x, quotes, s0, r):
-    """The prices of ``model_prices`` at one point, or None where it raises."""
-    try:
-        return np.asarray(model_prices(model, build_params(model, x, r), list(quotes), s0, r))
-    except (DomainError, ArbitrageError):
-        return None
+        prices, = calibration._price_round(chain, [(model, x)], S0, RATE, DAILY)
+        expected = alone(model, x, quotes, S0, RATE)
+        assert (None if prices is None else prices.tobytes()) == (
+            None if expected is None else expected.tobytes()), x
+        if prices is not None:
+            returned.append((prices, prices.tobytes()))
+    # A fit keeps the prices of every point it has priced.
+    assert all(prices.tobytes() == kept for prices, kept in returned)
 
 
 @settings(deadline=None, max_examples=60)
@@ -1118,6 +1138,18 @@ def test_a_round_isolates_a_tree_whose_root_overflows():
     assert priced[0] is None
     for (model, x), prices in zip(points[1:], priced[1:]):
         assert prices.tobytes() == alone(model, x, quotes, s0, r).tobytes()
+
+
+def test_a_round_whose_every_root_overflows_reads_none_for_every_point():
+    # The setup of the test above, with every tree's call outgrowing the
+    # largest float on its way to the root.
+    quotes, s0, r = [OptionQuote(1.0, 21, 1.0)], 1.7e308, -20.0
+    points = [("mpbin1", np.array(x)) for x in ((3.0, 0.9), (2.5, 0.9), (3.0, 0.85))]
+    for model, x in points:
+        with pytest.raises(DomainError, match="rolled-back value overflows"):
+            model_prices(model, build_params(model, x, r), quotes, s0, r)
+    priced = calibration._price_round(calibration._Chain(quotes), points, s0, r, DAILY)
+    assert priced == [None] * len(points)
 
 
 @settings(deadline=None)
