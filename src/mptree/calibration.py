@@ -100,9 +100,9 @@ from typing import Callable, Generator, Sequence
 import numpy as np
 
 from .errors import ArbitrageError, DomainError
-from .model import (ModelParams, _nodes, _require_finite_nodes, _require_finite_rate,
-                    _require_g, _require_spot, crr_params, jarrow_rudd_params, p_up,
-                    step_factors_exact, tian_params)
+from .model import (ModelParams, _nodes, _require_finite_rate, _require_g, _require_spot,
+                    _require_tree, crr_params, jarrow_rudd_params, p_up, step_factors_exact,
+                    tian_params)
 # minimize stays a name of this module, though no fit calls it: the
 # benchmark's tracer wraps calibration.minimize.
 from .optimize import (MinimizeConfig, MinimizeResult, _least_squares_search,
@@ -374,12 +374,12 @@ class _Chain(tuple):
         Raises where :func:`model_prices` raises before its induction,
         with the checks of a :class:`~mptree.pricing.Lattice` of the
         longest maturity in its order: the factors (whose p(dt) checks
-        dt), Q, every node finite, then the rate.
+        dt), Q, then ``_require_tree``, the nodes and rate checks that
+        ``Lattice`` runs.
         """
         factors = step_factors_exact(params, dt)
         q = risk_neutral_prob(params, r, dt)
-        _require_finite_nodes(s0, factors, self.steps[0])
-        _require_finite_rate(r)
+        _require_tree(s0, factors, self.steps[0], r)
         return q, _nodes(s0, factors, self.node_steps, self.node_ups)
 
     def price(self, trees: Sequence[tuple[float, np.ndarray]], r: float,

@@ -33,11 +33,12 @@ that a tree is admissible at a step dt. ``_nodes`` is the node formula,
 for :func:`node_values` and for calibration's chain pricer, which takes
 every maturity's terminal nodes in one pass. ``_require_finite_nodes``
 checks the spot, the step count and the top node of an n-step tree, for
-:class:`~mptree.pricing.Lattice` and
-:func:`~mptree.convergence.terminal_distribution`. ``_exp`` is the one
-guard against an exponent that is NaN or too large for exp, for the
-exact factors, :func:`gbm_moment`, and the lattice discount and closed
-forms in :mod:`mptree.pricing`.
+:func:`~mptree.convergence.terminal_distribution` and ``_require_tree``,
+which adds the rate check and is the one order of checks of a tree for
+:class:`~mptree.pricing.Lattice` and calibration's chain pricer.
+``_exp`` is the one guard against an exponent that is NaN or too large
+for exp, for the exact factors, :func:`gbm_moment`, and the lattice
+discount and closed forms in :mod:`mptree.pricing`.
 
 The argument rules that several modules share have one home each here
 too. ``_require_spot`` (positive, then finite) serves
@@ -46,10 +47,10 @@ too. ``_require_spot`` (positive, then finite) serves
 :func:`~mptree.pricing.discontinuity_report`. ``_require_g`` (strictly
 inside (0, 1)) serves :func:`p_up` and calibration's mpbin2 family,
 whose delta divides by 1 - g. ``_require_finite_rate`` serves
-:class:`~mptree.calibration.ChainFile` and
-:class:`~mptree.pricing.Lattice`, whose discount exp(-rate*dt) an
-infinite rate would zero. ``_require_sigma_and_t`` (both positive
-and finite) serves :func:`~mptree.convergence.lognormal_cdf`,
+:class:`~mptree.calibration.ChainFile` and ``_require_tree``, for a
+lattice's discount exp(-rate*dt), which an infinite rate would zero.
+``_require_sigma_and_t`` (both positive and finite) serves
+:func:`~mptree.convergence.lognormal_cdf`,
 :func:`~mptree.pricing.discontinuity_report` and
 :func:`~mptree.pricing.black_scholes_call`.
 """
@@ -188,6 +189,17 @@ def _require_finite_nodes(s0: float, factors: StepFactors, n: int) -> None:
     if max(growth, log_s0 + growth) > _LOG_FLOAT_MAX:
         raise DomainError(f"top node s0*u^n overflows: ln(s0) = {log_s0}, "
                           f"n*ln(u) = {growth}")
+
+
+def _require_tree(s0: float, factors: StepFactors, n: int, rate: float) -> None:
+    """Check an n-step tree from s0 at ``rate``, past its step: every node
+    finite (:func:`_require_finite_nodes`), then the rate finite.
+
+    The one order of the checks that :class:`~mptree.pricing.Lattice` and
+    calibration's chain pricer share.
+    """
+    _require_finite_nodes(s0, factors, n)
+    _require_finite_rate(rate)
 
 
 def p_up(params: ModelParams, dt: float) -> float:

@@ -32,14 +32,14 @@ own.
 
 The tree rules live in :mod:`mptree.model`: p(dt) in
 :func:`~mptree.model.p_up`, the checks of a :class:`Lattice` in
-``_require_positive_dt``, ``_require_finite_nodes`` (spot, step count,
-top node) and ``_require_finite_rate``, and the guard against an
-exponent that is NaN or too large for exp, ``_exp``, which the
-induction's discount, :func:`discontinuity_report` and
-:func:`black_scholes_call` share with the exact factors. So do the argument rules shared with other modules:
-``_require_spot`` for :func:`delta_hedge` and
-:func:`discontinuity_report`, and ``_require_sigma_and_t`` for both
-closed forms.
+``_require_positive_dt`` and ``_require_tree`` (spot, step count, top
+node, then rate), which calibration's chain pricer shares, and the guard
+against an exponent that is NaN or too large for exp, ``_exp``, which
+the induction's discount, :func:`discontinuity_report` and
+:func:`black_scholes_call` share with the exact factors. So do the
+argument rules shared with other modules: ``_require_spot`` for
+:func:`delta_hedge` and :func:`discontinuity_report`, and
+``_require_sigma_and_t`` for both closed forms.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ from typing import Iterator, Literal, Sequence
 import numpy as np
 
 from .errors import ArbitrageError, DomainError
-from .model import (ModelParams, StepFactors, _exp, _require_finite_nodes,
-                    _require_finite_rate, _require_positive_dt, _require_sigma_and_t,
-                    _require_spot, node_values, p_up, step_factors_asymptotic,
-                    step_factors_exact)
+from .model import (ModelParams, StepFactors, _exp, _require_positive_dt,
+                    _require_sigma_and_t, _require_spot, _require_tree, node_values, p_up,
+                    step_factors_asymptotic, step_factors_exact)
 from .special import normal_cdf
 
 __all__ = [
@@ -114,8 +113,7 @@ class Lattice:
 
     def __post_init__(self) -> None:
         _require_positive_dt(self.dt)
-        _require_finite_nodes(self.s0, self.factors, self.n)
-        _require_finite_rate(self.rate)
+        _require_tree(self.s0, self.factors, self.n, self.rate)
 
     @classmethod
     def build(cls, s0: float, params: ModelParams, n: int, dt: float, rate: float,

@@ -283,9 +283,6 @@ steps_up_to_4096 = st.integers(0, 12).flatmap(
 # spot, is 3.7e-13 of the price.
 @example(model="mpbin2", sigma=0.05, g=0.5, gamma=-0.21875, r=0.0, t=0.146484375, n=4,
          s0=1.0, moneyness=-0.3203125, kind="put", method="asymptotic")
-# A discount of 1 - 2**-53 over 3,943 steps: 2.06e-13 of the price.
-@example(model="crr", sigma=0.5, g=0.5, gamma=0.0, r=1e-12, t=0.5, n=3943, s0=1.0,
-         moneyness=0.0, kind="call", method="asymptotic")
 @given(model=st.sampled_from(MODELS), sigma=st.floats(0.05, 0.6), g=st.floats(0.3, 0.7),
        gamma=st.floats(-0.5, 0.5), r=st.floats(-0.02, 0.1), t=st.floats(0.05, 2.0),
        n=steps_up_to_4096, s0=st.floats(1.0, 1000.0), moneyness=st.floats(-0.5, 0.5),
@@ -309,13 +306,6 @@ def test_price_european_stays_within_a_bound_of_the_exact_lattice_price(
     # by the spot: a price below about 1.1e-3 of the spot is bound by one
     # ulp of the spot, s0 * 2**-52, in place of the relative bound.
     bound = max(REFERENCE_REL_BOUND * exact, Decimal(s0 * 2.0 ** -52))
-    # Where the float discount is 1 - 2**-53, the float just below 1, each
-    # of the n products v*disc rounds down, by up to 2**-53 of v, so their
-    # errors add up instead of cancelling. Over 300 draws with n >= 512 the
-    # largest was 0.53 of n*2**-53 of the price; 55 broke the bound above.
-    # At a discount of 1 - 2**-52 none of 300 did.
-    if math.exp(-lattice.rate * lattice.dt) == 1.0 - 2.0 ** -53:
-        bound += Decimal(n * 2.0 ** -53) * exact
     assert abs(Decimal(price) - exact) <= bound
 
 
